@@ -3,8 +3,10 @@
 Subcommands: analyze (full report for one box), gen (emit boxes), decompose
 (optimal decomposition), fuzz (seeded property sweep), repro (reference
 scenario run), sweep (parameter sweep as CSV).  Exit codes: 0 success, 1 an
-asserted property failed, 2 usage or input error.  Output is deterministic:
-identical invocations print identical bytes.
+asserted property failed, 2 usage or input error, 3 internal error (a solver
+self-check or any other fault of the program, reported as one
+"error: internal: ..." line on stderr).  Output is deterministic: identical
+invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from .cost import (
     NotInHull,
     communication_cost,
     decomposition_to_json_obj,
-    eta_star,
-    find_distinct_decompositions,
+    eta_star_of_cost,
+    optimal_cost,
+    optimal_decompositions,
 )
 from .generators import (
     FAMILY_KINDS,
@@ -47,13 +50,16 @@ from .verify import fuzz, reproduce_paper
 _PARAMETRIC_KINDS = ("isotropic", "quantum")
 
 
-def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+def _emit(obj: dict, out: str | None) -> None:
+    _write(json.dumps(obj, indent=2) + "\n", out)
 
 
 def _parse_angles(raw: list[str] | None) -> tuple[float, float, float, float] | None:
@@ -162,7 +168,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.dim is not None:
         obj["eta_star"] = {
             "d": args.dim,
-            "value": "%.12g" % eta_star(box, args.dim),
+            "value": "%.12g" % eta_star_of_cost(cost_report.c, args.dim),
             "approximate": True,
         }
     if args.text:
@@ -179,7 +185,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         ]
         if args.dim is not None:
             lines.append(f"eta_star(d={args.dim}) ~ {obj['eta_star']['value']}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write("\n".join(lines) + "\n", args.out)
     else:
         _emit(obj, args.out)
     return 0
@@ -221,21 +227,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     box = _resolve_box(args)
     if args.alt:
         try:
-            pair = find_distinct_decompositions(box, args.basis)
+            first, second = optimal_decompositions(box, args.basis)
         except NotInHull:
             _emit({"basis": args.basis, "status": "not-in-hull"}, args.out)
             return 0
-        if pair is None:
-            report = communication_cost(box, args.basis)
-            obj = {
-                "first": decomposition_to_json_obj(report.decomposition),
-                "second": None,
-            }
-        else:
-            obj = {
-                "first": decomposition_to_json_obj(pair[0]),
-                "second": decomposition_to_json_obj(pair[1]),
-            }
+        obj = {
+            "first": decomposition_to_json_obj(first),
+            "second": None if second is None else decomposition_to_json_obj(second),
+        }
         _emit(obj, args.out)
         return 0
     try:
@@ -271,14 +270,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         v = Fraction(k, args.steps)
         box = isotropic(v)
         lam = chsh(box).lambda_max
-        cost_report = communication_cost(box, "full256")
+        c = optimal_cost(box, "full256")
+        s = signal(box).s
         unc = uncertainty(box)
         exact = (
             v,
             lam,
-            cost_report.s,
-            cost_report.c,
-            cost_report.eta,
+            s,
+            c,
+            c - s,
             unpredictability(box, "formula"),
             unc.u_a,
             unc.u_b,
@@ -310,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt = analyze.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON report (the default)")
     fmt.add_argument("--text", action="store_true", help="plain text instead of JSON")
-    analyze.add_argument("--out", help="write JSON here instead of stdout")
+    analyze.add_argument("--out", help="write the report here instead of stdout")
     analyze.set_defaults(func=_cmd_analyze)
 
     gen = sub.add_parser("gen", help="emit canonical, parametric, or sampled boxes")
@@ -365,6 +365,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

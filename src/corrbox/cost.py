@@ -5,6 +5,13 @@ boxes; its cost is the weighted number of communicated bits.  Two bases are
 supported: the full set of 256 deterministic boxes (every valid box is a
 mixture of these, so the program is always feasible) and the 16-element
 canonical basis, where membership can genuinely fail.
+
+Two paths solve the same program.  communication_cost wants a decomposition
+to print, so it runs the two-phase simplex from the artificial basis, whose
+vertex is fixed by its pivot rules.  optimal_cost wants only C, which is
+unique although its vertex is not, so it runs the dual simplex from the
+basis's cached start state and certifies the value with a dual-feasible
+vector of the same value.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -21,6 +28,7 @@ from .boxes import Box, enumerate_deterministic, format_fraction, mix
 from .measures import chsh, signal
 
 BASIS_KINDS = ("full256", "chsh16")
+_FULL256_IDS = tuple(range(256))
 
 
 class NotInHull(ValueError):
@@ -58,50 +66,49 @@ class CostReport:
     lower_bound: Fraction
 
 
-@lru_cache(maxsize=1)
-def _full256_system() -> tuple[lp._Prepared, tuple[int, ...]]:
-    dets = enumerate_deterministic()
-    ids = tuple(range(256))
-    columns = np.zeros((16, 256), dtype=np.int64)
-    costs = []
-    for j, i in enumerate(ids):
-        det = dets[i]
-        box = det.as_box()
-        for cell in range(16):
-            if box.p[cell] != 0:
-                columns[cell, j] = 1
-        costs.append(det.cost_bits)
-    return lp._prepare_int01(columns, costs), ids
+@dataclass(frozen=True)
+class _CostSystem:
+    """The cost program over one basis: its prepared columns, the strategy id
+    of each column, the objective, and the warm-start state."""
+
+    prep: lp._Prepared
+    ids: tuple[int, ...]
+    objective: tuple[Fraction, ...]
+
+    @cached_property
+    def start(self) -> lp._Start:
+        """Optimal basis of the uniform mixture of the basis's own columns
+        (noise for full256), which is in the hull.  Built on the first warm
+        solve, so commands that only decompose never pay for it."""
+        uniform = [Fraction(int(k), self.prep.n) for k in self.prep.a_int.sum(axis=1)]
+        return lp._start_state(self.prep, uniform)
 
 
-@lru_cache(maxsize=1)
-def _chsh16_system() -> tuple[lp._Prepared, tuple[int, ...]]:
-    from .generators import canonical_det_ids
-
-    ids = canonical_det_ids()
+@lru_cache(maxsize=len(BASIS_KINDS))
+def _cost_system(ids: tuple[int, ...]) -> _CostSystem:
     dets = enumerate_deterministic()
     columns = np.zeros((16, len(ids)), dtype=np.int64)
-    costs = []
     for j, i in enumerate(ids):
-        det = dets[i]
-        box = det.as_box()
+        box = dets[i].as_box()
         for cell in range(16):
             if box.p[cell] != 0:
                 columns[cell, j] = 1
-        costs.append(det.cost_bits)
-    return lp._prepare_int01(columns, costs), ids
+    costs = [dets[i].cost_bits for i in ids]
+    return _CostSystem(
+        prep=lp._prepare_int01(columns, costs),
+        ids=ids,
+        objective=tuple(Fraction(c) for c in costs),
+    )
 
 
-def _system_for(basis: str) -> tuple[lp._Prepared, tuple[int, ...]]:
+def _system_for(basis: str) -> _CostSystem:
     if basis == "full256":
-        return _full256_system()
+        return _cost_system(_FULL256_IDS)
     if basis == "chsh16":
-        return _chsh16_system()
+        from .generators import canonical_det_ids
+
+        return _cost_system(canonical_det_ids())
     raise ValueError(f"unknown basis {basis!r}, expected one of {BASIS_KINDS}")
-
-
-def _objective(prep: lp._Prepared) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in prep.col_cost)
 
 
 def _decomposition_from_point(
@@ -115,46 +122,83 @@ def _decomposition_from_point(
     return Decomposition(weights=weights, basis_kind=basis, cost=cost)
 
 
-def _solve_cost(box: Box, basis: str) -> tuple[lp.LpSolution, lp._Engine | None, tuple[int, ...]]:
-    prep, ids = _system_for(basis)
-    solution, engine = lp._solve_prepared(prep, box.p, _objective(prep))
+def _solve_cost(
+    box: Box, basis: str, warm: bool = False
+) -> tuple[lp.LpSolution, lp._Engine | None, _CostSystem]:
+    system = _system_for(basis)
+    start = system.start if warm else None
+    solution, engine = lp._solve_prepared(system.prep, box.p, system.objective, start)
     if solution.status == "infeasible":
         if basis == "full256":
             raise RuntimeError("a valid box left the full deterministic hull")
         raise NotInHull("box is not a mixture of the 16-box canonical basis")
     if solution.status != "optimal":
         raise RuntimeError(f"cost program ended {solution.status}")
-    return solution, engine, ids
+    return solution, engine, system
+
+
+def optimal_cost(box: Box, basis: str = "full256") -> Fraction:
+    """The optimal cost C alone, without a decomposition.
+
+    Raises NotInHull when basis="chsh16" and the box lies outside that hull."""
+    solution, _, _ = _solve_cost(box, basis, warm=True)
+    assert solution.value is not None
+    return solution.value
+
+
+def facet_bound(box: Box) -> Fraction:
+    """The facet lower bound on C: max(0, (lambda_max - 2) / 2)."""
+    return max(Fraction(0), (chsh(box).lambda_max - 2) / 2)
 
 
 def communication_cost(box: Box, basis: str = "full256") -> CostReport:
     """Minimal expected communicated bits over decompositions in the basis.
 
     Raises NotInHull when basis="chsh16" and the box lies outside that hull."""
-    solution, _, ids = _solve_cost(box, basis)
+    solution, _, system = _solve_cost(box, basis)
     assert solution.value is not None
-    decomposition = _decomposition_from_point(solution.point, ids, basis)
+    decomposition = _decomposition_from_point(solution.point, system.ids, basis)
     if decomposition.cost != solution.value:
         raise RuntimeError("decomposition cost disagrees with program value")
     s = signal(box).s
-    lam = chsh(box).lambda_max
-    lower = max(Fraction(0), (lam - 2) / 2)
     return CostReport(
         c=solution.value,
         eta=solution.value - s,
         s=s,
         decomposition=decomposition,
-        lower_bound=lower,
+        lower_bound=facet_bound(box),
     )
+
+
+def eta_star_of_cost(c: Fraction, d: int) -> float:
+    """eta_star from a cost already solved: c - log2(d)."""
+    if d < 2:
+        raise BadDimension(f"alphabet dimension must be at least 2, got {d}")
+    return float(c) - math.log2(d)
 
 
 def eta_star(box: Box, d: int) -> float:
     """Signal deficit against a d-letter channel: c - log2(d).  Approximate:
     this is the one quantity in the package computed in floating point."""
-    if d < 2:
-        raise BadDimension(f"alphabet dimension must be at least 2, got {d}")
-    report = communication_cost(box, basis="full256")
-    return float(report.c) - math.log2(d)
+    return eta_star_of_cost(optimal_cost(box), d)
+
+
+def optimal_decompositions(
+    box: Box, basis: str = "full256"
+) -> tuple[Decomposition, Decomposition | None]:
+    """The optimal decomposition communication_cost reports, and a second
+    one with a different support, or None when the search over the optimal
+    face finds none.  Raises NotInHull like communication_cost."""
+    solution, engine, system = _solve_cost(box, basis)
+    assert solution.value is not None and engine is not None
+    first = _decomposition_from_point(solution.point, system.ids, basis)
+    known = frozenset(j for j, v in enumerate(solution.point) if v != 0)
+    other = lp._alternative_from_engine(
+        system.prep, engine, system.objective, solution.value, known
+    )
+    if other is None:
+        return first, None
+    return first, _decomposition_from_point(other.point, system.ids, basis)
 
 
 def find_distinct_decompositions(
@@ -162,17 +206,8 @@ def find_distinct_decompositions(
 ) -> tuple[Decomposition, Decomposition] | None:
     """Two optimal decompositions with different supports, or None when the
     optimum's support is unique on the optimal face."""
-    solution, engine, ids = _solve_cost(box, basis)
-    assert solution.value is not None and engine is not None
-    prep, _ = _system_for(basis)
-    objective = _objective(prep)
-    first = _decomposition_from_point(solution.point, ids, basis)
-    known = frozenset(j for j, v in enumerate(solution.point) if v != 0)
-    other = lp._alternative_from_engine(prep, engine, objective, solution.value, known)
-    if other is None:
-        return None
-    second = _decomposition_from_point(other.point, ids, basis)
-    return first, second
+    first, second = optimal_decompositions(box, basis)
+    return None if second is None else (first, second)
 
 
 def decomposition_to_json_obj(decomposition: Decomposition) -> dict:

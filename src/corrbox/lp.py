@@ -14,6 +14,22 @@ Update rule per pivot (entering column j, pivot row p, w = M a_j):
 The division is exact (Sylvester's identity); the solver asserts zero
 remainders, which doubles as an overflow trip-wire, and re-substitutes every
 optimal point into A x = b before returning it.
+
+Warm start.  Reduced costs depend on the basis and the objective only, so an
+optimal basis of one right-hand side is dual-feasible for every other one.
+_start_state records such a basis (with its M, delta and inert rows) and
+_solve_prepared(..., start=...) runs a dual simplex from it, with no phase 1:
+seed xi = M b; while some basic value is negative, the most negative row
+leaves (after _BLAND_AFTER pivots, the row of the smallest basic index), and
+the column entering is the one with the least ratio
+    delta * reduced_j / -(M_r a_j)   over columns with (M_r a_j) / delta < 0,
+compared by integer cross-multiplication, ties to the smallest index.  The
+pivot itself is the same fraction-free update.  A row that no column can
+enter, or an inert row with xi != 0, proves infeasibility with that row of M
+as the Farkas vector.  At the end every reduced cost is checked nonnegative
+in integers and the basic state re-substituted, so an optimal warm solve
+carries both a primal check and a dual certificate y with y.A <= objective
+and y.rhs = value.  It reports the value and the basis, not the point.
 """
 
 from __future__ import annotations
@@ -71,7 +87,9 @@ class LpSolution:
 
     value and basis are present only when optimal.  certificate carries a
     Farkas vector (infeasible: y.A <= 0 and y.rhs > 0) or a ray (unbounded:
-    A ray = 0, ray >= 0, objective.ray < 0).
+    A ray = 0, ray >= 0, objective.ray < 0).  A warm-started solve reports
+    no point; when optimal, its certificate is the dual vector y with
+    y.A <= objective and y.rhs = value.
     """
 
     status: str
@@ -89,9 +107,23 @@ class _Prepared:
     n: int
     a_int: np.ndarray  # (m, n); row i of the original matrix times row_scale[i]
     col_cost: list[int]
+    cost_vec: np.ndarray  # col_cost as an array of the arithmetic path's dtype
     cost_den: int
-    row_scale: tuple[Fraction, ...]
+    row_scale: tuple[int, ...]
     int_mode: bool
+
+
+@dataclass(frozen=True)
+class _Start:
+    """An optimal basis of a prepared system, the state a warm solve starts
+    from: basis (artificial index n + i on an inert row i), adjugate M
+    (read-only), determinant delta, and the inert rows."""
+
+    basis: tuple[int, ...]
+    mat: np.ndarray
+    mat_max: int
+    delta: int
+    inert: tuple[bool, ...]
 
 
 def _lcm_of(denominators: Iterable[int]) -> int:
@@ -109,7 +141,7 @@ def _prepare_program(program: LinearProgram) -> _Prepared:
     for i, row in enumerate(program.constraint_matrix):
         k = _lcm_of(x.denominator for x in row)
         sign = -1 if program.rhs[i] < 0 else 1
-        scales.append(Fraction(sign * k))
+        scales.append(sign * k)
         rows.append([sign * int(x * k) for x in row])
     cost_den = _lcm_of(x.denominator for x in program.objective)
     col_cost = [int(x * cost_den) for x in program.objective]
@@ -124,6 +156,7 @@ def _prepare_program(program: LinearProgram) -> _Prepared:
         n=n,
         a_int=a_int,
         col_cost=col_cost,
+        cost_vec=np.array(col_cost, dtype=np.int64 if int_mode else object),
         cost_den=cost_den,
         row_scale=tuple(scales),
         int_mode=int_mode,
@@ -136,21 +169,26 @@ def _prepare_int01(columns: np.ndarray, costs: Sequence[int]) -> _Prepared:
     Callers guarantee a nonnegative rhs at solve time."""
     m, n = columns.shape
     int_mode = m <= 16 and max(abs(int(c)) for c in costs) <= 2**20
+    col_cost = [int(c) for c in costs]
     return _Prepared(
         m=m,
         n=n,
         a_int=columns.astype(np.int64 if int_mode else object),
-        col_cost=[int(c) for c in costs],
+        col_cost=col_cost,
+        cost_vec=np.array(col_cost, dtype=np.int64 if int_mode else object),
         cost_den=1,
-        row_scale=tuple(Fraction(1) for _ in range(m)),
+        row_scale=(1,) * m,
         int_mode=int_mode,
     )
 
 
 class _Engine:
-    """One solve: two-phase fraction-free simplex over a prepared system."""
+    """One solve over a prepared system: two-phase fraction-free simplex from
+    the artificial basis, or dual simplex from a start state."""
 
-    def __init__(self, prep: _Prepared, rhs: Sequence[Fraction]):
+    def __init__(
+        self, prep: _Prepared, rhs: Sequence[Fraction], start: _Start | None = None
+    ):
         if len(rhs) != prep.m:
             raise DimensionMismatch(f"rhs has {len(rhs)} entries, expected {prep.m}")
         self.prep = prep
@@ -158,18 +196,31 @@ class _Engine:
         self.n = prep.n
         self.int_mode = prep.int_mode
         self.a = prep.a_int
-        scaled = [rhs[i] * prep.row_scale[i] for i in range(prep.m)]
-        if any(v < 0 for v in scaled):
-            raise ValueError("rhs negative after row scaling")
+        self.cost_vec = prep.cost_vec
+        scaled = [v if k == 1 else v * k for v, k in zip(rhs, prep.row_scale)]
         self.den = _lcm_of(v.denominator for v in scaled)
-        self.b_num = [int(v * self.den) for v in scaled]
-        self.basis = [prep.n + i for i in range(prep.m)]  # artificials first
-        eye = np.eye(prep.m, dtype=np.int64)
-        self.mat = eye if self.int_mode else eye.astype(object)
-        self.mat_max = 1
-        self.delta = 1
-        self.xi = list(self.b_num)  # M @ b_num, exact Python ints
-        self.inert = [False] * prep.m  # redundant rows, permanently zero
+        self.b_num = [v.numerator * (self.den // v.denominator) for v in scaled]
+        if start is None:
+            if any(v < 0 for v in scaled):
+                raise ValueError("rhs negative after row scaling")
+            self.basis = [prep.n + i for i in range(prep.m)]  # artificials first
+            eye = np.eye(prep.m, dtype=np.int64)
+            self.mat = eye if self.int_mode else eye.astype(object)
+            self.mat_max = 1
+            self.delta = 1
+            self.xi = list(self.b_num)  # M @ b_num, exact Python ints
+            self.inert = [False] * prep.m  # redundant rows, permanently zero
+        else:
+            self.basis = list(start.basis)
+            self.mat = start.mat
+            self.mat_max = start.mat_max
+            self.delta = start.delta
+            self.inert = list(start.inert)
+            if self.int_mode and start.mat.dtype == object:
+                self._escalate()
+            self.xi = [
+                sum(v * b for v, b in zip(row, self.b_num)) for row in start.mat.tolist()
+            ]
 
     # -- arithmetic kernels ------------------------------------------------
 
@@ -177,6 +228,7 @@ class _Engine:
         if self.int_mode:
             self.mat = self.mat.astype(object)
             self.a = self.a.astype(object)
+            self.cost_vec = self.cost_vec.astype(object)
             self.int_mode = False
 
     def _entering_w(self, j: int) -> np.ndarray:
@@ -188,8 +240,8 @@ class _Engine:
         wp = int(w[p])
         if wp == 0:
             raise RuntimeError("zero pivot element")
-        numer = wp * self.mat - np.outer(w, self.mat[p])
-        if (numer % self.delta != 0).any():
+        numer = wp * self.mat - w[:, None] * self.mat[p]
+        if (numer % self.delta).any():
             raise RuntimeError("inexact division in basis update")
         new_mat = numer // self.delta
         new_mat[p] = self.mat[p]
@@ -197,10 +249,10 @@ class _Engine:
         if self.int_mode:
             self.mat_max = int(np.abs(self.mat).max())
         xi_p = self.xi[p]
-        for i in range(self.m):
+        for i, w_i in enumerate(w.tolist()):
             if i == p:
                 continue
-            q, r = divmod(wp * self.xi[i] - int(w[i]) * xi_p, self.delta)
+            q, r = divmod(wp * self.xi[i] - w_i * xi_p, self.delta)
             if r != 0:
                 raise RuntimeError("inexact division in rhs update")
             self.xi[i] = q
@@ -223,7 +275,10 @@ class _Engine:
         ata = self.a.T @ yhat
         if col_cost is None:
             return -ata
-        cc = np.array(col_cost, dtype=np.int64 if self.int_mode else object)
+        if col_cost is self.prep.col_cost:
+            cc = self.cost_vec
+        else:
+            cc = np.array(col_cost, dtype=np.int64 if self.int_mode else object)
         return cc * self.delta - ata
 
     # -- simplex loop ------------------------------------------------------
@@ -278,6 +333,56 @@ class _Engine:
             self._pivot(j, p, w)
         raise RuntimeError("simplex iteration cap exceeded")
 
+    def _dual_ratio_column(self, row: np.ndarray, reduced: np.ndarray) -> int | None:
+        """Entering column of the dual ratio test on a leaving row, or None
+        when no column can enter.  row holds the sign-normalised -(M_r a_j),
+        reduced the sign-normalised reduced costs; the least reduced/row over
+        row > 0 wins, ties to the smallest index, compared exactly."""
+        candidates = np.flatnonzero(row > 0)
+        if len(candidates) == 0:
+            return None
+        red = reduced[candidates]
+        den = row[candidates]
+        if red.dtype != object and int(np.abs(red).max()) * int(den.max()) >= 2**62:
+            red = red.astype(object)
+            den = den.astype(object)
+        # Start from the least reduced cost (a zero one is already a minimum);
+        # each pass moves to a column of strictly smaller ratio, so it stops.
+        k = int(np.argmin(red))
+        while True:
+            better = red * den[k] < red[k] * den
+            if not better.any():
+                break
+            k = int(np.argmax(better))
+        ties = red * den[k] == red[k] * den
+        return int(candidates[int(np.argmax(ties))])
+
+    def run_dual(self) -> int | None:
+        """Dual simplex to optimality from a dual-feasible basis.  Returns None
+        when optimal, else the row whose M row proves infeasibility."""
+        for i in range(self.m):
+            if self.inert[i] and self.xi[i] != 0:
+                return i
+        col_cost = self.prep.col_cost
+        for iteration in range(_ITERATION_CAP):
+            sgn = 1 if self.delta > 0 else -1
+            negative = [
+                i for i in range(self.m) if not self.inert[i] and sgn * self.xi[i] < 0
+            ]
+            if not negative:
+                self.check_dual_feasible()
+                return None
+            if iteration < _BLAND_AFTER:
+                r = min(negative, key=lambda i: sgn * self.xi[i])
+            else:
+                r = min(negative, key=lambda i: self.basis[i])
+            row = -sgn * (self.mat[r] @ self.a)
+            j = self._dual_ratio_column(row, self._reduced(col_cost) * sgn)
+            if j is None:
+                return r
+            self._pivot(j, r, self._entering_w(j))
+        raise RuntimeError("dual simplex iteration cap exceeded")
+
     def _drive_out_artificials(self) -> None:
         for p in range(self.m):
             if self.basis[p] < self.n:
@@ -330,13 +435,18 @@ class _Engine:
         for i in range(self.m):
             if self.xi[i] != 0 and (self.xi[i] < 0) != (self.delta < 0):
                 raise RuntimeError("negative coordinate in solver state")
-        for r in range(self.m):
-            total = 0
-            for i, jb in enumerate(self.basis):
-                if jb < self.n and self.xi[i] != 0:
-                    total += int(self.a[r, jb]) * self.xi[i]
+        basic = [i for i, jb in enumerate(self.basis) if jb < self.n]
+        columns = self.a[:, [self.basis[i] for i in basic]].tolist()
+        for r, row in enumerate(columns):
+            total = sum(a * self.xi[i] for a, i in zip(row, basic))
             if total != self.b_num[r] * self.delta:
                 raise RuntimeError("solver state fails re-substitution")
+
+    def check_dual_feasible(self) -> None:
+        """Integer check that every reduced cost is nonnegative."""
+        sgn = 1 if self.delta > 0 else -1
+        if (self._reduced(self.prep.col_cost) * sgn < 0).any():
+            raise RuntimeError("optimal basis is not dual-feasible")
 
     def check_point(self, x: Sequence[Fraction]) -> None:
         support = [j for j in range(self.n) if x[j] != 0]
@@ -347,12 +457,33 @@ class _Engine:
             if total != Fraction(self.b_num[i], self.den):
                 raise RuntimeError("solver output fails re-substitution")
 
-    def farkas_certificate(self) -> tuple[Fraction, ...]:
-        yhat = self._cost_basis(None) @ self.mat
+    def dual_vector(self, col_cost: Sequence[int] | None) -> tuple[Fraction, ...]:
+        """y = c_B B^-1 in the program's own rows.  For the program's objective
+        at an optimum, y.A <= objective and y.rhs = value; for the phase-1
+        objective (None) at an infeasible end, y is a Farkas vector."""
+        yhat = self._cost_basis(col_cost) @ self.mat
+        den = self.delta * (1 if col_cost is None else self.prep.cost_den)
         return tuple(
-            Fraction(int(yhat[i]), self.delta) * self.prep.row_scale[i]
+            Fraction(int(yhat[i]) * self.prep.row_scale[i], den) for i in range(self.m)
+        )
+
+    def row_farkas_certificate(self, p: int) -> tuple[Fraction, ...]:
+        """Row p of M, signed so that y.rhs > 0; valid as a Farkas vector when
+        that row meets no column with the sign of xi_p (see run_dual)."""
+        sign = 1 if self.xi[p] > 0 else -1
+        return tuple(
+            Fraction(sign * int(self.mat[p, i]) * self.prep.row_scale[i], abs(self.delta))
             for i in range(self.m)
         )
+
+    def value(self) -> Fraction:
+        """Objective value of the basic solution, from the basic columns."""
+        total = sum(
+            self.prep.col_cost[jb] * self.xi[i]
+            for i, jb in enumerate(self.basis)
+            if jb < self.n
+        )
+        return Fraction(total, self.den * self.delta * self.prep.cost_den)
 
     def ray_certificate(self, j: int, w: np.ndarray) -> tuple[Fraction, ...]:
         ray = [Fraction(0)] * self.n
@@ -370,9 +501,53 @@ def _value_of(objective: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
     return sum((objective[j] * x[j] for j in range(len(x)) if x[j] != 0), Fraction(0))
 
 
+def _start_state(prep: _Prepared, rhs: Sequence[Fraction]) -> _Start:
+    """The optimal basis of the two-phase solve on rhs, for warm starts."""
+    engine = _Engine(prep, rhs)
+    status, _, _ = engine.run_two_phase()
+    if status != "optimal":
+        raise ValueError(f"start right-hand side gives {status}, not optimal")
+    engine.check_basic_state()
+    mat = engine.mat.copy()
+    mat.setflags(write=False)
+    return _Start(
+        basis=tuple(engine.basis),
+        mat=mat,
+        mat_max=engine.mat_max,
+        delta=engine.delta,
+        inert=tuple(engine.inert),
+    )
+
+
 def _solve_prepared(
-    prep: _Prepared, rhs: Sequence[Fraction], objective: Sequence[Fraction]
+    prep: _Prepared,
+    rhs: Sequence[Fraction],
+    objective: Sequence[Fraction],
+    start: _Start | None = None,
 ) -> tuple[LpSolution, _Engine | None]:
+    """Solve for rhs: two-phase from the artificial basis, or, given a start
+    state, dual simplex from it (value, basis and dual certificate only)."""
+    if start is not None:
+        engine = _Engine(prep, rhs, start)
+        row = engine.run_dual()
+        if row is not None:
+            solution = LpSolution(
+                status="infeasible",
+                value=None,
+                point=(),
+                basis=None,
+                certificate=engine.row_farkas_certificate(row),
+            )
+            return solution, None
+        engine.check_basic_state()
+        solution = LpSolution(
+            status="optimal",
+            value=engine.value(),
+            point=(),
+            basis=engine.structural_basis(),
+            certificate=engine.dual_vector(prep.col_cost),
+        )
+        return solution, engine
     engine = _Engine(prep, rhs)
     status, j, w = engine.run_two_phase()
     if status == "infeasible":
@@ -381,7 +556,7 @@ def _solve_prepared(
             value=None,
             point=(),
             basis=None,
-            certificate=engine.farkas_certificate(),
+            certificate=engine.dual_vector(None),
         )
         return solution, None
     if status == "unbounded":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .boxes import Box, box_to_json_obj, enumerate_deterministic, format_fraction, mix
-from .cost import communication_cost, find_distinct_decompositions
+from .cost import facet_bound, find_distinct_decompositions, optimal_cost
 from .generators import (
     FamilySpec,
     canonical,
@@ -131,8 +131,7 @@ def _property_results(
 
 def check_box(box: Box, domain: str = "general") -> tuple[PropertyResult, ...]:
     """All per-box inequality results at the box's exact cost."""
-    report = communication_cost(box)
-    return _property_results(box, domain, report.c, report.s)
+    return _property_results(box, domain, optimal_cost(box), signal(box).s)
 
 
 def _signed_pattern(box: Box) -> Fraction:
@@ -229,14 +228,14 @@ def fuzz(spec: FamilySpec, count: int, lp_every: int = 100) -> FindingsReport:
         if closed_form:
             c = _closed_form_cost(box)
             if index < 5 or (lp_every > 0 and index % lp_every == 0):
-                solved = communication_cost(box).c
+                solved = optimal_cost(box)
                 if solved != c:
                     raise RuntimeError(
                         f"closed-form cost {c} disagrees with program value "
                         f"{solved} on {kind} sample {index}"
                     )
         else:
-            c = communication_cost(box).c
+            c = optimal_cost(box)
         results = _property_results(box, domain, c, s)
         checked += 1
         for r in results:
@@ -288,7 +287,7 @@ def _named_box_table(failures: list[str]) -> list[dict]:
         pattern = _signed_pattern(box)
         lam = chsh(box).lambda_max
         s = signal(box).s
-        report = communication_cost(box)
+        c = optimal_cost(box)
         one_bit = index >= 8
         expected_pattern = 4 if one_bit else 2
         expected_cost = 1 if one_bit else 0
@@ -299,7 +298,7 @@ def _named_box_table(failures: list[str]) -> list[dict]:
             "signed_pattern": format_fraction(pattern),
             "lambda_max": format_fraction(lam),
             "cost_bits": det.cost_bits,
-            "c": format_fraction(report.c),
+            "c": format_fraction(c),
             "direction": det.direction.value,
             "s": format_fraction(s),
         }
@@ -308,8 +307,8 @@ def _named_box_table(failures: list[str]) -> list[dict]:
             failures.append(f"named_box_table: {name} signed pattern {pattern}")
         if lam != expected_pattern:
             failures.append(f"named_box_table: {name} lambda_max {lam}")
-        if det.cost_bits != expected_cost or report.c != expected_cost:
-            failures.append(f"named_box_table: {name} cost {det.cost_bits}/{report.c}")
+        if det.cost_bits != expected_cost or c != expected_cost:
+            failures.append(f"named_box_table: {name} cost {det.cost_bits}/{c}")
         if s != expected_s:
             failures.append(f"named_box_table: {name} signal {s}")
         expected_direction = "none" if not one_bit else ("AtoB" if index < 12 else "BtoA")
@@ -345,19 +344,19 @@ def _vertex_section(failures: list[str]) -> dict:
 
 def _pr_panel(failures: list[str]) -> dict:
     box = canonical("pr")
-    report_full = communication_cost(box, "full256")
-    report_16 = communication_cost(box, "chsh16")
-    s = report_full.s
+    c_full = optimal_cost(box, "full256")
+    c_16 = optimal_cost(box, "chsh16")
+    s = signal(box).s
     i_formula = unpredictability(box, "formula")
     i_per_party = unpredictability(box, "per_party")
     unc = uncertainty(box)
-    results = _property_results(box, "chsh16", report_full.c, s)
+    results = _property_results(box, "chsh16", c_full, s)
     half = Fraction(1, 2)
     expectations = [
         (s == 0, "signal 0"),
-        (report_full.c == 1, "full256 cost 1"),
-        (report_16.c == 1, "chsh16 cost 1"),
-        (report_full.eta == 1, "deficit 1"),
+        (c_full == 1, "full256 cost 1"),
+        (c_16 == 1, "chsh16 cost 1"),
+        (c_full - s == 1, "deficit 1"),
         (i_formula == half and i_per_party == half, "unpredictability 1/2"),
         (unc.u_a == half and unc.u_b == half, "uncertainty 1/2"),
         (all(r.holds for r in results), "all inequalities hold"),
@@ -375,9 +374,9 @@ def _pr_panel(failures: list[str]) -> dict:
             failures.append(f"pr_panel: {label} failed")
     return {
         "s": format_fraction(s),
-        "c_full256": format_fraction(report_full.c),
-        "c_chsh16": format_fraction(report_16.c),
-        "eta": format_fraction(report_full.eta),
+        "c_full256": format_fraction(c_full),
+        "c_chsh16": format_fraction(c_16),
+        "eta": format_fraction(c_full - s),
         "i_formula": format_fraction(i_formula),
         "i_per_party": format_fraction(i_per_party),
         "u_a": format_fraction(unc.u_a),
@@ -401,15 +400,15 @@ def _mixture_grid(failures: list[str]) -> dict:
                 box = left
             else:
                 box = mix([(p, left), (1 - p, right)])
-            report_full = communication_cost(box, "full256")
-            report_16 = communication_cost(box, "chsh16")
-            s = report_full.s
+            c_full = optimal_cost(box, "full256")
+            c_16 = optimal_cost(box, "chsh16")
+            s = signal(box).s
             weighted_cost = Fraction(1)  # both parts cost exactly one bit
             weighted_signal = Fraction(1)  # both parts signal at full strength
             mix_cost = PropertyResult(
                 "MIX_COST",
-                holds=report_full.c <= weighted_cost,
-                slack=weighted_cost - report_full.c,
+                holds=c_full <= weighted_cost,
+                slack=weighted_cost - c_full,
                 strictness="asserted",
             )
             mix_signal = PropertyResult(
@@ -418,10 +417,10 @@ def _mixture_grid(failures: list[str]) -> dict:
                 slack=weighted_signal - s,
                 strictness="asserted",
             )
-            if report_full.c != 1 or report_16.c != 1:
+            if c_full != 1 or c_16 != 1:
                 failures.append(
                     f"mixture_grid {left_name}/{right_name} p={p}: cost "
-                    f"{report_full.c}/{report_16.c} != 1"
+                    f"{c_full}/{c_16} != 1"
                 )
             expected_s = max(p, 1 - p) if right_name == "d2_1" else abs(2 * p - 1)
             if s != expected_s:
@@ -435,9 +434,9 @@ def _mixture_grid(failures: list[str]) -> dict:
             rows.append(
                 {
                     "p": format_fraction(p),
-                    "c": format_fraction(report_full.c),
+                    "c": format_fraction(c_full),
                     "s": format_fraction(s),
-                    "eta": format_fraction(report_full.eta),
+                    "eta": format_fraction(c_full - s),
                     "results": [_result_json(mix_cost), _result_json(mix_signal)],
                 }
             )
@@ -520,21 +519,22 @@ def _isotropic_sweep(failures: list[str]) -> list[dict]:
     for k in range(11):
         v = Fraction(k, 10)
         box = isotropic(v)
-        report = communication_cost(box, "full256")
+        c = optimal_cost(box, "full256")
+        lower_bound = facet_bound(box)
         expected = max(Fraction(0), 2 * v - 1)
-        if report.c != expected:
-            failures.append(f"isotropic_sweep v={v}: cost {report.c} != {expected}")
-        if report.lower_bound != expected:
+        if c != expected:
+            failures.append(f"isotropic_sweep v={v}: cost {c} != {expected}")
+        if lower_bound != expected:
             failures.append(f"isotropic_sweep v={v}: facet bound not tight")
         chsh16: str | dict
         if v >= Fraction(1, 2):
-            hull_cost = communication_cost(box, "chsh16").c
+            hull_cost = optimal_cost(box, "chsh16")
             chsh16 = {"c": format_fraction(hull_cost)}
             if hull_cost != expected:
                 failures.append(f"isotropic_sweep v={v}: hull cost {hull_cost}")
         else:
             try:
-                communication_cost(box, "chsh16")
+                optimal_cost(box, "chsh16")
             except NotInHull:
                 chsh16 = "not-in-hull"
             else:
@@ -543,8 +543,8 @@ def _isotropic_sweep(failures: list[str]) -> list[dict]:
         rows.append(
             {
                 "v": format_fraction(v),
-                "c": format_fraction(report.c),
-                "lower_bound": format_fraction(report.lower_bound),
+                "c": format_fraction(c),
+                "lower_bound": format_fraction(lower_bound),
                 "chsh16": chsh16,
             }
         )
@@ -559,15 +559,15 @@ def _tsirelson(failures: list[str]) -> dict:
 
     box = quantum_box(TSIRELSON_ANGLES, 10**6)
     lam = chsh(box).lambda_max
-    report = communication_cost(box, "full256")
+    c = optimal_cost(box, "full256")
     lam_err = abs(float(lam) - 2 * math.sqrt(2))
-    cost_err = abs(float(report.c) - (math.sqrt(2) - 1))
+    cost_err = abs(float(c) - (math.sqrt(2) - 1))
     if lam_err > 4e-6:
         failures.append(f"tsirelson: lambda_max off by {lam_err}")
     if cost_err > 3e-6:
         failures.append(f"tsirelson: cost off by {cost_err}")
     try:
-        communication_cost(box, "chsh16")
+        optimal_cost(box, "chsh16")
     except NotInHull:
         in_hull = False
     else:
@@ -577,9 +577,9 @@ def _tsirelson(failures: list[str]) -> dict:
     return {
         "lambda_max": format_fraction(lam),
         "lambda_max_float": float(lam),
-        "c": format_fraction(report.c),
-        "c_float": float(report.c),
-        "s": format_fraction(report.s),
+        "c": format_fraction(c),
+        "c_float": float(c),
+        "s": format_fraction(signal(box).s),
         "chsh16": "not-in-hull" if not in_hull else "in-hull",
     }
 

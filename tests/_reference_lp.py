@@ -69,8 +69,21 @@ def solve_reference(a_rows, rhs, objective):
     run(phase1, range(n + m))
     if sum(tab[i][-1] for i in range(m) if basis[i] >= n) != 0:
         return "infeasible", None, None
+    # An artificial left basic at zero would turn positive in phase 2 on a
+    # negative entry, which the ratio test ignores: pivot it out on any
+    # nonzero structural entry, or drop its row when there is none (the row
+    # is then a combination of the others).
     phase2 = list(objective) + [Fraction(0)] * m
-    status = run(phase2, range(n))  # artificials may stay basic at zero
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if tab[i][j] != 0), None)
+            if enter is not None:
+                pivot(i, enter)
+    keep = [i for i in range(m) if basis[i] < n]
+    tab[:] = [tab[i] for i in keep]
+    basis[:] = [basis[i] for i in keep]
+    m = len(keep)
+    status = run(phase2, range(n))
     if status == "unbounded":
         return "unbounded", None, None
     x = [Fraction(0)] * n

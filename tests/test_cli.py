@@ -137,6 +137,80 @@ class TestAnalyze:
         assert code == 2 and err.startswith("error:")
 
 
+class TestOneSolvePerBox:
+    """Commands that need a box's cost and a decomposition solve it once."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        import corrbox.lp as lp
+
+        calls = []
+        solve = lp._solve_prepared
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "_solve_prepared", counted)
+        return calls
+
+    def test_alt_on_unique_support(self, capsys, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        code, out, _ = run(capsys, "decompose", "d3_1", "--alt")
+        assert code == 0 and json.loads(out)["second"] is None
+        assert len(calls) == 1
+
+    def test_analyze_with_dim(self, capsys, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        code, _, _ = run(capsys, "analyze", "pr", "--dim", "2")
+        assert code == 0
+        assert len(calls) == 1
+
+
+class TestTextOut:
+    def test_text_report_goes_to_the_file(self, capsys, tmp_path):
+        _, stdout_text, _ = run(capsys, "analyze", "pr", "--text", "--dim", "3")
+        target = tmp_path / "report.txt"
+        code, out, err = run(
+            capsys, "analyze", "pr", "--text", "--dim", "3", "--out", str(target)
+        )
+        assert code == 0 and out == "" and err == ""
+        assert target.read_text(encoding="utf-8") == stdout_text
+        assert stdout_text.startswith("lambda_max = 4/1\n")
+
+
+class TestInternalError:
+    """A failed solver self-check exits 3 with one line on stderr, apart from
+    1 (a claimed property failed) and 2 (usage or input error)."""
+
+    def test_failed_dual_check_in_fuzz(self, capsys, monkeypatch):
+        import corrbox.lp as lp
+
+        def broken(self):
+            raise RuntimeError("optimal basis is not dual-feasible")
+
+        monkeypatch.setattr(lp._Engine, "check_dual_feasible", broken)
+        code, out, err = run(capsys, "fuzz", "--family", "general", "--count", "3")
+        assert code == 3 and out == ""
+        assert err == "error: internal: optimal basis is not dual-feasible\n"
+
+    def test_failed_solve_in_analyze(self, capsys, monkeypatch):
+        import corrbox.lp as lp
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("inexact division in basis update")
+
+        monkeypatch.setattr(lp, "_solve_prepared", broken)
+        code, out, err = run(capsys, "analyze", "pr")
+        assert code == 3 and out == ""
+        assert err.startswith("error: internal: ") and err.count("\n") == 1
+
+    def test_usage_error_keeps_code_two(self, capsys):
+        code, _, err = run(capsys, "analyze", "pr", "--dim", "1")
+        assert code == 2 and err.startswith("error: ")
+        assert "internal" not in err
+
+
 class TestGen:
     def test_single_canonical_to_stdout(self, capsys):
         code, out, _ = run(capsys, "gen", "--kind", "noise")

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import corrbox.cost as cost
 from corrbox.boxes import enumerate_deterministic, mix
 from corrbox.cost import (
     BadDimension,
@@ -13,6 +17,7 @@ from corrbox.cost import (
     decomposition_to_json_obj,
     eta_star,
     find_distinct_decompositions,
+    optimal_cost,
 )
 from corrbox.generators import FamilySpec, canonical, isotropic, sample
 from corrbox.measures import chsh, signal
@@ -162,3 +167,79 @@ class TestDistinctDecompositions:
     def test_small_hull_raises_outside(self):
         with pytest.raises(NotInHull):
             find_distinct_decompositions(canonical("noise"), "chsh16")
+
+
+def _lcm_den(values) -> int:
+    out = 1
+    for v in values:
+        out = math.lcm(out, v.denominator)
+    return out
+
+
+class TestValuePath:
+    """optimal_cost (dual simplex from the cached start) against the
+    two-phase communication_cost, and its dual certificate in integers."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        family=st.sampled_from(
+            ("general", "no_signaling", "chsh16_mixture", "oneway_slice")
+        ),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_value_and_dual_certificate(self, family, seed):
+        box = sample(FamilySpec(family, seed), 1)[0]
+        dets = enumerate_deterministic()
+        for basis in ("full256", "chsh16"):
+            try:
+                expected = communication_cost(box, basis).c
+            except NotInHull:
+                with pytest.raises(NotInHull):
+                    optimal_cost(box, basis)
+                continue
+            value = optimal_cost(box, basis)
+            assert value == expected, basis
+            y = cost._solve_cost(box, basis, warm=True)[0].certificate
+            assert y is not None and len(y) == 16
+            ly = _lcm_den(y)
+            y_int = [int(v * ly) for v in y]
+            for i in cost._system_for(basis).ids:
+                column = dets[i].as_box().p  # a 0/1 indicator of the cells
+                total = sum(yi for yi, cell in zip(y_int, column) if cell == 1)
+                assert total <= dets[i].cost_bits * ly, (basis, i)
+            lcm_p = _lcm_den(box.p)
+            p_int = [int(v * lcm_p) for v in box.p]
+            dot = sum(a * b for a, b in zip(y_int, p_int))
+            assert dot * value.denominator == value.numerator * ly * lcm_p, basis
+
+    def test_deterministic_boxes(self):
+        for det in enumerate_deterministic()[::17]:
+            assert optimal_cost(det.as_box()) == det.cost_bits, det.id
+
+    def test_named_values_and_hull(self):
+        assert optimal_cost(canonical("pr"), "chsh16") == 1
+        assert optimal_cost(isotropic(F(3, 4))) == F(1, 2)
+        with pytest.raises(NotInHull):
+            optimal_cost(canonical("noise"), "chsh16")
+        with pytest.raises(ValueError):
+            optimal_cost(canonical("pr"), "full512")
+
+    def test_bland_rule_gives_the_same_value(self, monkeypatch):
+        boxes = sample(FamilySpec("general", 12), 4)
+        expected = [optimal_cost(b) for b in boxes]
+        monkeypatch.setattr(cost.lp, "_BLAND_AFTER", 0)
+        assert [optimal_cost(b) for b in boxes] == expected
+
+    def test_escalated_arithmetic_gives_the_same_value(self, monkeypatch):
+        boxes = sample(FamilySpec("no_signaling", 13), 3)
+        expected = [optimal_cost(b) for b in boxes]
+        monkeypatch.setattr(cost.lp, "_MAT_MAX_INT64", 1)
+        assert [optimal_cost(b) for b in boxes] == expected
+
+    def test_start_state_is_shared_and_read_only(self):
+        start = cost._system_for("full256").start
+        assert not start.mat.flags.writeable
+        before = (start.basis, start.delta, start.mat.tobytes())
+        for box in sample(FamilySpec("general", 14), 3):
+            optimal_cost(box)
+        assert (start.basis, start.delta, start.mat.tobytes()) == before

@@ -258,3 +258,92 @@ class TestAlternativeVertex:
         first = solve(prog)
         assert first.status == "infeasible"
         assert find_alternative_vertex(prog, first) is None
+
+
+def check_warm_certificate(prog: LinearProgram, got: LpSolution) -> None:
+    """Farkas vector when infeasible; dual vector of the same value when optimal."""
+    y = got.certificate
+    assert y is not None
+    m = len(prog.rhs)
+    columns = [
+        sum(y[i] * prog.constraint_matrix[i][j] for i in range(m))
+        for j in range(len(prog.objective))
+    ]
+    y_rhs = sum(y[i] * prog.rhs[i] for i in range(m))
+    if got.status == "infeasible":
+        assert all(v <= 0 for v in columns)
+        assert y_rhs > 0
+    else:
+        assert all(v <= c for v, c in zip(columns, prog.objective))
+        assert y_rhs == got.value
+
+
+def warm_solve(rows, start_rhs, rhs, cost) -> tuple[LinearProgram, LpSolution]:
+    """Solve (rows, rhs, cost) by dual simplex from the optimal basis of
+    (rows, start_rhs, cost)."""
+    prep = lp._prepare_program(program(rows, start_rhs, cost))
+    start = lp._start_state(prep, [F(x) for x in start_rhs])
+    prog = program(rows, rhs, cost)
+    got, _ = lp._solve_prepared(prep, prog.rhs, prog.objective, start)
+    return prog, got
+
+
+class TestWarmStart:
+    def test_random_programs_against_reference(self):
+        rng = random.Random(5151)
+        statuses = {"optimal": 0, "infeasible": 0}
+        trials = 0
+        while trials < 120:
+            m = rng.randint(1, 4)
+            n = rng.randint(1, 6)
+            if trials % 2:
+                rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+                cost = [rng.randint(0, 3) for _ in range(n)]
+            else:
+                rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+                cost = [rng.randint(-3, 3) for _ in range(n)]
+            start_rhs = [rng.randint(-3, 3) for _ in range(m)]
+            if solve_reference(rows, start_rhs, cost)[0] != "optimal":
+                continue
+            trials += 1
+            rhs = [rng.randint(-3, 3) for _ in range(m)]
+            prog, got = warm_solve(rows, start_rhs, rhs, cost)
+            ref_status, ref_value, _ = solve_reference(rows, rhs, cost)
+            # a dual-feasible start rules out an unbounded program
+            assert got.status == ref_status, f"trial {trials}: {got.status} vs {ref_status}"
+            statuses[got.status] += 1
+            if got.status == "optimal":
+                assert got.value == ref_value, f"trial {trials}"
+                assert got.point == ()
+            check_warm_certificate(prog, got)
+        assert min(statuses.values()) > 0, statuses
+
+    def test_inert_row_proves_infeasibility(self):
+        prog, got = warm_solve([[1, 1], [1, 1]], [1, 1], [1, 2], [2, 3])
+        assert got.status == "infeasible"
+        check_warm_certificate(prog, got)
+
+    def test_negative_values_pivot_out(self):
+        prog, got = warm_solve(
+            [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], [1, 1, 1], [3, 1, 2], [3, 1, 4, 1]
+        )
+        ref_status, ref_value, _ = solve_reference(
+            [list(r) for r in prog.constraint_matrix], list(prog.rhs), list(prog.objective)
+        )
+        assert got.status == ref_status == "optimal"
+        assert got.value == ref_value
+        check_warm_certificate(prog, got)
+
+    def test_start_needs_an_optimum(self):
+        prep = lp._prepare_program(program([[1, -1]], [0], [-1, 0]))
+        with pytest.raises(ValueError):
+            lp._start_state(prep, [F(0)])
+
+    def test_start_that_is_not_dual_feasible_is_caught(self):
+        # The optimal basis for costs (1, 3, 2) is column 0, which column 1
+        # beats under costs (3, 1, 2): the final integer check must refuse it.
+        other = lp._prepare_program(program([[1, 1, 1]], [1], [1, 3, 2]))
+        start = lp._start_state(other, [F(1)])
+        prep = lp._prepare_program(program([[1, 1, 1]], [1], [3, 1, 2]))
+        with pytest.raises(RuntimeError, match="not dual-feasible"):
+            lp._solve_prepared(prep, [F(1)], [F(3), F(1), F(2)], start)
