@@ -23,7 +23,6 @@ from .boxes import (
     box_from_json_obj,
     box_to_json_obj,
     format_fraction,
-    is_no_signaling,
     parse_fraction,
 )
 from .cost import (
@@ -31,7 +30,6 @@ from .cost import (
     communication_cost,
     decomposition_to_json_obj,
     eta_star_of_cost,
-    optimal_cost,
     optimal_decompositions,
 )
 from .generators import (
@@ -44,8 +42,7 @@ from .generators import (
     quantum_box,
     sample,
 )
-from .measures import chsh, lhv_admissible, signal, uncertainty, unpredictability
-from .verify import fuzz, reproduce_paper
+from .verify import Analysis, analyze, fuzz, reproduce_paper
 
 _PARAMETRIC_KINDS = ("isotropic", "quantum")
 
@@ -62,24 +59,34 @@ def _emit(obj: dict, out: str | None) -> None:
     _write(json.dumps(obj, indent=2) + "\n", out)
 
 
-def _parse_angles(raw: list[str] | None) -> tuple[float, float, float, float] | None:
-    if raw is None:
-        return None
-    if len(raw) == 1 and raw[0] == "tsirelson":
-        return TSIRELSON_ANGLES
-    if len(raw) == 4:
-        try:
-            return tuple(float(x) for x in raw)
-        except ValueError:
-            raise ValueError(f"--angles needs radians, got {raw!r}")
-    raise ValueError("--angles takes four radians or the preset name tsirelson")
-
-
 def _load_box_file(path: str) -> Box:
     if path == "-":
         return box_from_json_obj(json.loads(sys.stdin.read()))
     with open(path, "r", encoding="utf-8") as handle:
         return box_from_json_obj(json.load(handle))
+
+
+def _named_box(name: str, args: argparse.Namespace) -> Box:
+    """A canonical box by name, isotropic with --v, or quantum with --angles
+    (four radians or the preset name tsirelson) and --denom."""
+    if name == "isotropic":
+        if args.v is None:
+            raise ValueError("isotropic needs --v")
+        return isotropic(parse_fraction(args.v))
+    if name != "quantum":
+        return canonical(name)
+    raw = args.angles
+    if raw is None:
+        raise ValueError("quantum needs --angles")
+    if raw == ["tsirelson"]:
+        return quantum_box(TSIRELSON_ANGLES, args.denom)
+    if len(raw) != 4:
+        raise ValueError("--angles takes four radians or the preset name tsirelson")
+    try:
+        angles = tuple(float(x) for x in raw)
+    except ValueError:
+        raise ValueError(f"--angles needs radians, got {raw!r}")
+    return quantum_box(angles, args.denom)
 
 
 def _resolve_box(args: argparse.Namespace) -> Box:
@@ -91,16 +98,7 @@ def _resolve_box(args: argparse.Namespace) -> Box:
                 f"nor one of {_PARAMETRIC_KINDS}"
             )
         return _load_box_file(source)
-    if source == "isotropic":
-        if args.v is None:
-            raise ValueError("isotropic needs --v")
-        return isotropic(parse_fraction(args.v))
-    if source == "quantum":
-        angles = _parse_angles(args.angles)
-        if angles is None:
-            raise ValueError("quantum needs --angles")
-        return quantum_box(angles, args.denom)
-    return canonical(source)
+    return _named_box(source, args)
 
 
 def _add_source_options(sub: argparse.ArgumentParser) -> None:
@@ -122,27 +120,24 @@ def _add_source_options(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     box = _resolve_box(args)
-    chsh_report = chsh(box)
-    signal_report = signal(box)
-    unc = uncertainty(box)
     cost_report = communication_cost(box, "full256")
-    i_formula = unpredictability(box, "formula")
-    i_per_party = unpredictability(box, "per_party")
+    a = Analysis(box, cost_report.c)
+    unc = a.uncertainty
     obj = {
         "format": "analysis-v1",
         "box": box_to_json_obj(box),
         "chsh": {
-            "values": [format_fraction(v) for v in chsh_report.values],
-            "lambda_max": format_fraction(chsh_report.lambda_max),
+            "values": [format_fraction(v) for v in a.chsh.values],
+            "lambda_max": format_fraction(a.chsh.lambda_max),
         },
         "signal": {
-            "a_to_b": format_fraction(signal_report.s_a_to_b),
-            "b_to_a": format_fraction(signal_report.s_b_to_a),
-            "s": format_fraction(signal_report.s),
+            "a_to_b": format_fraction(a.signal.s_a_to_b),
+            "b_to_a": format_fraction(a.signal.s_b_to_a),
+            "s": format_fraction(a.s),
         },
         "unpredictability": {
-            "formula": format_fraction(i_formula),
-            "per_party": format_fraction(i_per_party),
+            "formula": format_fraction(a.i_formula),
+            "per_party": format_fraction(a.i_per_party),
         },
         "uncertainty": {
             "delta": {
@@ -153,31 +148,31 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "u_b": format_fraction(unc.u_b),
         },
         "cost": {
-            "c": format_fraction(cost_report.c),
-            "eta": format_fraction(cost_report.eta),
+            "c": format_fraction(a.c),
+            "eta": format_fraction(a.eta),
             "lower_bound": format_fraction(cost_report.lower_bound),
             "decomposition": decomposition_to_json_obj(cost_report.decomposition),
         },
         "flags": {
-            "no_signaling": is_no_signaling(box),
-            "lhv_admissible": lhv_admissible(box),
-            "weakly_nonclassical": i_formula > 0,
-            "strongly_nonclassical": cost_report.eta > 0,
+            "no_signaling": a.s == 0,
+            "lhv_admissible": a.s == 0 and a.chsh.lambda_max <= 2,
+            "weakly_nonclassical": a.i_formula > 0,
+            "strongly_nonclassical": a.eta > 0,
         },
     }
     if args.dim is not None:
         obj["eta_star"] = {
             "d": args.dim,
-            "value": "%.12g" % eta_star_of_cost(cost_report.c, args.dim),
+            "value": "%.12g" % eta_star_of_cost(a.c, args.dim),
             "approximate": True,
         }
     if args.text:
         lines = [
-            f"lambda_max = {format_fraction(chsh_report.lambda_max)}",
-            f"s = {format_fraction(signal_report.s)}",
-            f"C = {format_fraction(cost_report.c)}",
-            f"eta = {format_fraction(cost_report.eta)}",
-            f"I = {format_fraction(i_formula)}",
+            f"lambda_max = {format_fraction(a.chsh.lambda_max)}",
+            f"s = {format_fraction(a.s)}",
+            f"C = {format_fraction(a.c)}",
+            f"eta = {format_fraction(a.eta)}",
+            f"I = {format_fraction(a.i_formula)}",
             f"U_A = {format_fraction(unc.u_a)}",
             f"U_B = {format_fraction(unc.u_b)}",
             "flags: "
@@ -197,17 +192,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind is not None:
         if args.count != 1:
             raise ValueError("--count above 1 needs --family")
-        if args.kind == "isotropic":
-            if args.v is None:
-                raise ValueError("isotropic needs --v")
-            boxes = [isotropic(parse_fraction(args.v))]
-        elif args.kind == "quantum":
-            angles = _parse_angles(args.angles)
-            if angles is None:
-                raise ValueError("quantum needs --angles")
-            boxes = [quantum_box(angles, args.denom)]
-        else:
-            boxes = [canonical(args.kind)]
+        boxes = [_named_box(args.kind, args)]
     else:
         spec = FamilySpec(args.family, args.seed)
         boxes = sample(spec, args.count)
@@ -225,24 +210,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     box = _resolve_box(args)
-    if args.alt:
-        try:
-            first, second = optimal_decompositions(box, args.basis)
-        except NotInHull:
-            _emit({"basis": args.basis, "status": "not-in-hull"}, args.out)
-            return 0
-        obj = {
-            "first": decomposition_to_json_obj(first),
-            "second": None if second is None else decomposition_to_json_obj(second),
-        }
-        _emit(obj, args.out)
-        return 0
     try:
-        report = communication_cost(box, args.basis)
+        if args.alt:
+            first, second = optimal_decompositions(box, args.basis)
+            obj = {
+                "first": decomposition_to_json_obj(first),
+                "second": None if second is None else decomposition_to_json_obj(second),
+            }
+        else:
+            report = communication_cost(box, args.basis)
+            obj = decomposition_to_json_obj(report.decomposition)
     except NotInHull:
-        _emit({"basis": args.basis, "status": "not-in-hull"}, args.out)
-        return 0
-    _emit(decomposition_to_json_obj(report.decomposition), args.out)
+        obj = {"basis": args.basis, "status": "not-in-hull"}
+    _emit(obj, args.out)
     return 0
 
 
@@ -268,21 +248,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for k in range(args.steps + 1):
         v = Fraction(k, args.steps)
-        box = isotropic(v)
-        lam = chsh(box).lambda_max
-        c = optimal_cost(box, "full256")
-        s = signal(box).s
-        unc = uncertainty(box)
-        exact = (
-            v,
-            lam,
-            s,
-            c,
-            c - s,
-            unpredictability(box, "formula"),
-            unc.u_a,
-            unc.u_b,
-        )
+        a = analyze(isotropic(v))
+        unc = a.uncertainty
+        exact = (v, a.chsh.lambda_max, a.s, a.c, a.eta, a.i_formula, unc.u_a, unc.u_b)
         rows.append(
             ["%.12g" % float(x) for x in exact] + [format_fraction(x) for x in exact]
         )

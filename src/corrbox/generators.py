@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import cos, pi
+from typing import Iterator
 
 from .boxes import (
     Box,
@@ -205,30 +206,27 @@ def _mixture_over(rng: random.Random, parts: tuple[Box, ...]) -> Box:
     )
 
 
-@lru_cache(maxsize=1)
-def _chsh16_parts() -> tuple[Box, ...]:
-    return tuple(canonical(name) for name in canonical_names()[:16])
-
-
-@lru_cache(maxsize=1)
-def _oneway_parts() -> tuple[Box, ...]:
-    names = list(canonical_names()[:8]) + ["d0_1", "d1_1", "d2_1", "d3_1"]
+@lru_cache(maxsize=None)
+def _mixture_parts(kind: str) -> tuple[Box, ...]:
+    if kind == "no_signaling":
+        return no_signaling_vertices()
+    names = canonical_names()[:16 if kind == "chsh16_mixture" else 8]
+    if kind == "oneway_slice":
+        names += ("d0_1", "d1_1", "d2_1", "d3_1")
     return tuple(canonical(name) for name in names)
+
+
+def draw(spec: FamilySpec, count: int) -> Iterator[Box]:
+    """The boxes of sample(spec, count), drawn one at a time as they are
+    consumed; stopping early draws no further box."""
+    if count < 0:
+        raise BadParameter(f"count must be nonnegative, got {count}")
+    rng = random.Random(spec.seed)
+    parts = None if spec.kind == "general" else _mixture_parts(spec.kind)
+    for _ in range(count):
+        yield _sample_general(rng) if parts is None else _mixture_over(rng, parts)
 
 
 def sample(spec: FamilySpec, count: int) -> list[Box]:
     """count boxes drawn from the family; deterministic in (spec, count)."""
-    if count < 0:
-        raise BadParameter(f"count must be nonnegative, got {count}")
-    rng = random.Random(spec.seed)
-    out = []
-    for _ in range(count):
-        if spec.kind == "general":
-            out.append(_sample_general(rng))
-        elif spec.kind == "chsh16_mixture":
-            out.append(_mixture_over(rng, _chsh16_parts()))
-        elif spec.kind == "oneway_slice":
-            out.append(_mixture_over(rng, _oneway_parts()))
-        else:
-            out.append(_mixture_over(rng, no_signaling_vertices()))
-    return out
+    return list(draw(spec, count))

@@ -4,10 +4,19 @@ Minimize c.x subject to A x = b, x >= 0, with every coefficient a Fraction.
 The solver is a revised simplex with Bland's rule, run fraction-free: the
 basis inverse is carried as an integer adjugate matrix M with determinant
 delta, so every tableau quantity is an exact integer and every status comes
-with a checkable certificate.  Systems whose matrix entries are all 0/1 (the
-deterministic-strategy systems this package mostly solves) run on int64 numpy
-kernels; anything else, or anything approaching the int64 range, runs on
-arbitrary-precision Python integers.
+with a checkable certificate.
+
+Arithmetic path, fixed at prepare time.  A system with 0/1 matrix entries, at
+most 16 rows and integer costs of at most 2**20 (the deterministic-strategy
+systems this package solves) runs on int64 numpy kernels; anything else runs
+on arbitrary-precision Python integers.  The int64 path cannot overflow:
+every basis matrix of such a system is 0/1 (structural or artificial
+columns).  By Hadamard's bound, (k + 1)**((k + 1) / 2) / 2**k for a k x k
+0/1 matrix, each adjugate entry (a 15 x 15 minor) is at most 2**17, and
+delta, each w_i and each M_r a_j (16 x 16 determinants, by Cramer's rule)
+are at most 438870 < 2**18.75.  A delta-scaled reduced cost is then below
+17 * 2**20 * 2**18.75 < 2**43, and the largest kernel product, a reduced
+cost times a ratio-test denominator, stays below 2**62.
 
 Update rule per pivot (entering column j, pivot row p, w = M a_j):
     delta' = w_p,   M'_p = M_p,   M'_i = (w_p M_i - w_i M_p) / delta
@@ -45,10 +54,6 @@ _ITERATION_CAP = 50000
 # Steepest-descent pricing for this many pivots, then Bland's rule, whose
 # first-index selection provably terminates from any basis.
 _BLAND_AFTER = 200
-# Escalate int64 -> bigint when the adjugate outgrows this.  With a 0/1
-# matrix, m <= 16 rows and |M| below the bound, every intermediate product
-# stays under 2**61.
-_MAT_MAX_INT64 = 2**28
 
 
 class DimensionMismatch(ValueError):
@@ -121,7 +126,6 @@ class _Start:
 
     basis: tuple[int, ...]
     mat: np.ndarray
-    mat_max: int
     delta: int
     inert: tuple[bool, ...]
 
@@ -133,9 +137,30 @@ def _lcm_of(denominators: Iterable[int]) -> int:
     return out
 
 
+def _prepared(
+    a: np.ndarray, col_cost: list[int], cost_den: int, row_scale: Sequence[int]
+) -> _Prepared:
+    """Fix the arithmetic path once, by the int64 rule of the module
+    docstring: 0/1 entries, at most 16 rows, costs of at most 2**20."""
+    int_mode = (
+        a.shape[0] <= 16
+        and bool(((a == 0) | (a == 1)).all())
+        and max(abs(c) for c in col_cost) <= 2**20
+    )
+    dtype = np.int64 if int_mode else object
+    return _Prepared(
+        m=a.shape[0],
+        n=a.shape[1],
+        a_int=a.astype(dtype),
+        col_cost=col_cost,
+        cost_vec=np.array(col_cost, dtype=dtype),
+        cost_den=cost_den,
+        row_scale=tuple(row_scale),
+        int_mode=int_mode,
+    )
+
+
 def _prepare_program(program: LinearProgram) -> _Prepared:
-    m = len(program.constraint_matrix)
-    n = len(program.constraint_matrix[0])
     rows = []
     scales = []
     for i, row in enumerate(program.constraint_matrix):
@@ -145,41 +170,16 @@ def _prepare_program(program: LinearProgram) -> _Prepared:
         rows.append([sign * int(x * k) for x in row])
     cost_den = _lcm_of(x.denominator for x in program.objective)
     col_cost = [int(x * cost_den) for x in program.objective]
-    int_mode = (
-        m <= 16
-        and all(v in (0, 1) for row in rows for v in row)
-        and max(abs(c) for c in col_cost) <= 2**20
-    )
-    a_int = np.array(rows, dtype=np.int64 if int_mode else object)
-    return _Prepared(
-        m=m,
-        n=n,
-        a_int=a_int,
-        col_cost=col_cost,
-        cost_vec=np.array(col_cost, dtype=np.int64 if int_mode else object),
-        cost_den=cost_den,
-        row_scale=tuple(scales),
-        int_mode=int_mode,
-    )
+    return _prepared(np.array(rows, dtype=object), col_cost, cost_den, scales)
 
 
 def _prepare_int01(columns: np.ndarray, costs: Sequence[int]) -> _Prepared:
     """Prepared system for a 0/1 integer matrix given directly.
 
     Callers guarantee a nonnegative rhs at solve time."""
-    m, n = columns.shape
-    int_mode = m <= 16 and max(abs(int(c)) for c in costs) <= 2**20
-    col_cost = [int(c) for c in costs]
-    return _Prepared(
-        m=m,
-        n=n,
-        a_int=columns.astype(np.int64 if int_mode else object),
-        col_cost=col_cost,
-        cost_vec=np.array(col_cost, dtype=np.int64 if int_mode else object),
-        cost_den=1,
-        row_scale=(1,) * m,
-        int_mode=int_mode,
-    )
+    if not ((columns == 0) | (columns == 1)).all():
+        raise ValueError("matrix entries must be 0 or 1")
+    return _prepared(columns, [int(c) for c in costs], 1, (1,) * columns.shape[0])
 
 
 class _Engine:
@@ -194,9 +194,7 @@ class _Engine:
         self.prep = prep
         self.m = prep.m
         self.n = prep.n
-        self.int_mode = prep.int_mode
         self.a = prep.a_int
-        self.cost_vec = prep.cost_vec
         scaled = [v if k == 1 else v * k for v, k in zip(rhs, prep.row_scale)]
         self.den = _lcm_of(v.denominator for v in scaled)
         self.b_num = [v.numerator * (self.den // v.denominator) for v in scaled]
@@ -204,36 +202,22 @@ class _Engine:
             if any(v < 0 for v in scaled):
                 raise ValueError("rhs negative after row scaling")
             self.basis = [prep.n + i for i in range(prep.m)]  # artificials first
-            eye = np.eye(prep.m, dtype=np.int64)
-            self.mat = eye if self.int_mode else eye.astype(object)
-            self.mat_max = 1
+            self.mat = np.eye(prep.m, dtype=np.int64 if prep.int_mode else object)
             self.delta = 1
             self.xi = list(self.b_num)  # M @ b_num, exact Python ints
             self.inert = [False] * prep.m  # redundant rows, permanently zero
         else:
             self.basis = list(start.basis)
             self.mat = start.mat
-            self.mat_max = start.mat_max
             self.delta = start.delta
             self.inert = list(start.inert)
-            if self.int_mode and start.mat.dtype == object:
-                self._escalate()
             self.xi = [
                 sum(v * b for v, b in zip(row, self.b_num)) for row in start.mat.tolist()
             ]
 
     # -- arithmetic kernels ------------------------------------------------
 
-    def _escalate(self) -> None:
-        if self.int_mode:
-            self.mat = self.mat.astype(object)
-            self.a = self.a.astype(object)
-            self.cost_vec = self.cost_vec.astype(object)
-            self.int_mode = False
-
     def _entering_w(self, j: int) -> np.ndarray:
-        if self.int_mode and self.mat_max >= _MAT_MAX_INT64:
-            self._escalate()
         return self.mat @ self.a[:, j]
 
     def _pivot(self, j: int, p: int, w: np.ndarray) -> None:
@@ -246,8 +230,6 @@ class _Engine:
         new_mat = numer // self.delta
         new_mat[p] = self.mat[p]
         self.mat = new_mat
-        if self.int_mode:
-            self.mat_max = int(np.abs(self.mat).max())
         xi_p = self.xi[p]
         for i, w_i in enumerate(w.tolist()):
             if i == p:
@@ -267,7 +249,7 @@ class _Engine:
                 out.append(1 if col_cost is None else 0)
             else:
                 out.append(0 if col_cost is None else col_cost[jb])
-        return np.array(out, dtype=np.int64 if self.int_mode else object)
+        return np.array(out, dtype=np.int64 if self.prep.int_mode else object)
 
     def _reduced(self, col_cost: Sequence[int] | None) -> np.ndarray:
         """delta-scaled reduced costs of the structural columns."""
@@ -276,9 +258,9 @@ class _Engine:
         if col_cost is None:
             return -ata
         if col_cost is self.prep.col_cost:
-            cc = self.cost_vec
+            cc = self.prep.cost_vec
         else:
-            cc = np.array(col_cost, dtype=np.int64 if self.int_mode else object)
+            cc = np.array(col_cost, dtype=np.int64 if self.prep.int_mode else object)
         return cc * self.delta - ata
 
     # -- simplex loop ------------------------------------------------------
@@ -343,9 +325,6 @@ class _Engine:
             return None
         red = reduced[candidates]
         den = row[candidates]
-        if red.dtype != object and int(np.abs(red).max()) * int(den.max()) >= 2**62:
-            red = red.astype(object)
-            den = den.astype(object)
         # Start from the least reduced cost (a zero one is already a minimum);
         # each pass moves to a column of strictly smaller ratio, so it stops.
         k = int(np.argmin(red))
@@ -513,7 +492,6 @@ def _start_state(prep: _Prepared, rhs: Sequence[Fraction]) -> _Start:
     return _Start(
         basis=tuple(engine.basis),
         mat=mat,
-        mat_max=engine.mat_max,
         delta=engine.delta,
         inert=tuple(engine.inert),
     )

@@ -7,6 +7,9 @@ All quantities are Fractions computed without tolerances:
 * signal: how much each party's marginal moves with the other party's input.
 * unpredictability: the guessing-residual of the outcomes, in two variants.
 * uncertainty: per-party, per-setting guessing residuals and their maxima.
+
+Both unpredictability variants and the uncertainty report derive from the
+same eight residuals (_residuals), which verify.Analysis computes once.
 """
 
 from __future__ import annotations
@@ -70,6 +73,42 @@ def _residual(p: Fraction) -> Fraction:
     return min(p, 1 - p)
 
 
+Residuals = tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+
+
+def _residuals(box: Box) -> Residuals:
+    """The residuals of P(A = 0 | a, b) and of P(B = 0 | a, b) at the settings
+    (0,0), (0,1), (1,0), (1,1): the shared input of both unpredictability
+    variants and of the uncertainty report."""
+    settings = [(a, b) for a in range(2) for b in range(2)]
+    return (
+        tuple(_residual(box.marginal_a(a, b)) for a, b in settings),
+        tuple(_residual(box.marginal_b(a, b)) for a, b in settings),
+    )
+
+
+def _unpredictability_of(residuals: Residuals, variant: str) -> Fraction:
+    res_a, res_b = residuals
+    if variant == "formula":
+        return max(min(x, y) for x, y in zip(res_a, res_b))
+    return max(max(res_a), max(res_b))
+
+
+def _uncertainty_of(residuals: Residuals) -> UncertaintyReport:
+    res_a, res_b = residuals
+    delta = {
+        ("A", 0): max(res_a[0], res_a[1]),
+        ("A", 1): max(res_a[2], res_a[3]),
+        ("B", 0): max(res_b[0], res_b[2]),
+        ("B", 1): max(res_b[1], res_b[3]),
+    }
+    return UncertaintyReport(
+        delta=delta,
+        u_a=max(delta[("A", 0)], delta[("A", 1)]),
+        u_b=max(delta[("B", 0)], delta[("B", 1)]),
+    )
+
+
 def unpredictability(box: Box, variant: str = "formula") -> Fraction:
     """Outcome unpredictability of the box.
 
@@ -79,35 +118,14 @@ def unpredictability(box: Box, variant: str = "formula") -> Fraction:
     """
     if variant not in UNPREDICTABILITY_VARIANTS:
         raise ValueError(f"unknown unpredictability variant: {variant!r}")
-    residual_a = {
-        (a, b): _residual(box.marginal_a(a, b)) for a in range(2) for b in range(2)
-    }
-    residual_b = {
-        (a, b): _residual(box.marginal_b(a, b)) for a in range(2) for b in range(2)
-    }
-    if variant == "formula":
-        return max(
-            min(residual_a[a, b], residual_b[a, b]) for a in range(2) for b in range(2)
-        )
-    return max(max(residual_a.values()), max(residual_b.values()))
+    return _unpredictability_of(_residuals(box), variant)
 
 
 def uncertainty(box: Box) -> UncertaintyReport:
-    delta: dict[tuple[str, int], Fraction] = {}
-    for a in range(2):
-        delta[("A", a)] = max(_residual(box.marginal_a(a, b)) for b in range(2))
-    for b in range(2):
-        delta[("B", b)] = max(_residual(box.marginal_b(a, b)) for a in range(2))
-    return UncertaintyReport(
-        delta=delta,
-        u_a=max(delta[("A", 0)], delta[("A", 1)]),
-        u_b=max(delta[("B", 0)], delta[("B", 1)]),
-    )
+    return _uncertainty_of(_residuals(box))
 
 
 def lhv_admissible(box: Box) -> bool:
     """True iff the box is explainable by shared randomness alone: no
     signaling and no correlator sum beyond 2."""
-    if signal(box).s > 0:
-        return False
-    return all(v <= 2 for v in chsh(box).values)
+    return signal(box).s == 0 and chsh(box).lambda_max <= 2

@@ -1,13 +1,25 @@
-"""Property checks over boxes, seeded fuzzing, and the reference scenario run.
+"""Per-box analysis, property checks, seeded fuzzing, and the reference
+scenario run.
 
-Each inequality is tracked per box as a PropertyResult with an exact slack.
-A result is "asserted" when the inequality is claimed on the box's domain, so
-a violation is a genuine finding that aborts a fuzz run with a witness; it is
-"observed" when the inequality is only being measured outside its domain.
+Analysis bundles a box with its exact cost C and reads every other per-box
+quantity (CHSH report, signal, eta = C - s, both unpredictability variants,
+uncertainty) from the box on first use, so each is computed at most once
+whoever asks for it: the CLI reports, the sweep, the property table and the
+reference scenario.
+
+Each inequality is a row of _PROPERTIES and is tracked per box as a
+PropertyResult with an exact slack.  A result is "asserted" when the
+inequality is claimed on the box's domain, so a violation is a genuine
+finding that aborts a fuzz run with a witness; it is "observed" when the
+inequality is only being measured outside its domain.
 
 Domains: "general" is any valid box; "oneway_slice" restricts to mixtures of
 the eight zero-bit named boxes and d0_1 .. d3_1; "chsh16" to mixtures of all
-sixteen named boxes.
+sixteen named boxes.  On both, C equals the facet bound
+max(0, (lambda_max - 2) / 2), a lower bound on every box: each named box has
+the signed CHSH term t2 = 2 + 2 * (its cost bits) and |t_k| <= 2 for the
+other three, so a mixture has lambda_max = t2 and its own decomposition
+costs (t2 - 2) / 2, the bound.  fuzz reads C from it there.
 """
 
 from __future__ import annotations
@@ -15,48 +27,69 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
+from . import measures
 from .boxes import Box, box_to_json_obj, enumerate_deterministic, format_fraction, mix
 from .cost import facet_bound, find_distinct_decompositions, optimal_cost
 from .generators import (
     FamilySpec,
     canonical,
     canonical_names,
+    draw,
     isotropic,
     no_signaling_vertices,
     quantum_box,
-    sample,
 )
-from .measures import chsh, signal, uncertainty, unpredictability
+from .measures import ChshReport, SignalReport, UncertaintyReport, chsh, signal
 
 DOMAINS = ("general", "oneway_slice", "chsh16")
 
-PROPERTY_IDS = (
-    "S_LE_C",
-    "S_2I_GE_C",
-    "I_GE_HALF_ETA",
-    "S_2U_GE_C",
-    "U_GE_HALF_ETA",
-    "OW_BOUND",
-    "NONUNIQUE_DECOMP",
-    "MIX_COST",
-    "MIX_SIGNAL",
-)
 
-# Per-box result keys in emission order.
-_CHECK_KEYS = (
-    "S_LE_C",
-    "S_2I_GE_C.formula",
-    "S_2I_GE_C.per_party",
-    "I_GE_HALF_ETA.formula",
-    "I_GE_HALF_ETA.per_party",
-    "S_2U_GE_C.u_A",
-    "S_2U_GE_C.u_B",
-    "U_GE_HALF_ETA.u_A",
-    "U_GE_HALF_ETA.u_B",
-    "OW_BOUND.u_A",
-    "OW_BOUND.u_B",
-)
+@dataclass(frozen=True)
+class Analysis:
+    """A box and its exact cost C, with the per-box quantities of the tracked
+    inequalities.  Each is computed on its first read and kept."""
+
+    box: Box
+    c: Fraction
+
+    @cached_property
+    def chsh(self) -> ChshReport:
+        return chsh(self.box)
+
+    @cached_property
+    def signal(self) -> SignalReport:
+        return signal(self.box)
+
+    @cached_property
+    def s(self) -> Fraction:
+        return self.signal.s
+
+    @cached_property
+    def eta(self) -> Fraction:
+        return self.c - self.s
+
+    @cached_property
+    def _residuals(self) -> measures.Residuals:
+        return measures._residuals(self.box)
+
+    @cached_property
+    def i_formula(self) -> Fraction:
+        return measures._unpredictability_of(self._residuals, "formula")
+
+    @cached_property
+    def i_per_party(self) -> Fraction:
+        return measures._unpredictability_of(self._residuals, "per_party")
+
+    @cached_property
+    def uncertainty(self) -> UncertaintyReport:
+        return measures._uncertainty_of(self._residuals)
+
+
+def analyze(box: Box) -> Analysis:
+    """The box with its exact cost over the 256 deterministic strategies."""
+    return Analysis(box, optimal_cost(box))
 
 
 @dataclass(frozen=True)
@@ -75,75 +108,64 @@ class PropertyResult:
         return f"{self.property_id}.{self.variant}"
 
 
-def _result(
-    property_id: str,
-    slack: Fraction,
-    strictness: str,
-    variant: str | None,
-    box: Box,
-) -> PropertyResult:
-    holds = slack >= 0
-    return PropertyResult(
-        property_id=property_id,
-        holds=holds,
-        slack=slack,
-        strictness=strictness,
-        variant=variant,
-        witness=None if holds else box,
-    )
+_HULLS = ("oneway_slice", "chsh16")
+# Domains column of OW_BOUND: asserted on every box that does not signal.
+_SILENT = None
+
+# The tracked inequalities in emission order: (id, variant, slack, domains
+# where asserted).  The inequality holds when the slack is nonnegative.
+_PROPERTIES = (
+    ("S_LE_C", None, lambda a: a.eta, DOMAINS),
+    ("S_2I_GE_C", "formula", lambda a: a.s + 2 * a.i_formula - a.c, _HULLS),
+    ("S_2I_GE_C", "per_party", lambda a: a.s + 2 * a.i_per_party - a.c, _HULLS),
+    ("I_GE_HALF_ETA", "formula", lambda a: a.i_formula - a.eta / 2, _HULLS),
+    ("I_GE_HALF_ETA", "per_party", lambda a: a.i_per_party - a.eta / 2, _HULLS),
+    ("S_2U_GE_C", "u_A", lambda a: a.s + 2 * a.uncertainty.u_a - a.c, _HULLS),
+    ("S_2U_GE_C", "u_B", lambda a: a.s + 2 * a.uncertainty.u_b - a.c, ("chsh16",)),
+    ("U_GE_HALF_ETA", "u_A", lambda a: a.uncertainty.u_a - a.eta / 2, _HULLS),
+    ("U_GE_HALF_ETA", "u_B", lambda a: a.uncertainty.u_b - a.eta / 2, ("chsh16",)),
+    ("OW_BOUND", "u_A", lambda a: a.uncertainty.u_a - a.c / 2, _SILENT),
+    ("OW_BOUND", "u_B", lambda a: a.uncertainty.u_b - a.c / 2, _SILENT),
+)
+
+# Per-box result keys in emission order.
+_CHECK_KEYS = tuple(
+    pid if variant is None else f"{pid}.{variant}" for pid, variant, _, _ in _PROPERTIES
+)
 
 
-def _property_results(
-    box: Box, domain: str, c: Fraction, s: Fraction
-) -> tuple[PropertyResult, ...]:
+def _property_results(analysis: Analysis, domain: str) -> tuple[PropertyResult, ...]:
     if domain not in DOMAINS:
         raise ValueError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
-    in_hull = domain in ("oneway_slice", "chsh16")
-    eta = c - s
-    i_formula = unpredictability(box, "formula")
-    i_per_party = unpredictability(box, "per_party")
-    unc = uncertainty(box)
-    results = [_result("S_LE_C", eta, "asserted", None, box)]
-    for variant, value in (("formula", i_formula), ("per_party", i_per_party)):
-        strictness = "asserted" if in_hull else "observed"
-        results.append(_result("S_2I_GE_C", s + 2 * value - c, strictness, variant, box))
-    for variant, value in (("formula", i_formula), ("per_party", i_per_party)):
-        strictness = "asserted" if in_hull else "observed"
-        results.append(_result("I_GE_HALF_ETA", value - eta / 2, strictness, variant, box))
-    party_values = (("u_A", unc.u_a), ("u_B", unc.u_b))
-    for variant, value in party_values:
-        if variant == "u_A":
-            strictness = "asserted" if in_hull else "observed"
+    results = []
+    for property_id, variant, slack_of, asserted_in in _PROPERTIES:
+        slack = slack_of(analysis)
+        holds = slack >= 0
+        if asserted_in is _SILENT:
+            asserted = analysis.s == 0
         else:
-            strictness = "asserted" if domain == "chsh16" else "observed"
-        results.append(_result("S_2U_GE_C", s + 2 * value - c, strictness, variant, box))
-    for variant, value in party_values:
-        if variant == "u_A":
-            strictness = "asserted" if in_hull else "observed"
-        else:
-            strictness = "asserted" if domain == "chsh16" else "observed"
-        results.append(_result("U_GE_HALF_ETA", value - eta / 2, strictness, variant, box))
-    ow_strictness = "asserted" if s == 0 else "observed"
-    for variant, value in party_values:
-        results.append(_result("OW_BOUND", value - c / 2, ow_strictness, variant, box))
+            asserted = domain in asserted_in
+        results.append(
+            PropertyResult(
+                property_id=property_id,
+                holds=holds,
+                slack=slack,
+                strictness="asserted" if asserted else "observed",
+                variant=variant,
+                witness=None if holds else analysis.box,
+            )
+        )
     return tuple(results)
 
 
 def check_box(box: Box, domain: str = "general") -> tuple[PropertyResult, ...]:
     """All per-box inequality results at the box's exact cost."""
-    return _property_results(box, domain, optimal_cost(box), signal(box).s)
+    return _property_results(analyze(box), domain)
 
 
 def _signed_pattern(box: Box) -> Fraction:
     e = [box.expectation(a, b) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
     return e[0] + e[1] - e[2] + e[3]
-
-
-def _closed_form_cost(box: Box) -> Fraction:
-    # Valid on mixtures of the 16 named boxes: every named box meets the
-    # signed pattern at exactly 2 + 2 * cost_bits, and no deterministic box
-    # beats that trade-off, so the optimum is linear in the pattern.
-    return (_signed_pattern(box) - 2) / 2
 
 
 def _exchange_box() -> Box:
@@ -202,41 +224,40 @@ _DOMAIN_OF_FAMILY = {
 
 
 def fuzz(spec: FamilySpec, count: int, lp_every: int = 100) -> FindingsReport:
-    """Sample count boxes from the family spec, check every inequality,
-    abort on the first asserted violation.
+    """Check every inequality on the first count boxes of the family spec,
+    drawn one at a time, and abort on the first asserted violation.
 
-    On the two mixture families the cost comes from the closed form, with
-    the full program re-solved on the first five boxes and every lp_every-th
-    as a cross-check.  Setting CORRBOX_FUZZ_CORRUPT=1 replaces the first box
+    On the two mixture families the cost is the facet bound, with the full
+    program re-solved on the first five boxes and every lp_every-th as a
+    cross-check.  Setting CORRBOX_FUZZ_CORRUPT=1 replaces the first box
     with a two-bit exchange box and tightens the domain, which must trip an
     asserted violation; it exists to prove the harness can fail."""
     kind = spec.kind
-    boxes = sample(spec, count)
     domain = _DOMAIN_OF_FAMILY[kind]
-    closed_form = kind in ("chsh16_mixture", "oneway_slice")
+    facet_cost = kind in ("chsh16_mixture", "oneway_slice")
     corrupted = os.environ.get("CORRBOX_FUZZ_CORRUPT") == "1"
-    if corrupted and boxes:
-        boxes[0] = _exchange_box()
+    if corrupted:
         domain = "oneway_slice"
-        closed_form = False
+        facet_cost = False
     tallies: dict[str, list[int]] = {key: [0, 0, 0] for key in _CHECK_KEYS}
     witnesses: list[PropertyResult] = []
     aborted = False
     checked = 0
-    for index, box in enumerate(boxes):
-        s = signal(box).s
-        if closed_form:
-            c = _closed_form_cost(box)
+    for index, box in enumerate(draw(spec, count)):
+        if corrupted and index == 0:
+            box = _exchange_box()
+        if facet_cost:
+            c = facet_bound(box)
             if index < 5 or (lp_every > 0 and index % lp_every == 0):
                 solved = optimal_cost(box)
                 if solved != c:
                     raise RuntimeError(
-                        f"closed-form cost {c} disagrees with program value "
+                        f"facet bound {c} disagrees with program value "
                         f"{solved} on {kind} sample {index}"
                     )
         else:
             c = optimal_cost(box)
-        results = _property_results(box, domain, c, s)
+        results = _property_results(Analysis(box, c), domain)
         checked += 1
         for r in results:
             tally = tallies[r.key]
@@ -283,11 +304,9 @@ def _named_box_table(failures: list[str]) -> list[dict]:
     rows = []
     for index, name in enumerate(canonical_names()[:16]):
         det = canonical_deterministic(name)
-        box = det.as_box()
-        pattern = _signed_pattern(box)
-        lam = chsh(box).lambda_max
-        s = signal(box).s
-        c = optimal_cost(box)
+        a = analyze(det.as_box())
+        pattern = _signed_pattern(a.box)
+        lam, s, c = a.chsh.lambda_max, a.s, a.c
         one_bit = index >= 8
         expected_pattern = 4 if one_bit else 2
         expected_cost = 1 if one_bit else 0
@@ -343,21 +362,17 @@ def _vertex_section(failures: list[str]) -> dict:
 
 
 def _pr_panel(failures: list[str]) -> dict:
-    box = canonical("pr")
-    c_full = optimal_cost(box, "full256")
-    c_16 = optimal_cost(box, "chsh16")
-    s = signal(box).s
-    i_formula = unpredictability(box, "formula")
-    i_per_party = unpredictability(box, "per_party")
-    unc = uncertainty(box)
-    results = _property_results(box, "chsh16", c_full, s)
+    a = analyze(canonical("pr"))
+    c_16 = optimal_cost(a.box, "chsh16")
+    unc = a.uncertainty
+    results = _property_results(a, "chsh16")
     half = Fraction(1, 2)
     expectations = [
-        (s == 0, "signal 0"),
-        (c_full == 1, "full256 cost 1"),
+        (a.s == 0, "signal 0"),
+        (a.c == 1, "full256 cost 1"),
         (c_16 == 1, "chsh16 cost 1"),
-        (c_full - s == 1, "deficit 1"),
-        (i_formula == half and i_per_party == half, "unpredictability 1/2"),
+        (a.eta == 1, "deficit 1"),
+        (a.i_formula == half and a.i_per_party == half, "unpredictability 1/2"),
         (unc.u_a == half and unc.u_b == half, "uncertainty 1/2"),
         (all(r.holds for r in results), "all inequalities hold"),
         (
@@ -373,12 +388,12 @@ def _pr_panel(failures: list[str]) -> dict:
         if not ok:
             failures.append(f"pr_panel: {label} failed")
     return {
-        "s": format_fraction(s),
-        "c_full256": format_fraction(c_full),
+        "s": format_fraction(a.s),
+        "c_full256": format_fraction(a.c),
         "c_chsh16": format_fraction(c_16),
-        "eta": format_fraction(c_full - s),
-        "i_formula": format_fraction(i_formula),
-        "i_per_party": format_fraction(i_per_party),
+        "eta": format_fraction(a.eta),
+        "i_formula": format_fraction(a.i_formula),
+        "i_per_party": format_fraction(a.i_per_party),
         "u_a": format_fraction(unc.u_a),
         "u_b": format_fraction(unc.u_b),
         "results": [_result_json(r) for r in results],
@@ -400,9 +415,9 @@ def _mixture_grid(failures: list[str]) -> dict:
                 box = left
             else:
                 box = mix([(p, left), (1 - p, right)])
-            c_full = optimal_cost(box, "full256")
+            a = analyze(box)
+            c_full, s = a.c, a.s
             c_16 = optimal_cost(box, "chsh16")
-            s = signal(box).s
             weighted_cost = Fraction(1)  # both parts cost exactly one bit
             weighted_signal = Fraction(1)  # both parts signal at full strength
             mix_cost = PropertyResult(
@@ -436,7 +451,7 @@ def _mixture_grid(failures: list[str]) -> dict:
                     "p": format_fraction(p),
                     "c": format_fraction(c_full),
                     "s": format_fraction(s),
-                    "eta": format_fraction(c_full - s),
+                    "eta": format_fraction(a.eta),
                     "results": [_result_json(mix_cost), _result_json(mix_signal)],
                 }
             )
@@ -557,9 +572,8 @@ def _tsirelson(failures: list[str]) -> dict:
     from .cost import NotInHull
     from .generators import TSIRELSON_ANGLES
 
-    box = quantum_box(TSIRELSON_ANGLES, 10**6)
-    lam = chsh(box).lambda_max
-    c = optimal_cost(box, "full256")
+    a = analyze(quantum_box(TSIRELSON_ANGLES, 10**6))
+    lam, c = a.chsh.lambda_max, a.c
     lam_err = abs(float(lam) - 2 * math.sqrt(2))
     cost_err = abs(float(c) - (math.sqrt(2) - 1))
     if lam_err > 4e-6:
@@ -567,7 +581,7 @@ def _tsirelson(failures: list[str]) -> dict:
     if cost_err > 3e-6:
         failures.append(f"tsirelson: cost off by {cost_err}")
     try:
-        optimal_cost(box, "chsh16")
+        optimal_cost(a.box, "chsh16")
     except NotInHull:
         in_hull = False
     else:
@@ -579,7 +593,7 @@ def _tsirelson(failures: list[str]) -> dict:
         "lambda_max_float": float(lam),
         "c": format_fraction(c),
         "c_float": float(c),
-        "s": format_fraction(signal(box).s),
+        "s": format_fraction(a.s),
         "chsh16": "not-in-hull" if not in_hull else "in-hull",
     }
 

@@ -271,6 +271,21 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "--family", "general", "--count", "2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            (["isotropic"], "isotropic needs --v"),
+            (["quantum"], "quantum needs --angles"),
+            (["quantum", "--angles", "0", "x", "1", "2"], "--angles needs radians"),
+            (["quantum", "--angles", "0.1"], "--angles takes four radians"),
+        ],
+    )
+    def test_parametric_errors_match_analyze(self, capsys, params, message):
+        kind, *rest = params
+        for argv in (["gen", "--kind", kind, *rest], ["analyze", kind, *rest]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and message in err, argv
+
 
 class TestDecompose:
     def test_pr_decomposition_mixes_back(self, capsys):

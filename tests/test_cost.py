@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,11 +231,20 @@ class TestValuePath:
         monkeypatch.setattr(cost.lp, "_BLAND_AFTER", 0)
         assert [optimal_cost(b) for b in boxes] == expected
 
-    def test_escalated_arithmetic_gives_the_same_value(self, monkeypatch):
-        boxes = sample(FamilySpec("no_signaling", 13), 3)
-        expected = [optimal_cost(b) for b in boxes]
-        monkeypatch.setattr(cost.lp, "_MAT_MAX_INT64", 1)
-        assert [optimal_cost(b) for b in boxes] == expected
+    def test_object_arithmetic_gives_the_same_value(self):
+        # A repeated first row makes 17 rows, which the int64 rule refuses,
+        # so the same warm solve runs on Python integers.
+        system = cost._system_for("full256")
+        assert system.prep.int_mode
+        columns = system.prep.a_int
+        prep = cost.lp._prepare_int01(np.vstack([columns, columns[:1]]), system.objective)
+        assert not prep.int_mode
+        uniform = [F(int(k), prep.n) for k in prep.a_int.sum(axis=1)]
+        start = cost.lp._start_state(prep, uniform)
+        for box in sample(FamilySpec("no_signaling", 13), 3):
+            rhs = box.p + box.p[:1]
+            got, _ = cost.lp._solve_prepared(prep, rhs, system.objective, start)
+            assert got.value == optimal_cost(box)
 
     def test_start_state_is_shared_and_read_only(self):
         start = cost._system_for("full256").start

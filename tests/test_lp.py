@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import corrbox.lp as lp
@@ -212,16 +213,28 @@ class TestEscalation:
         wide = lp._prepare_program(program([[2, 1]], [1], [1, 1]))
         assert not wide.int_mode
 
-    def test_forced_escalation_same_answer(self, monkeypatch):
-        prog = program(
-            [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]],
-            [1, 1, 1],
-            [3, 1, 4, 1],
-        )
-        baseline = solve(prog)
-        monkeypatch.setattr(lp, "_MAT_MAX_INT64", 1)
-        escalated = solve(prog)
-        assert escalated == baseline
+    def test_int64_refused_for_17_rows(self):
+        rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]] + [[0, 1, 1, 1]] * 13
+        prog = program(rows, [1] * 16, [3, 1, 4, 1])
+        assert lp._prepare_program(prog).int_mode
+        taller = program(rows + [rows[0]], [1] * 17, [3, 1, 4, 1])
+        assert not lp._prepare_program(taller).int_mode
+        assert not lp._prepare_int01(np.array(rows + [rows[0]]), [3, 1, 4, 1]).int_mode
+        # the redundant row changes the arithmetic path, not the answer
+        assert solve(taller).value == solve(prog).value
+
+    def test_int64_refused_for_large_cost(self):
+        assert lp._prepare_program(program([[1, 0], [0, 1]], [1, 1], [2**20, 1])).int_mode
+        big = program([[1, 0], [0, 1]], [1, 1], [2**20 + 1, 1])
+        assert not lp._prepare_program(big).int_mode
+        assert not lp._prepare_int01(np.eye(2, dtype=np.int64), [2**20 + 1, 1]).int_mode
+
+    def test_int64_refused_for_non_01_matrix(self):
+        assert not lp._prepare_program(program([[2, 1]], [1], [1, 1])).int_mode
+        # a negative rhs flips its row to -1 entries
+        assert not lp._prepare_program(program([[1, 1]], [-1], [1, 1])).int_mode
+        with pytest.raises(ValueError, match="0 or 1"):
+            lp._prepare_int01(np.array([[1, 2]]), [1, 1])
 
     def test_bland_fallback_same_answer(self, monkeypatch):
         prog = program(

@@ -104,6 +104,31 @@ class TestUnpredictability:
                 box, "per_party"
             )
 
+    def test_matches_direct_formula(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            box = random_box(rng)
+            res_a = {
+                (a, b): min(box.marginal_a(a, b), 1 - box.marginal_a(a, b))
+                for a in range(2)
+                for b in range(2)
+            }
+            res_b = {
+                (a, b): min(box.marginal_b(a, b), 1 - box.marginal_b(a, b))
+                for a in range(2)
+                for b in range(2)
+            }
+            assert unpredictability(box, "formula") == max(
+                min(res_a[k], res_b[k]) for k in res_a
+            )
+            assert unpredictability(box, "per_party") == max(
+                list(res_a.values()) + list(res_b.values())
+            )
+            report = uncertainty(box)
+            for x in range(2):
+                assert report.delta["A", x] == max(res_a[x, 0], res_a[x, 1])
+                assert report.delta["B", x] == max(res_b[0, x], res_b[1, x])
+
     def test_range(self):
         rng = random.Random(30)
         for _ in range(40):

@@ -4,10 +4,25 @@ from fractions import Fraction
 
 import pytest
 
+import corrbox.generators as generators
+import corrbox.measures as measures
+import corrbox.verify as verify
 from corrbox.boxes import box_from_json_obj, enumerate_deterministic, mix
-from corrbox.generators import FamilySpec, canonical
+from corrbox.cost import facet_bound, optimal_cost
+from corrbox.generators import (
+    FAMILY_KINDS,
+    FamilySpec,
+    canonical,
+    canonical_deterministic,
+    canonical_names,
+    sample,
+)
+from corrbox.measures import chsh, signal, uncertainty, unpredictability
 from corrbox.verify import (
+    DOMAINS,
+    Analysis,
     FindingsReport,
+    analyze,
     check_box,
     fuzz,
     reproduce_paper,
@@ -18,6 +33,91 @@ F = Fraction
 
 def by_key(results):
     return {r.key: r for r in results}
+
+
+class TestAnalysis:
+    @pytest.mark.parametrize("family", FAMILY_KINDS)
+    def test_fields_equal_the_standalone_measures(self, family):
+        for box in sample(FamilySpec(family, 21), 6):
+            a = analyze(box)
+            assert a.box == box
+            assert a.c == optimal_cost(box)
+            assert a.chsh == chsh(box)
+            assert a.signal == signal(box)
+            assert a.s == signal(box).s
+            assert a.eta == optimal_cost(box) - signal(box).s
+            assert a.i_formula == unpredictability(box, "formula")
+            assert a.i_per_party == unpredictability(box, "per_party")
+            assert a.uncertainty == uncertainty(box)
+
+    def test_each_field_is_computed_once_and_chsh_only_on_read(self, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            return lambda box: calls.append(name) or fn(box)
+
+        monkeypatch.setattr(verify, "chsh", counted("chsh", chsh))
+        monkeypatch.setattr(verify, "signal", counted("signal", signal))
+        monkeypatch.setattr(
+            measures, "_residuals", counted("residuals", measures._residuals)
+        )
+        a = Analysis(canonical("pr"), Fraction(1))
+        for _ in range(2):
+            verify._property_results(a, "chsh16")
+        assert sorted(calls) == ["residuals", "signal"]
+        for _ in range(2):
+            a.chsh
+        assert sorted(calls) == ["chsh", "residuals", "signal"]
+
+
+# README's "Tracked inequalities": the domains where each per-box key is
+# claimed, or "silent" for a claim on every box that does not signal.
+_HULLS = {"oneway_slice", "chsh16"}
+README_CLAIMS = {
+    "S_LE_C": set(DOMAINS),
+    "S_2I_GE_C.formula": _HULLS,
+    "S_2I_GE_C.per_party": _HULLS,
+    "I_GE_HALF_ETA.formula": _HULLS,
+    "I_GE_HALF_ETA.per_party": _HULLS,
+    "S_2U_GE_C.u_A": _HULLS,
+    "S_2U_GE_C.u_B": {"chsh16"},
+    "U_GE_HALF_ETA.u_A": _HULLS,
+    "U_GE_HALF_ETA.u_B": {"chsh16"},
+    "OW_BOUND.u_A": "silent",
+    "OW_BOUND.u_B": "silent",
+}
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("name,silent", [("pr", True), ("d0_1", False)])
+def test_strictness_matches_readme(domain, name, silent):
+    box = canonical(name)
+    assert (signal(box).s == 0) == silent
+    results = check_box(box, domain)
+    assert [r.key for r in results] == list(README_CLAIMS)
+    for r in results:
+        claimed = README_CLAIMS[r.key]
+        asserted = silent if claimed == "silent" else domain in claimed
+        assert r.strictness == ("asserted" if asserted else "observed"), r.key
+
+
+class TestFacetShortcut:
+    def test_named_boxes_peak_on_the_signed_term(self):
+        # t_k is the correlator sum with a minus on term k; lambda_max is
+        # max |t_k|.  t2 = 2 + 2 * bits with every other |t_k| <= 2 makes
+        # lambda_max = t2 on every mixture, where the facet bound is exact.
+        for name in canonical_names()[:16]:
+            det = canonical_deterministic(name)
+            box = det.as_box()
+            e = [box.expectation(a, b) for a in range(2) for b in range(2)]
+            t = [sum(e) - 2 * e[k] for k in range(4)]
+            assert t[2] in (2, 4) and t[2] == 2 + 2 * det.cost_bits, name
+            assert all(abs(t[k]) <= 2 for k in (0, 1, 3)), name
+
+    @pytest.mark.parametrize("family", ("chsh16_mixture", "oneway_slice"))
+    def test_facet_bound_is_the_cost_on_mixtures(self, family):
+        for box in sample(FamilySpec(family, 8), 30):
+            assert facet_bound(box) == optimal_cost(box)
 
 
 class TestCheckBox:
@@ -140,10 +240,21 @@ class TestFuzz:
         assert keys <= failing
 
     def test_closed_form_cross_check_runs(self):
-        # lp_every=1 re-solves the program on every sample; any closed-form
-        # drift would raise
+        # lp_every=1 re-solves the program on every sample; a facet bound
+        # that missed the program value would raise
         report = fuzz(FamilySpec("chsh16_mixture", 6), 8, lp_every=1)
         assert not report.aborted
+
+    def test_aborting_run_draws_only_the_boxes_it_checked(self, monkeypatch):
+        drawn = []
+        real = generators._sample_general
+        monkeypatch.setattr(
+            generators, "_sample_general", lambda rng: drawn.append(1) or real(rng)
+        )
+        monkeypatch.setenv("CORRBOX_FUZZ_CORRUPT", "1")
+        report = fuzz(FamilySpec("general", 5), 10)
+        assert report.aborted and report.checked == 1
+        assert len(drawn) == 1
 
 
 @pytest.fixture(scope="module")
