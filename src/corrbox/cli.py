@@ -42,7 +42,7 @@ from .generators import (
     quantum_box,
     sample,
 )
-from .verify import Analysis, analyze, fuzz, reproduce_paper
+from .verify import analyze, fuzz, reproduce_paper
 
 _PARAMETRIC_KINDS = ("isotropic", "quantum")
 
@@ -120,8 +120,7 @@ def _add_source_options(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     box = _resolve_box(args)
-    cost_report = communication_cost(box, "full256")
-    a = Analysis(box, cost_report.c)
+    a = communication_cost(box, "full256")
     unc = a.uncertainty
     obj = {
         "format": "analysis-v1",
@@ -150,8 +149,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "cost": {
             "c": format_fraction(a.c),
             "eta": format_fraction(a.eta),
-            "lower_bound": format_fraction(cost_report.lower_bound),
-            "decomposition": decomposition_to_json_obj(cost_report.decomposition),
+            "lower_bound": format_fraction(a.lower_bound),
+            "decomposition": decomposition_to_json_obj(a.decomposition),
         },
         "flags": {
             "no_signaling": a.s == 0,

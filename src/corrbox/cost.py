@@ -11,7 +11,11 @@ to print, so it runs the two-phase simplex from the artificial basis, whose
 vertex is fixed by its pivot rules.  optimal_cost wants only C, which is
 unique although its vertex is not, so it runs the dual simplex from the
 basis's cached start state and certifies the value with a dual-feasible
-vector of the same value.
+vector of the same value.  Both read the value from the solver's integer
+state.
+
+communication_cost returns a CostReport: the box's measures.Analysis with
+the decomposition it solved for.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import numpy as np
 
 from . import lp
 from .boxes import Box, enumerate_deterministic, format_fraction, mix
-from .measures import chsh, signal
+from .generators import canonical_det_ids
+from .measures import Analysis, chsh
 
 BASIS_KINDS = ("full256", "chsh16")
 _FULL256_IDS = tuple(range(256))
@@ -55,25 +60,21 @@ class Decomposition:
 
 
 @dataclass(frozen=True)
-class CostReport:
-    """c is the optimal cost, eta = c - s the part no signal accounts for,
-    lower_bound the facet bound max(0, (lambda_max - 2) / 2)."""
+class CostReport(Analysis):
+    """The box's Analysis at its optimal cost c, with an optimal decomposition
+    of that cost: eta = c - s is the part no signal accounts for, lower_bound
+    the facet bound max(0, (lambda_max - 2) / 2)."""
 
-    c: Fraction
-    eta: Fraction
-    s: Fraction
     decomposition: Decomposition
-    lower_bound: Fraction
 
 
 @dataclass(frozen=True)
 class _CostSystem:
-    """The cost program over one basis: its prepared columns, the strategy id
-    of each column, the objective, and the warm-start state."""
+    """The cost program over one basis: its prepared columns (with the costs
+    in bits), the strategy id of each column, and the warm-start state."""
 
     prep: lp._Prepared
     ids: tuple[int, ...]
-    objective: tuple[Fraction, ...]
 
     @cached_property
     def start(self) -> lp._Start:
@@ -94,19 +95,13 @@ def _cost_system(ids: tuple[int, ...]) -> _CostSystem:
             if box.p[cell] != 0:
                 columns[cell, j] = 1
     costs = [dets[i].cost_bits for i in ids]
-    return _CostSystem(
-        prep=lp._prepare_int01(columns, costs),
-        ids=ids,
-        objective=tuple(Fraction(c) for c in costs),
-    )
+    return _CostSystem(prep=lp._prepare_int01(columns, costs), ids=ids)
 
 
 def _system_for(basis: str) -> _CostSystem:
     if basis == "full256":
         return _cost_system(_FULL256_IDS)
     if basis == "chsh16":
-        from .generators import canonical_det_ids
-
         return _cost_system(canonical_det_ids())
     raise ValueError(f"unknown basis {basis!r}, expected one of {BASIS_KINDS}")
 
@@ -127,7 +122,7 @@ def _solve_cost(
 ) -> tuple[lp.LpSolution, lp._Engine | None, _CostSystem]:
     system = _system_for(basis)
     start = system.start if warm else None
-    solution, engine = lp._solve_prepared(system.prep, box.p, system.objective, start)
+    solution, engine = lp._solve_prepared(system.prep, box.p, start)
     if solution.status == "infeasible":
         if basis == "full256":
             raise RuntimeError("a valid box left the full deterministic hull")
@@ -148,26 +143,22 @@ def optimal_cost(box: Box, basis: str = "full256") -> Fraction:
 
 def facet_bound(box: Box) -> Fraction:
     """The facet lower bound on C: max(0, (lambda_max - 2) / 2)."""
-    return max(Fraction(0), (chsh(box).lambda_max - 2) / 2)
+    return chsh(box).facet_bound
 
 
 def communication_cost(box: Box, basis: str = "full256") -> CostReport:
-    """Minimal expected communicated bits over decompositions in the basis.
+    """Minimal expected communicated bits over decompositions in the basis,
+    as the box's Analysis with an optimal decomposition.
 
     Raises NotInHull when basis="chsh16" and the box lies outside that hull."""
     solution, _, system = _solve_cost(box, basis)
     assert solution.value is not None
     decomposition = _decomposition_from_point(solution.point, system.ids, basis)
+    # The decomposition's cost is summed in Fractions from the point, the
+    # value in integers from the basic state: two independent computations.
     if decomposition.cost != solution.value:
         raise RuntimeError("decomposition cost disagrees with program value")
-    s = signal(box).s
-    return CostReport(
-        c=solution.value,
-        eta=solution.value - s,
-        s=s,
-        decomposition=decomposition,
-        lower_bound=facet_bound(box),
-    )
+    return CostReport(box, solution.value, decomposition)
 
 
 def eta_star_of_cost(c: Fraction, d: int) -> float:
@@ -193,9 +184,7 @@ def optimal_decompositions(
     assert solution.value is not None and engine is not None
     first = _decomposition_from_point(solution.point, system.ids, basis)
     known = frozenset(j for j, v in enumerate(solution.point) if v != 0)
-    other = lp._alternative_from_engine(
-        system.prep, engine, system.objective, solution.value, known
-    )
+    other = lp._alternative_from_engine(system.prep, engine, solution.value, known)
     if other is None:
         return first, None
     return first, _decomposition_from_point(other.point, system.ids, basis)

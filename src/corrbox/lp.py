@@ -21,8 +21,13 @@ cost times a ratio-test denominator, stays below 2**62.
 Update rule per pivot (entering column j, pivot row p, w = M a_j):
     delta' = w_p,   M'_p = M_p,   M'_i = (w_p M_i - w_i M_p) / delta
 The division is exact (Sylvester's identity); the solver asserts zero
-remainders, which doubles as an overflow trip-wire, and re-substitutes every
-optimal point into A x = b before returning it.
+remainders, which doubles as an overflow trip-wire.
+
+Every value and every vertex check is read from the integer state: value()
+sums the integer costs of the basic columns over one denominator, and
+check_basic_state re-substitutes xi into A x = b.  The two-phase and warm
+solves and each vertex the optimal-face search returns (it pivots a copy of
+the engine) pass both; Fractions appear only when a point is read out.
 
 Warm start.  Reduced costs depend on the basis and the objective only, so an
 optimal basis of one right-hand side is dual-feasible for every other one.
@@ -43,6 +48,7 @@ and y.rhs = value.  It reports the value and the basis, not the point.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,7 +121,11 @@ class _Prepared:
     cost_vec: np.ndarray  # col_cost as an array of the arithmetic path's dtype
     cost_den: int
     row_scale: tuple[int, ...]
-    int_mode: bool
+    dtype: type  # np.int64 on the int64 path, else object (Python integers)
+
+    @property
+    def int_mode(self) -> bool:
+        return self.dtype is np.int64
 
 
 @dataclass(frozen=True)
@@ -156,7 +166,7 @@ def _prepared(
         cost_vec=np.array(col_cost, dtype=dtype),
         cost_den=cost_den,
         row_scale=tuple(row_scale),
-        int_mode=int_mode,
+        dtype=dtype,
     )
 
 
@@ -202,7 +212,7 @@ class _Engine:
             if any(v < 0 for v in scaled):
                 raise ValueError("rhs negative after row scaling")
             self.basis = [prep.n + i for i in range(prep.m)]  # artificials first
-            self.mat = np.eye(prep.m, dtype=np.int64 if prep.int_mode else object)
+            self.mat = np.eye(prep.m, dtype=prep.dtype)
             self.delta = 1
             self.xi = list(self.b_num)  # M @ b_num, exact Python ints
             self.inert = [False] * prep.m  # redundant rows, permanently zero
@@ -249,7 +259,7 @@ class _Engine:
                 out.append(1 if col_cost is None else 0)
             else:
                 out.append(0 if col_cost is None else col_cost[jb])
-        return np.array(out, dtype=np.int64 if self.prep.int_mode else object)
+        return np.array(out, dtype=self.prep.dtype)
 
     def _reduced(self, col_cost: Sequence[int] | None) -> np.ndarray:
         """delta-scaled reduced costs of the structural columns."""
@@ -260,7 +270,7 @@ class _Engine:
         if col_cost is self.prep.col_cost:
             cc = self.prep.cost_vec
         else:
-            cc = np.array(col_cost, dtype=np.int64 if self.prep.int_mode else object)
+            cc = np.array(col_cost, dtype=self.prep.dtype)
         return cc * self.delta - ata
 
     # -- simplex loop ------------------------------------------------------
@@ -397,6 +407,15 @@ class _Engine:
         if status != "optimal":
             raise RuntimeError("restricted reoptimization became unbounded")
 
+    def pivoted(self, j: int, p: int, w: np.ndarray) -> _Engine:
+        """A copy of this state after one pivot; this state is unchanged,
+        since _pivot replaces mat rather than writing into it."""
+        other = copy.copy(self)
+        other.basis = list(self.basis)
+        other.xi = list(self.xi)
+        other._pivot(j, p, w)
+        return other
+
     # -- extraction --------------------------------------------------------
 
     def point(self) -> list[Fraction]:
@@ -426,15 +445,6 @@ class _Engine:
         sgn = 1 if self.delta > 0 else -1
         if (self._reduced(self.prep.col_cost) * sgn < 0).any():
             raise RuntimeError("optimal basis is not dual-feasible")
-
-    def check_point(self, x: Sequence[Fraction]) -> None:
-        support = [j for j in range(self.n) if x[j] != 0]
-        if any(x[j] < 0 for j in support):
-            raise RuntimeError("negative coordinate in solver output")
-        for i in range(self.m):
-            total = sum((Fraction(int(self.a[i, j])) * x[j] for j in support), Fraction(0))
-            if total != Fraction(self.b_num[i], self.den):
-                raise RuntimeError("solver output fails re-substitution")
 
     def dual_vector(self, col_cost: Sequence[int] | None) -> tuple[Fraction, ...]:
         """y = c_B B^-1 in the program's own rows.  For the program's objective
@@ -476,10 +486,6 @@ class _Engine:
         return np.asarray(self._reduced(col_cost) == 0)
 
 
-def _value_of(objective: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
-    return sum((objective[j] * x[j] for j in range(len(x)) if x[j] != 0), Fraction(0))
-
-
 def _start_state(prep: _Prepared, rhs: Sequence[Fraction]) -> _Start:
     """The optimal basis of the two-phase solve on rhs, for warm starts."""
     engine = _Engine(prep, rhs)
@@ -498,10 +504,7 @@ def _start_state(prep: _Prepared, rhs: Sequence[Fraction]) -> _Start:
 
 
 def _solve_prepared(
-    prep: _Prepared,
-    rhs: Sequence[Fraction],
-    objective: Sequence[Fraction],
-    start: _Start | None = None,
+    prep: _Prepared, rhs: Sequence[Fraction], start: _Start | None = None
 ) -> tuple[LpSolution, _Engine | None]:
     """Solve for rhs: two-phase from the artificial basis, or, given a start
     state, dual simplex from it (value, basis and dual certificate only)."""
@@ -548,11 +551,10 @@ def _solve_prepared(
         )
         return solution, None
     engine.check_basic_state()
-    x = engine.point()
     solution = LpSolution(
         status="optimal",
-        value=_value_of(objective, x),
-        point=tuple(x),
+        value=engine.value(),
+        point=tuple(engine.point()),
         basis=engine.structural_basis(),
     )
     return solution, engine
@@ -561,7 +563,7 @@ def _solve_prepared(
 def solve(program: LinearProgram) -> LpSolution:
     """Exact two-phase simplex; deterministic in its input."""
     prep = _prepare_program(program)
-    solution, _ = _solve_prepared(prep, program.rhs, program.objective)
+    solution, _ = _solve_prepared(prep, program.rhs)
     return solution
 
 
@@ -572,7 +574,6 @@ def _support(x: Sequence[Fraction]) -> frozenset[int]:
 def _alternative_from_engine(
     prep: _Prepared,
     engine: _Engine,
-    objective: Sequence[Fraction],
     opt_value: Fraction,
     known_support: frozenset[int],
 ) -> LpSolution | None:
@@ -580,22 +581,17 @@ def _alternative_from_engine(
 
     Stage 1: minimize the total weight on the known support, entering only
     through zero-reduced-cost columns (they span the optimal face).  Stage 2:
-    single pivots along zero-reduced-cost columns from the resulting vertex.
+    single pivots along zero-reduced-cost columns from the resulting vertex,
+    each on a copy of the engine.  Every vertex returned passes the integer
+    re-substitution and value checks of its basic state.
     """
     face = engine.zero_reduced_mask(prep.col_cost)
     overlap_cost = [1 if j in known_support else 0 for j in range(prep.n)]
     engine.reoptimize(overlap_cost, face)
-    x2 = engine.point()
-    engine.check_point(x2)
-    if _value_of(objective, x2) != opt_value:
-        raise RuntimeError("optimal-face search left the optimal face")
-    if _support(x2) != known_support:
-        return LpSolution(
-            status="optimal",
-            value=opt_value,
-            point=tuple(x2),
-            basis=engine.structural_basis(),
-        )
+    _check_on_face(engine, opt_value)
+    x = engine.point()
+    if _support(x) != known_support:
+        return _vertex(engine, opt_value, x)
     face = engine.zero_reduced_mask(prep.col_cost)
     basic = set(engine.basis)
     for j in np.flatnonzero(face):
@@ -604,31 +600,27 @@ def _alternative_from_engine(
             continue
         w = engine._entering_w(j)
         p = engine._ratio_row(w)
-        if p is None:
+        if p is None or engine.xi[p] == 0:
+            continue  # an unbounded edge, or a degenerate pivot to the same point
+        moved = engine.pivoted(j, p, w)
+        x = moved.point()
+        if _support(x) == known_support:
             continue
-        theta = Fraction(engine.xi[p], engine.den * int(w[p]))
-        if theta == 0:
-            continue
-        x3 = engine.point()
-        for i, jb in enumerate(engine.basis):
-            if jb < prep.n:
-                x3[jb] -= theta * Fraction(int(w[i]), engine.delta)
-        x3[j] = theta
-        if _support(x3) == known_support:
-            continue
-        engine.check_point(x3)
-        if _value_of(objective, x3) != opt_value:
-            raise RuntimeError("optimal-face pivot left the optimal face")
-        basis = sorted(
-            [jb for jb in engine.basis if jb < prep.n and jb != engine.basis[p]] + [j]
-        )
-        return LpSolution(
-            status="optimal",
-            value=opt_value,
-            point=tuple(x3),
-            basis=tuple(basis),
-        )
+        _check_on_face(moved, opt_value)
+        return _vertex(moved, opt_value, x)
     return None
+
+
+def _check_on_face(engine: _Engine, opt_value: Fraction) -> None:
+    engine.check_basic_state()
+    if engine.value() != opt_value:
+        raise RuntimeError("optimal-face search left the optimal face")
+
+
+def _vertex(engine: _Engine, value: Fraction, point: list[Fraction]) -> LpSolution:
+    return LpSolution(
+        status="optimal", value=value, point=tuple(point), basis=engine.structural_basis()
+    )
 
 
 def find_alternative_vertex(program: LinearProgram, known: LpSolution) -> LpSolution | None:
@@ -637,10 +629,8 @@ def find_alternative_vertex(program: LinearProgram, known: LpSolution) -> LpSolu
     if known.status != "optimal":
         return None
     prep = _prepare_program(program)
-    solution, engine = _solve_prepared(prep, program.rhs, program.objective)
+    solution, engine = _solve_prepared(prep, program.rhs)
     if solution.status != "optimal" or engine is None:
         return None
     assert solution.value is not None
-    return _alternative_from_engine(
-        prep, engine, program.objective, solution.value, _support(known.point)
-    )
+    return _alternative_from_engine(prep, engine, solution.value, _support(known.point))

@@ -9,13 +9,18 @@ All quantities are Fractions computed without tolerances:
 * uncertainty: per-party, per-setting guessing residuals and their maxima.
 
 Both unpredictability variants and the uncertainty report derive from the
-same eight residuals (_residuals), which verify.Analysis computes once.
+same eight residuals (_residuals).
+
+Analysis is the per-box record: a box, its exact cost C, and the quantities
+above (with eta = C - s and the facet bound), each read from the box on first
+use and kept.  cost.CostReport is an Analysis with a decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .boxes import Box
 
@@ -31,6 +36,11 @@ class ChshReport:
 
     values: tuple[Fraction, Fraction, Fraction, Fraction]
     lambda_max: Fraction
+
+    @property
+    def facet_bound(self) -> Fraction:
+        """The facet lower bound on C: max(0, (lambda_max - 2) / 2)."""
+        return max(Fraction(0), (self.lambda_max - 2) / 2)
 
 
 @dataclass(frozen=True)
@@ -129,3 +139,49 @@ def lhv_admissible(box: Box) -> bool:
     """True iff the box is explainable by shared randomness alone: no
     signaling and no correlator sum beyond 2."""
     return signal(box).s == 0 and chsh(box).lambda_max <= 2
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """A box and its exact cost C, with the per-box quantities of the tracked
+    inequalities.  Each is computed on its first read and kept."""
+
+    box: Box
+    c: Fraction
+
+    @cached_property
+    def chsh(self) -> ChshReport:
+        return chsh(self.box)
+
+    @cached_property
+    def signal(self) -> SignalReport:
+        return signal(self.box)
+
+    @cached_property
+    def s(self) -> Fraction:
+        return self.signal.s
+
+    @cached_property
+    def eta(self) -> Fraction:
+        return self.c - self.s
+
+    @property
+    def lower_bound(self) -> Fraction:
+        """The facet bound of the cached CHSH report, a lower bound on c."""
+        return self.chsh.facet_bound
+
+    @cached_property
+    def _residuals(self) -> Residuals:
+        return _residuals(self.box)
+
+    @cached_property
+    def i_formula(self) -> Fraction:
+        return _unpredictability_of(self._residuals, "formula")
+
+    @cached_property
+    def i_per_party(self) -> Fraction:
+        return _unpredictability_of(self._residuals, "per_party")
+
+    @cached_property
+    def uncertainty(self) -> UncertaintyReport:
+        return _uncertainty_of(self._residuals)

@@ -1,11 +1,11 @@
 """Per-box analysis, property checks, seeded fuzzing, and the reference
 scenario run.
 
-Analysis bundles a box with its exact cost C and reads every other per-box
-quantity (CHSH report, signal, eta = C - s, both unpredictability variants,
-uncertainty) from the box on first use, so each is computed at most once
-whoever asks for it: the CLI reports, the sweep, the property table and the
-reference scenario.
+analyze(box) is measures.Analysis at the box's exact cost C: every other
+per-box quantity (CHSH report, signal, eta = C - s, both unpredictability
+variants, uncertainty) is read from the box on first use, so each is computed
+at most once whoever asks for it: the property table, the sweep and the
+reference scenario here, and the CLI report through cost.CostReport.
 
 Each inequality is a row of _PROPERTIES and is tracked per box as a
 PropertyResult with an exact slack.  A result is "asserted" when the
@@ -24,67 +24,33 @@ costs (t2 - 2) / 2, the bound.  fuzz reads C from it there.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from . import measures
 from .boxes import Box, box_to_json_obj, enumerate_deterministic, format_fraction, mix
-from .cost import facet_bound, find_distinct_decompositions, optimal_cost
+from .cost import (
+    NotInHull,
+    decomposition_to_json_obj,
+    facet_bound,
+    find_distinct_decompositions,
+    optimal_cost,
+)
 from .generators import (
+    TSIRELSON_ANGLES,
     FamilySpec,
     canonical,
+    canonical_deterministic,
     canonical_names,
     draw,
     isotropic,
     no_signaling_vertices,
     quantum_box,
 )
-from .measures import ChshReport, SignalReport, UncertaintyReport, chsh, signal
+from .measures import Analysis, chsh, signal
 
 DOMAINS = ("general", "oneway_slice", "chsh16")
-
-
-@dataclass(frozen=True)
-class Analysis:
-    """A box and its exact cost C, with the per-box quantities of the tracked
-    inequalities.  Each is computed on its first read and kept."""
-
-    box: Box
-    c: Fraction
-
-    @cached_property
-    def chsh(self) -> ChshReport:
-        return chsh(self.box)
-
-    @cached_property
-    def signal(self) -> SignalReport:
-        return signal(self.box)
-
-    @cached_property
-    def s(self) -> Fraction:
-        return self.signal.s
-
-    @cached_property
-    def eta(self) -> Fraction:
-        return self.c - self.s
-
-    @cached_property
-    def _residuals(self) -> measures.Residuals:
-        return measures._residuals(self.box)
-
-    @cached_property
-    def i_formula(self) -> Fraction:
-        return measures._unpredictability_of(self._residuals, "formula")
-
-    @cached_property
-    def i_per_party(self) -> Fraction:
-        return measures._unpredictability_of(self._residuals, "per_party")
-
-    @cached_property
-    def uncertainty(self) -> UncertaintyReport:
-        return measures._uncertainty_of(self._residuals)
 
 
 def analyze(box: Box) -> Analysis:
@@ -223,12 +189,16 @@ _DOMAIN_OF_FAMILY = {
 }
 
 
-def fuzz(spec: FamilySpec, count: int, lp_every: int = 100) -> FindingsReport:
+# fuzz re-solves the program on every _LP_EVERY-th mixture box.
+_LP_EVERY = 100
+
+
+def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
     """Check every inequality on the first count boxes of the family spec,
     drawn one at a time, and abort on the first asserted violation.
 
     On the two mixture families the cost is the facet bound, with the full
-    program re-solved on the first five boxes and every lp_every-th as a
+    program re-solved on the first five boxes and every _LP_EVERY-th as a
     cross-check.  Setting CORRBOX_FUZZ_CORRUPT=1 replaces the first box
     with a two-bit exchange box and tightens the domain, which must trip an
     asserted violation; it exists to prove the harness can fail."""
@@ -248,7 +218,7 @@ def fuzz(spec: FamilySpec, count: int, lp_every: int = 100) -> FindingsReport:
             box = _exchange_box()
         if facet_cost:
             c = facet_bound(box)
-            if index < 5 or (lp_every > 0 and index % lp_every == 0):
+            if index < 5 or index % _LP_EVERY == 0:
                 solved = optimal_cost(box)
                 if solved != c:
                     raise RuntimeError(
@@ -299,8 +269,6 @@ def _result_json(r: PropertyResult) -> dict:
 
 
 def _named_box_table(failures: list[str]) -> list[dict]:
-    from .generators import canonical_deterministic
-
     rows = []
     for index, name in enumerate(canonical_names()[:16]):
         det = canonical_deterministic(name)
@@ -460,8 +428,6 @@ def _mixture_grid(failures: list[str]) -> dict:
 
 
 def _noise_decompositions(failures: list[str]) -> dict:
-    from .cost import decomposition_to_json_obj
-
     noise = canonical("noise")
     pair = find_distinct_decompositions(noise, "full256")
     dets = enumerate_deterministic()
@@ -528,8 +494,6 @@ def _mixture_identity_check() -> dict:
 
 
 def _isotropic_sweep(failures: list[str]) -> list[dict]:
-    from .cost import NotInHull
-
     rows = []
     for k in range(11):
         v = Fraction(k, 10)
@@ -567,11 +531,6 @@ def _isotropic_sweep(failures: list[str]) -> list[dict]:
 
 
 def _tsirelson(failures: list[str]) -> dict:
-    import math
-
-    from .cost import NotInHull
-    from .generators import TSIRELSON_ANGLES
-
     a = analyze(quantum_box(TSIRELSON_ANGLES, 10**6))
     lam, c = a.chsh.lambda_max, a.c
     lam_err = abs(float(lam) - 2 * math.sqrt(2))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,27 @@ class TestOneSolvePerBox:
         code, _, _ = run(capsys, "analyze", "pr", "--dim", "2")
         assert code == 0
         assert len(calls) == 1
+
+
+class TestOneMeasurePerBox:
+    def test_analyze_evaluates_chsh_and_signal_once(self, capsys, monkeypatch):
+        import corrbox.measures as measures
+
+        calls = []
+        for name in ("chsh", "signal"):
+            real = getattr(measures, name)
+
+            def counted(box, name=name, real=real):
+                calls.append(name)
+                return real(box)
+
+            # every module that imported the function holds its own name
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("corrbox") and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        code, _, _ = run(capsys, "analyze", "pr")
+        assert code == 0
+        assert sorted(calls) == ["chsh", "signal"]
 
 
 class TestTextOut:

@@ -237,13 +237,13 @@ class TestValuePath:
         system = cost._system_for("full256")
         assert system.prep.int_mode
         columns = system.prep.a_int
-        prep = cost.lp._prepare_int01(np.vstack([columns, columns[:1]]), system.objective)
+        prep = cost.lp._prepare_int01(np.vstack([columns, columns[:1]]), system.prep.col_cost)
         assert not prep.int_mode
         uniform = [F(int(k), prep.n) for k in prep.a_int.sum(axis=1)]
         start = cost.lp._start_state(prep, uniform)
         for box in sample(FamilySpec("no_signaling", 13), 3):
             rhs = box.p + box.p[:1]
-            got, _ = cost.lp._solve_prepared(prep, rhs, system.objective, start)
+            got, _ = cost.lp._solve_prepared(prep, rhs, start)
             assert got.value == optimal_cost(box)
 
     def test_start_state_is_shared_and_read_only(self):

@@ -2,8 +2,9 @@
 
 A refactor or a faster solver path must leave every one of them unchanged:
 the named reports, the reference scenario, seeded fuzz findings for each
-family, and the commands whose cost the value path or a reused solve now
-supplies.  Every command here exits 0.
+family, the commands whose cost the value path or a reused solve now
+supplies, and decompositions that are one of several optima.  Every command
+here exits 0.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ GOLDEN = [
     ("analyze pr --dim 2", "eded0eb30b43327544973bb828829ffd76795d024c976bb7417a020ea563da22"),
     ("analyze isotropic --v 3/4 --text --dim 3", "2bc1d27e8f6f7241bfa66750e162872a1a117b0e39a399905c9d0fb8ecf60727"),
     ("sweep --steps 10", "9c628a0a55d1a898e2a9c5459f7f3d95a2a00e897ff0f7588015146798aee1a5"),
+    ("decompose pr --alt", "a606ff883f9b7046436910c80556381134da8935bb7c0e435eb3968b5f7aad38"),
+    ("decompose isotropic --v 7/10 --basis chsh16 --alt", "4963c4cd49e13aa3d45a7f8a666c3737f37a61447fe502061fc89c50804d42b5"),
+    ("decompose quantum --angles tsirelson --alt", "c6a2df1075728653de69fa1874ccdce66a94edeb246f818c15735cd806770e50"),
+    ("decompose pr --basis chsh16", "60b3c077245f0c69551e22de5d6f77c91ae28e5b7b75ea381cad2d77f6e5fd78"),
+    ("analyze quantum --angles tsirelson", "77dff6598e1ffd32b16ee67020350c43c1204f80cfa371c0cfd9f54b103b93a4"),
 ]
 
 

@@ -266,6 +266,19 @@ class TestAlternativeVertex:
         first = solve(prog)
         assert find_alternative_vertex(prog, first) is None
 
+    def test_single_pivot_from_the_face_vertex(self):
+        # Stage 1 ends on the known support; the second support is one
+        # zero-reduced-cost pivot away from it.
+        prog = program([[2, 0, 0, 2], [0, 1, 0, 1]], [3, 1], [2, 0, 2, 2])
+        first = solve(prog)
+        assert first.point == (F(1, 2), F(0), F(0), F(1))
+        second = find_alternative_vertex(prog, first)
+        assert second is not None
+        assert second.point == (F(3, 2), F(1), F(0), F(0))
+        assert second.basis == (0, 1)
+        assert second.value == first.value == 3
+        assert all(r == 0 for r in residual(prog, second.point))
+
     def test_non_optimal_input_returns_none(self):
         prog = program([[1]], [-1], [1])
         first = solve(prog)
@@ -297,7 +310,7 @@ def warm_solve(rows, start_rhs, rhs, cost) -> tuple[LinearProgram, LpSolution]:
     prep = lp._prepare_program(program(rows, start_rhs, cost))
     start = lp._start_state(prep, [F(x) for x in start_rhs])
     prog = program(rows, rhs, cost)
-    got, _ = lp._solve_prepared(prep, prog.rhs, prog.objective, start)
+    got, _ = lp._solve_prepared(prep, prog.rhs, start)
     return prog, got
 
 
@@ -359,4 +372,4 @@ class TestWarmStart:
         start = lp._start_state(other, [F(1)])
         prep = lp._prepare_program(program([[1, 1, 1]], [1], [3, 1, 2]))
         with pytest.raises(RuntimeError, match="not dual-feasible"):
-            lp._solve_prepared(prep, [F(1)], [F(3), F(1), F(2)], start)
+            lp._solve_prepared(prep, [F(1)], start)

@@ -56,8 +56,8 @@ class TestAnalysis:
         def counted(name, fn):
             return lambda box: calls.append(name) or fn(box)
 
-        monkeypatch.setattr(verify, "chsh", counted("chsh", chsh))
-        monkeypatch.setattr(verify, "signal", counted("signal", signal))
+        monkeypatch.setattr(measures, "chsh", counted("chsh", chsh))
+        monkeypatch.setattr(measures, "signal", counted("signal", signal))
         monkeypatch.setattr(
             measures, "_residuals", counted("residuals", measures._residuals)
         )
@@ -239,10 +239,11 @@ class TestFuzz:
         failing = {r.key for r in rechecked if not r.holds and r.strictness == "asserted"}
         assert keys <= failing
 
-    def test_closed_form_cross_check_runs(self):
-        # lp_every=1 re-solves the program on every sample; a facet bound
+    def test_facet_bound_cross_check_runs(self, monkeypatch):
+        # _LP_EVERY = 1 re-solves the program on every sample; a facet bound
         # that missed the program value would raise
-        report = fuzz(FamilySpec("chsh16_mixture", 6), 8, lp_every=1)
+        monkeypatch.setattr(verify, "_LP_EVERY", 1)
+        report = fuzz(FamilySpec("chsh16_mixture", 6), 8)
         assert not report.aborted
 
     def test_aborting_run_draws_only_the_boxes_it_checked(self, monkeypatch):
