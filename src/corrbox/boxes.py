@@ -1,19 +1,26 @@
 """Core types for two-input two-output bipartite correlation boxes.
 
 A box is the conditional distribution P(A, B | a, b) with all four variables
-binary.  Entries are stored as a flat tuple of 16 exact rationals indexed by
-8*a + 4*b + 2*A + B, i.e. grouped into four setting columns (a, b) in the order
-(0,0), (0,1), (1,0), (1,1), each column holding the four outcomes (A, B) in the
-order (0,0), (0,1), (1,0), (1,1).
+binary.  Entries are indexed by 8*a + 4*b + 2*A + B, i.e. grouped into four
+setting columns (a, b) in the order (0,0), (0,1), (1,0), (1,1), each column
+holding the four outcomes (A, B) in the order (0,0), (0,1), (1,0), (1,1).
+
+A Box stores them as 16 integer numerators over one positive denominator, in
+lowest terms across all 16 cells, so equal boxes have equal numerators and
+denominators, and it is validated in integers.  p is the same box as 16
+Fractions, built on first read.  mix_ints is the one mixing kernel: the
+samplers hand it raw integer weights, mix the weights it has validated.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 
@@ -29,22 +36,26 @@ class BadWeights(ValueError):
     """Mixture weights are negative, empty, or do not sum to exactly 1."""
 
 
-_ONE = Fraction(1)
-
-
 def cell_index(a: int, b: int, out_a: int, out_b: int) -> int:
     """Flat index of the cell P(out_a, out_b | a, b)."""
     return 8 * a + 4 * b + 2 * out_a + out_b
 
 
-def _to_fraction(value: object) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("float entries are not accepted; pass exact rationals")
+def exact_fraction(value: object) -> Fraction:
+    """value as a Fraction: an int, a Fraction or a rational string such as
+    "7/10" or "0.7".  Anything else raises TypeError: floats, whose binary
+    expansion is rarely the rational that was meant, and bools.  A string
+    that is no rational, or has a zero denominator, raises ValueError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, float):
+        raise TypeError("floats are not accepted; pass exact rationals")
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    try:
         return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def format_fraction(x: Fraction) -> str:
@@ -53,30 +64,63 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    return exact_fraction(text)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Box:
-    """An exact correlation box.  Invariants checked on construction."""
+    """An exact correlation box: cell i is num[i] / den.  Invariants checked
+    on construction.  Box(p) takes 16 Fractions; Box.from_numerators takes
+    integers and brings them to lowest terms."""
 
-    p: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        if len(self.p) != 16:
-            raise ValueError(f"a box needs 16 entries, got {len(self.p)}")
-        for i, value in enumerate(self.p):
+    def __init__(self, p: Sequence[Fraction]) -> None:
+        if len(p) != 16:
+            raise ValueError(f"a box needs 16 entries, got {len(p)}")
+        for i, value in enumerate(p):
             if not isinstance(value, Fraction):
                 raise TypeError(f"entry {i} is {type(value).__name__}, not Fraction")
-            if value < 0:
-                raise NegativeEntry(f"entry {i} is negative: {value}")
+        # The lcm of the reduced cell denominators leaves the 16 numerators
+        # and it with no common factor.
+        den = math.lcm(*(x.denominator for x in p))
+        self._store(tuple(x.numerator * (den // x.denominator) for x in p), den)
+
+    @classmethod
+    def from_numerators(cls, num: Sequence[int], den: int) -> Box:
+        """The box with cells num[i] / den, for integers num and den > 0."""
+        num = tuple(num)
+        if len(num) != 16:
+            raise ValueError(f"a box needs 16 entries, got {len(num)}")
+        if den <= 0:
+            raise ValueError(f"the denominator must be positive, got {den}")
+        common = math.gcd(den, *num)
+        if common != 1:
+            num = tuple(n // common for n in num)
+            den //= common
+        box = cls.__new__(cls)
+        box._store(num, den)
+        return box
+
+    def _store(self, num: tuple[int, ...], den: int) -> None:
+        for i, n in enumerate(num):
+            if n < 0:
+                raise NegativeEntry(f"entry {i} is negative: {Fraction(n, den)}")
         for setting in range(4):
-            column = self.p[4 * setting : 4 * setting + 4]
-            total = sum(column)
-            if total != _ONE:
+            total = sum(num[4 * setting : 4 * setting + 4])
+            if total != den:
                 raise NotNormalized(
-                    f"setting column {setting} sums to {total}, expected 1"
+                    f"setting column {setting} sums to {Fraction(total, den)}, "
+                    "expected 1"
                 )
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @cached_property
+    def p(self) -> tuple[Fraction, ...]:
+        """The 16 cells as Fractions (read-only)."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def prob(self, a: int, b: int, out_a: int, out_b: int) -> Fraction:
         return self.p[cell_index(a, b, out_a, out_b)]
@@ -103,27 +147,37 @@ class Box:
 
 def box_from_table(entries: Sequence[object]) -> Box:
     """Build a validated Box from 16 rationals (int, str, or Fraction)."""
-    return Box(tuple(_to_fraction(e) for e in entries))
+    return Box(tuple(exact_fraction(e) for e in entries))
+
+
+def mix_ints(weights: Sequence[int], parts: Sequence[Box]) -> Box:
+    """The mixture sum_i weights[i] * parts[i] / sum(weights), for
+    nonnegative integer weights with a positive sum, computed in integers."""
+    used = [(w, part) for w, part in zip(weights, parts) if w]
+    common = math.lcm(*(part.den for _, part in used))
+    cells = [0] * 16
+    for w, part in used:
+        k = w * (common // part.den)
+        cells = [c + k * n for c, n in zip(cells, part.num)]
+    return Box.from_numerators(cells, common * sum(weights))
 
 
 def mix(terms: Iterable[tuple[object, Box]]) -> Box:
     """Convex mixture of boxes.  Weights must be exact and sum to 1."""
-    pairs = [(_to_fraction(w), box) for w, box in terms]
+    pairs = [(exact_fraction(w), box) for w, box in terms]
     if not pairs:
         raise BadWeights("empty mixture")
     for w, _ in pairs:
         if w < 0:
             raise BadWeights(f"negative weight {w}")
     total = sum(w for w, _ in pairs)
-    if total != _ONE:
+    if total != 1:
         raise BadWeights(f"weights sum to {total}, expected 1")
-    cells = [Fraction(0)] * 16
-    for w, box in pairs:
-        if w == 0:
-            continue
-        for i in range(16):
-            cells[i] += w * box.p[i]
-    return Box(tuple(cells))
+    den = math.lcm(*(w.denominator for w, _ in pairs))
+    return mix_ints(
+        [w.numerator * (den // w.denominator) for w, _ in pairs],
+        [box for _, box in pairs],
+    )
 
 
 class Direction(Enum):
@@ -151,12 +205,12 @@ class DeterministicBox:
     direction: Direction
 
     def as_box(self) -> Box:
-        cells = [Fraction(0)] * 16
+        cells = [0] * 16
         for a in range(2):
             for b in range(2):
                 k = 2 * a + b
-                cells[cell_index(a, b, self.out_a[k], self.out_b[k])] = Fraction(1)
-        return Box(tuple(cells))
+                cells[cell_index(a, b, self.out_a[k], self.out_b[k])] = 1
+        return Box.from_numerators(cells, 1)
 
 
 def _classify_tables(
@@ -263,8 +317,7 @@ class Relabeling:
 
 
 def relabel(box: Box, r: Relabeling) -> Box:
-    perm = r.permutation()
-    return Box(tuple(box.p[perm[i]] for i in range(16)))
+    return Box.from_numerators([box.num[j] for j in r.permutation()], box.den)
 
 
 @lru_cache(maxsize=1)
@@ -300,8 +353,21 @@ def box_to_json_obj(box: Box) -> dict:
     }
 
 
+def _json_entry(index: int, value: object) -> Fraction:
+    try:
+        return exact_fraction(value)
+    except TypeError:
+        raise ValueError(
+            f"box entry {index} must be an integer or a rational string "
+            f'such as "1/4", got {json.dumps(value)}'
+        ) from None
+    except ValueError as exc:
+        raise ValueError(f"box entry {index}: {exc}") from None
+
+
 def box_from_json_obj(obj: object) -> Box:
-    """Parse and validate the box-v1 JSON object form."""
+    """Parse and validate the box-v1 JSON object form.  Every entry must be
+    a JSON integer or a rational string; anything else is a ValueError."""
     if not isinstance(obj, dict):
         raise ValueError("box JSON must be an object")
     if obj.get("format") != "box-v1":
@@ -309,9 +375,7 @@ def box_from_json_obj(obj: object) -> Box:
     columns = obj.get("p")
     if not isinstance(columns, list) or len(columns) != 4:
         raise ValueError("box JSON needs a 'p' list of 4 setting columns")
-    cells: list[object] = []
     for column in columns:
         if not isinstance(column, list) or len(column) != 4:
             raise ValueError("each setting column needs 4 outcome entries")
-        cells.extend(column)
-    return box_from_table(cells)
+    return Box(tuple(_json_entry(i, x) for i, x in enumerate(itertools.chain(*columns))))

@@ -12,7 +12,8 @@ vertex is fixed by its pivot rules.  optimal_cost wants only C, which is
 unique although its vertex is not, so it runs the dual simplex from the
 basis's cached start state and certifies the value with a dual-feasible
 vector of the same value.  Both read the value from the solver's integer
-state.
+state and end with an integer check that the final basis is dual-feasible.
+The box enters the program as its own integer numerators and denominator.
 
 communication_cost returns a CostReport: the box's measures.Analysis with
 the decomposition it solved for.
@@ -81,19 +82,14 @@ class _CostSystem:
         """Optimal basis of the uniform mixture of the basis's own columns
         (noise for full256), which is in the hull.  Built on the first warm
         solve, so commands that only decompose never pay for it."""
-        uniform = [Fraction(int(k), self.prep.n) for k in self.prep.a_int.sum(axis=1)]
-        return lp._start_state(self.prep, uniform)
+        counts = [int(k) for k in self.prep.a_int.sum(axis=1)]
+        return lp._start_state(self.prep, counts, self.prep.n)
 
 
 @lru_cache(maxsize=len(BASIS_KINDS))
 def _cost_system(ids: tuple[int, ...]) -> _CostSystem:
     dets = enumerate_deterministic()
-    columns = np.zeros((16, len(ids)), dtype=np.int64)
-    for j, i in enumerate(ids):
-        box = dets[i].as_box()
-        for cell in range(16):
-            if box.p[cell] != 0:
-                columns[cell, j] = 1
+    columns = np.array([dets[i].as_box().num for i in ids], dtype=np.int64).T.copy()
     costs = [dets[i].cost_bits for i in ids]
     return _CostSystem(prep=lp._prepare_int01(columns, costs), ids=ids)
 
@@ -122,7 +118,7 @@ def _solve_cost(
 ) -> tuple[lp.LpSolution, lp._Engine | None, _CostSystem]:
     system = _system_for(basis)
     start = system.start if warm else None
-    solution, engine = lp._solve_prepared(system.prep, box.p, start)
+    solution, engine = lp._solve_prepared(system.prep, box.num, box.den, start)
     if solution.status == "infeasible":
         if basis == "full256":
             raise RuntimeError("a valid box left the full deterministic hull")

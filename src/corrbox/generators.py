@@ -3,13 +3,14 @@
 The canonical basis is 16 named deterministic boxes: eight zero-bit ones
 (d0_0 .. d7_0) and eight one-bit ones (d0_1 .. d7_1), plus the derived names
 "pr" (the even mixture of d0_1 and d3_1) and "noise" (uniform outcomes).
-Samplers draw Fractions from a seeded random.Random stream, so a family
-spec plus a count pins the exact boxes; shorter runs are prefixes of longer
-ones.
+Samplers draw integer weights from a seeded random.Random stream and build
+integer boxes from them (boxes.mix_ints), so a family spec plus a count pins
+the exact boxes; shorter runs are prefixes of longer ones.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,9 +21,9 @@ from typing import Iterator
 from .boxes import (
     Box,
     DeterministicBox,
-    box_from_table,
     enumerate_deterministic,
-    mix,
+    exact_fraction,
+    mix_ints,
     relabel,
     relabeling_group,
 )
@@ -97,28 +98,20 @@ def canonical_deterministic(name: str) -> DeterministicBox:
 def canonical(name: str) -> Box:
     """A canonical box by name: the 16 basis names, pr, or noise."""
     if name == "noise":
-        return box_from_table([Fraction(1, 4)] * 16)
+        return Box.from_numerators([1] * 16, 4)
     if name == "pr":
-        half = Fraction(1, 2)
-        return mix(
-            [
-                (half, canonical_deterministic("d0_1").as_box()),
-                (half, canonical_deterministic("d3_1").as_box()),
-            ]
-        )
+        return mix_ints((1, 1), (canonical("d0_1"), canonical("d3_1")))
     return canonical_deterministic(name).as_box()
 
 
 def isotropic(v: Fraction | int | str) -> Box:
-    """Mixture v * pr + (1 - v) * noise for v in [0, 1]."""
-    weight = Fraction(v)
+    """Mixture v * pr + (1 - v) * noise for v in [0, 1].  v must be exact,
+    as mix's weights: a float raises TypeError."""
+    weight = exact_fraction(v)
     if not 0 <= weight <= 1:
         raise BadParameter(f"isotropic parameter must be in [0, 1], got {weight}")
-    if weight == 0:
-        return canonical("noise")
-    if weight == 1:
-        return canonical("pr")
-    return mix([(weight, canonical("pr")), (1 - weight, canonical("noise"))])
+    n, d = weight.numerator, weight.denominator
+    return mix_ints((n, d - n), (canonical("pr"), canonical("noise")))
 
 
 # Measurement angles that maximize the CHSH value of a quantum box.
@@ -140,16 +133,20 @@ def quantum_box(
         raise BadParameter(
             f"denominator bound must be at least 1, got {approx_denominator}"
         )
-    entries = []
+    correlators = []
     for a in range(2):
         for b in range(2):
             e = Fraction(cos(angles[a] - angles[2 + b]))
             e = e.limit_denominator(approx_denominator)
-            e = min(max(e, Fraction(-1)), Fraction(1))
-            same = (1 + e) / 4
-            diff = (1 - e) / 4
-            entries.extend([same, diff, diff, same])
-    return box_from_table(entries)
+            correlators.append(min(max(e, Fraction(-1)), Fraction(1)))
+    # Cells (1 + e) / 4 and (1 - e) / 4 over the common denominator 4 * common.
+    common = math.lcm(*(e.denominator for e in correlators))
+    cells = []
+    for e in correlators:
+        k = common // e.denominator
+        same, diff = (e.denominator + e.numerator) * k, (e.denominator - e.numerator) * k
+        cells.extend([same, diff, diff, same])
+    return Box.from_numerators(cells, 4 * common)
 
 
 @lru_cache(maxsize=1)
@@ -184,26 +181,26 @@ class FamilySpec:
             )
 
 
-def _draw_weights(rng: random.Random, count: int) -> list[Fraction]:
+def _draw_weights(rng: random.Random, count: int) -> list[int]:
+    """count raw integer weights in [0, 65536] with a positive sum."""
     while True:
         raw = [rng.randint(0, 65536) for _ in range(count)]
-        total = sum(raw)
-        if total > 0:
-            return [Fraction(r, total) for r in raw]
+        if any(raw):
+            return raw
 
 
 def _sample_general(rng: random.Random) -> Box:
-    entries: list[Fraction] = []
-    for _ in range(4):
-        entries.extend(_draw_weights(rng, 4))
-    return box_from_table(entries)
+    # Each setting column is one draw of four weights over their own total.
+    columns = [_draw_weights(rng, 4) for _ in range(4)]
+    totals = [sum(column) for column in columns]
+    den = math.lcm(*totals)
+    return Box.from_numerators(
+        [r * (den // t) for column, t in zip(columns, totals) for r in column], den
+    )
 
 
 def _mixture_over(rng: random.Random, parts: tuple[Box, ...]) -> Box:
-    weights = _draw_weights(rng, len(parts))
-    return mix(
-        [(w, part) for w, part in zip(weights, parts) if w != 0]
-    )
+    return mix_ints(_draw_weights(rng, len(parts)), parts)
 
 
 @lru_cache(maxsize=None)

@@ -23,11 +23,15 @@ Update rule per pivot (entering column j, pivot row p, w = M a_j):
 The division is exact (Sylvester's identity); the solver asserts zero
 remainders, which doubles as an overflow trip-wire.
 
-Every value and every vertex check is read from the integer state: value()
-sums the integer costs of the basic columns over one denominator, and
-check_basic_state re-substitutes xi into A x = b.  The two-phase and warm
-solves and each vertex the optimal-face search returns (it pivots a copy of
-the engine) pass both; Fractions appear only when a point is read out.
+The engine reads the right-hand side b as integer numerators over one
+positive denominator (a box's own form; solve converts a LinearProgram's
+Fractions once).  Every value and every vertex check is read from the
+integer state: value() sums the integer costs of the basic columns over one
+denominator, and check_basic_state re-substitutes xi into A x = b.  The
+two-phase and warm solves and each vertex the optimal-face search returns
+(it pivots a copy of the engine) pass both; Fractions appear only when a
+point is read out.  Both solves also end with check_dual_feasible, an
+integer check that every reduced cost at the optimal basis is nonnegative.
 
 Warm start.  Reduced costs depend on the basis and the objective only, so an
 optimal basis of one right-hand side is dual-feasible for every other one.
@@ -192,24 +196,35 @@ def _prepare_int01(columns: np.ndarray, costs: Sequence[int]) -> _Prepared:
     return _prepared(columns, [int(c) for c in costs], 1, (1,) * columns.shape[0])
 
 
+def _integer_rhs(rhs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """A rational right-hand side as integer numerators over one positive
+    denominator, the form _Engine reads."""
+    den = _lcm_of(v.denominator for v in rhs)
+    return [v.numerator * (den // v.denominator) for v in rhs], den
+
+
 class _Engine:
     """One solve over a prepared system: two-phase fraction-free simplex from
-    the artificial basis, or dual simplex from a start state."""
+    the artificial basis, or dual simplex from a start state.  The right-hand
+    side is rhs_num / den: integer numerators over one positive denominator."""
 
     def __init__(
-        self, prep: _Prepared, rhs: Sequence[Fraction], start: _Start | None = None
+        self,
+        prep: _Prepared,
+        rhs_num: Sequence[int],
+        den: int,
+        start: _Start | None = None,
     ):
-        if len(rhs) != prep.m:
-            raise DimensionMismatch(f"rhs has {len(rhs)} entries, expected {prep.m}")
+        if len(rhs_num) != prep.m:
+            raise DimensionMismatch(f"rhs has {len(rhs_num)} entries, expected {prep.m}")
         self.prep = prep
         self.m = prep.m
         self.n = prep.n
         self.a = prep.a_int
-        scaled = [v if k == 1 else v * k for v, k in zip(rhs, prep.row_scale)]
-        self.den = _lcm_of(v.denominator for v in scaled)
-        self.b_num = [v.numerator * (self.den // v.denominator) for v in scaled]
+        self.den = den
+        self.b_num = [v if k == 1 else v * k for v, k in zip(rhs_num, prep.row_scale)]
         if start is None:
-            if any(v < 0 for v in scaled):
+            if any(v < 0 for v in self.b_num):
                 raise ValueError("rhs negative after row scaling")
             self.basis = [prep.n + i for i in range(prep.m)]  # artificials first
             self.mat = np.eye(prep.m, dtype=prep.dtype)
@@ -398,7 +413,10 @@ class _Engine:
         if any(self.xi[i] != 0 for i in range(self.m) if self.basis[i] >= self.n):
             return "infeasible", None, None
         self._drive_out_artificials()
-        return self._loop(self.prep.col_cost)
+        status, j, w = self._loop(self.prep.col_cost)
+        if status == "optimal":
+            self.check_dual_feasible()
+        return status, j, w
 
     def reoptimize(self, col_cost: Sequence[int], allowed: np.ndarray) -> None:
         """Continue from an optimal state under a new objective, entering only
@@ -486,9 +504,10 @@ class _Engine:
         return np.asarray(self._reduced(col_cost) == 0)
 
 
-def _start_state(prep: _Prepared, rhs: Sequence[Fraction]) -> _Start:
-    """The optimal basis of the two-phase solve on rhs, for warm starts."""
-    engine = _Engine(prep, rhs)
+def _start_state(prep: _Prepared, rhs_num: Sequence[int], den: int) -> _Start:
+    """The optimal basis of the two-phase solve on rhs_num / den, for warm
+    starts."""
+    engine = _Engine(prep, rhs_num, den)
     status, _, _ = engine.run_two_phase()
     if status != "optimal":
         raise ValueError(f"start right-hand side gives {status}, not optimal")
@@ -504,12 +523,13 @@ def _start_state(prep: _Prepared, rhs: Sequence[Fraction]) -> _Start:
 
 
 def _solve_prepared(
-    prep: _Prepared, rhs: Sequence[Fraction], start: _Start | None = None
+    prep: _Prepared, rhs_num: Sequence[int], den: int, start: _Start | None = None
 ) -> tuple[LpSolution, _Engine | None]:
-    """Solve for rhs: two-phase from the artificial basis, or, given a start
-    state, dual simplex from it (value, basis and dual certificate only)."""
+    """Solve for the right-hand side rhs_num / den: two-phase from the
+    artificial basis, or, given a start state, dual simplex from it (value,
+    basis and dual certificate only)."""
     if start is not None:
-        engine = _Engine(prep, rhs, start)
+        engine = _Engine(prep, rhs_num, den, start)
         row = engine.run_dual()
         if row is not None:
             solution = LpSolution(
@@ -529,7 +549,7 @@ def _solve_prepared(
             certificate=engine.dual_vector(prep.col_cost),
         )
         return solution, engine
-    engine = _Engine(prep, rhs)
+    engine = _Engine(prep, rhs_num, den)
     status, j, w = engine.run_two_phase()
     if status == "infeasible":
         solution = LpSolution(
@@ -563,7 +583,7 @@ def _solve_prepared(
 def solve(program: LinearProgram) -> LpSolution:
     """Exact two-phase simplex; deterministic in its input."""
     prep = _prepare_program(program)
-    solution, _ = _solve_prepared(prep, program.rhs)
+    solution, _ = _solve_prepared(prep, *_integer_rhs(program.rhs))
     return solution
 
 
@@ -629,7 +649,7 @@ def find_alternative_vertex(program: LinearProgram, known: LpSolution) -> LpSolu
     if known.status != "optimal":
         return None
     prep = _prepare_program(program)
-    solution, engine = _solve_prepared(prep, program.rhs)
+    solution, engine = _solve_prepared(prep, *_integer_rhs(program.rhs))
     if solution.status != "optimal" or engine is None:
         return None
     assert solution.value is not None

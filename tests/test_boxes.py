@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from corrbox.boxes import (
     BadWeights,
@@ -19,6 +23,7 @@ from corrbox.boxes import (
     enumerate_deterministic,
     is_no_signaling,
     mix,
+    mix_ints,
     relabel,
     relabeling_group,
 )
@@ -64,6 +69,13 @@ class TestBoxValidation:
         with pytest.raises(TypeError):
             box_from_table([0.25] * 16)
 
+    def test_rejects_bools(self):
+        with pytest.raises(TypeError):
+            box_from_table([True, False, False, False] * 4)
+        box = enumerate_deterministic()[0].as_box()
+        with pytest.raises(TypeError):
+            mix([(True, box)])
+
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             Box(tuple([Fraction(1, 4)] * 12))
@@ -71,6 +83,72 @@ class TestBoxValidation:
     def test_strings_accepted(self):
         box = box_from_table(["1/4"] * 16)
         assert box.p[0] == Fraction(1, 4)
+
+
+# Four setting columns, each four nonnegative weights over their own total.
+box_columns = st.lists(
+    st.lists(st.integers(0, 50), min_size=4, max_size=4).filter(any),
+    min_size=4,
+    max_size=4,
+)
+
+
+def box_from_columns(columns) -> Box:
+    return Box(tuple(Fraction(w, sum(c)) for c in columns for w in c))
+
+
+class TestRepresentation:
+    @given(columns=box_columns, k=st.integers(2, 10**6))
+    def test_scaled_numerators_give_the_same_box(self, columns, k):
+        box = box_from_columns(columns)
+        scaled = Box.from_numerators([k * n for n in box.num], k * box.den)
+        assert scaled == box
+        assert hash(scaled) == hash(box)
+        assert scaled.p == box.p
+        assert (scaled.num, scaled.den) == (box.num, box.den)
+
+    @given(columns=box_columns)
+    def test_lowest_terms_and_fraction_view(self, columns):
+        box = box_from_columns(columns)
+        assert box.den > 0
+        assert math.gcd(box.den, *box.num) == 1
+        assert box.p == tuple(Fraction(w, sum(c)) for c in columns for w in c)
+        assert Box.from_numerators(box.num, box.den) == box
+
+    @given(columns=box_columns)
+    def test_json_round_trip(self, columns):
+        box = box_from_columns(columns)
+        back = box_from_json_obj(box_to_json_obj(box))
+        assert back == box and back.p == box.p
+
+    def test_equality_follows_the_cells(self):
+        noise = Box.from_numerators([1] * 16, 4)
+        assert noise == box_from_table(["1/4"] * 16)
+        assert noise != Box.from_numerators([1, 0, 0, 0] * 4, 1)
+        assert len({noise, box_from_table([Fraction(1, 4)] * 16)}) == 1
+
+    def test_immutable(self):
+        box = Box.from_numerators([1] * 16, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            box.den = 8  # type: ignore[misc]
+
+    def test_integer_validation(self):
+        with pytest.raises(NegativeEntry, match="entry 3 is negative: -1/2"):
+            Box.from_numerators([1, 1, 1, -1] + [1] * 12, 2)
+        with pytest.raises(NotNormalized, match="column 1 sums to 5/4, expected 1"):
+            Box.from_numerators([1] * 4 + [2, 1, 1, 1] + [1] * 8, 4)
+        with pytest.raises(ValueError, match="positive"):
+            Box.from_numerators([0] * 16, 0)
+        with pytest.raises(ValueError, match="16 entries"):
+            Box.from_numerators([1] * 4, 1)
+
+    def test_mix_ints_matches_mix(self):
+        dets = enumerate_deterministic()
+        half = mix_ints((1, 1), (dets[0].as_box(), dets[255].as_box()))
+        parts = [dets[3].as_box(), dets[77].as_box(), half]
+        weights = (5, 0, 7)
+        expected = mix([(Fraction(w, 12), part) for w, part in zip(weights, parts)])
+        assert mix_ints(weights, parts) == expected
 
 
 class TestMarginals:
@@ -209,6 +287,11 @@ class TestJson:
         obj = box_to_json_obj(box)
         assert obj["format"] == "box-v1"
         assert len(obj["p"]) == 4 and all(len(col) == 4 for col in obj["p"])
+
+    def test_integers_and_strings_accepted(self):
+        cells = [[1, 0, 0, 0], ["1/2", "0.5", 0, "0/3"]] + [["1/4"] * 4] * 2
+        box = box_from_json_obj({"format": "box-v1", "p": cells})
+        assert box.p[:8] == (1, 0, 0, 0, Fraction(1, 2), Fraction(1, 2), 0, 0)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import gc
 import io
 import json
 import math
@@ -138,6 +140,50 @@ class TestAnalyze:
         assert code == 2 and err.startswith("error:")
 
 
+class TestBoxFileErrors:
+    """A box file that is not a valid box is an input error: exit 2 and one
+    error line naming what is wrong."""
+
+    COLUMN = ["1/4", "1/4", "1/4", "1/4"]
+
+    def analyze_file(self, capsys, tmp_path, columns):
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps({"format": "box-v1", "p": columns}), encoding="utf-8")
+        return run(capsys, "analyze", str(path))
+
+    def test_negative_entry_message(self, capsys, tmp_path):
+        columns = [["1/2", "1/2", "1/2", "-1/2"]] + [self.COLUMN] * 3
+        code, out, err = self.analyze_file(capsys, tmp_path, columns)
+        assert (code, out, err) == (2, "", "error: entry 3 is negative: -1/2\n")
+
+    def test_not_normalized_message(self, capsys, tmp_path):
+        columns = [["1/3"] * 4] + [self.COLUMN] * 3
+        code, out, err = self.analyze_file(capsys, tmp_path, columns)
+        assert (code, out, err) == (2, "", "error: setting column 0 sums to 4/3, expected 1\n")
+
+    @pytest.mark.parametrize(
+        "entry,shown", [(0.25, "0.25"), (None, "null"), ([1], "[1]"), (True, "true"), (False, "false")]
+    )
+    def test_entry_that_is_not_exact(self, capsys, tmp_path, entry, shown):
+        columns = [self.COLUMN, [0, 0, entry, 1]] + [self.COLUMN] * 2
+        code, out, err = self.analyze_file(capsys, tmp_path, columns)
+        expected = (
+            "error: box entry 6 must be an integer or a rational string "
+            f'such as "1/4", got {shown}\n'
+        )
+        assert (code, out, err) == (2, "", expected)
+
+    def test_zero_denominator(self, capsys, tmp_path):
+        columns = [["1/0", 0, 0, 0]] + [self.COLUMN] * 3
+        code, out, err = self.analyze_file(capsys, tmp_path, columns)
+        assert (code, out) == (2, "")
+        assert err == "error: box entry 0: zero denominator in '1/0'\n"
+
+    def test_zero_denominator_parameter(self, capsys):
+        code, out, err = run(capsys, "analyze", "isotropic", "--v", "1/0")
+        assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
+
+
 class TestOneSolvePerBox:
     """Commands that need a box's cost and a decomposition solve it once."""
 
@@ -187,6 +233,19 @@ class TestOneMeasurePerBox:
         code, _, _ = run(capsys, "analyze", "pr")
         assert code == 0
         assert sorted(calls) == ["chsh", "signal"]
+
+
+class TestParserLifetime:
+    def test_each_parser_is_freed_by_the_next_command(self, capsys):
+        # A parser is reference cycles; kept alive through its command it
+        # outlived the young-generation collections and piled up in-process.
+        for seed in range(30):
+            run(capsys, "fuzz", "--family", "oneway_slice", "--seed", str(seed), "--count", "3")
+        parsers = [
+            o for o in gc.get_objects()
+            if isinstance(o, argparse.ArgumentParser) and o.prog == "corrbox fuzz"
+        ]
+        assert len(parsers) <= 1
 
 
 class TestTextOut:

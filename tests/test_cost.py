@@ -181,7 +181,7 @@ class TestValuePath:
     """optimal_cost (dual simplex from the cached start) against the
     two-phase communication_cost, and its dual certificate in integers."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(
         family=st.sampled_from(
             ("general", "no_signaling", "chsh16_mixture", "oneway_slice")
@@ -239,11 +239,11 @@ class TestValuePath:
         columns = system.prep.a_int
         prep = cost.lp._prepare_int01(np.vstack([columns, columns[:1]]), system.prep.col_cost)
         assert not prep.int_mode
-        uniform = [F(int(k), prep.n) for k in prep.a_int.sum(axis=1)]
-        start = cost.lp._start_state(prep, uniform)
+        counts = [int(k) for k in prep.a_int.sum(axis=1)]
+        start = cost.lp._start_state(prep, counts, prep.n)
         for box in sample(FamilySpec("no_signaling", 13), 3):
-            rhs = box.p + box.p[:1]
-            got, _ = cost.lp._solve_prepared(prep, rhs, start)
+            rhs = box.num + box.num[:1]
+            got, _ = cost.lp._solve_prepared(prep, rhs, box.den, start)
             assert got.value == optimal_cost(box)
 
     def test_start_state_is_shared_and_read_only(self):

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corrbox.boxes import enumerate_deterministic, is_no_signaling, mix
+from corrbox.boxes import box_to_json_obj, enumerate_deterministic, is_no_signaling, mix
 from corrbox.generators import (
+    FAMILY_KINDS,
     TSIRELSON_ANGLES,
     BadParameter,
     FamilySpec,
@@ -105,6 +110,16 @@ class TestIsotropic:
     def test_accepts_strings(self):
         assert isotropic("7/10") == isotropic(F(7, 10))
 
+    def test_refuses_floats(self):
+        # 0.7 as a float is 3152519739159347/4503599627370496, not 7/10.
+        with pytest.raises(TypeError, match="floats are not accepted"):
+            isotropic(0.7)
+
+    def test_matches_the_rational_mixture(self):
+        for v in (F(1, 3), F(7, 10), F(99, 100)):
+            expected = mix([(v, canonical("pr")), (1 - v, canonical("noise"))])
+            assert isotropic(v) == expected
+
 
 class TestQuantumBox:
     def test_correlators_near_angle_difference_cosines(self):
@@ -187,6 +202,33 @@ class TestSampling:
             again = sample(spec, 6)
             assert first == again, kind
             assert sample(spec, 3) == first[:3], kind
+
+    @settings(max_examples=40)
+    @given(
+        kind=st.sampled_from(FAMILY_KINDS),
+        seed=st.integers(0, 2**32),
+        short=st.integers(0, 6),
+        extra=st.integers(0, 6),
+    )
+    def test_prefix_property(self, kind, seed, short, extra):
+        spec = FamilySpec(kind, seed)
+        assert sample(spec, short + extra)[:short] == sample(spec, short)
+
+    # sha256 over the box-v1 JSON of the first 300 boxes of seed 11, recorded
+    # before the samplers built integer boxes: the sampling streams are pinned.
+    SAMPLE_DIGESTS = {
+        "general": "90df1d075d82eae3fb10d19373d0e1f446f1d40c549434d8487a9a7ead79212d",
+        "chsh16_mixture": "7f169bbcd9cbe98e6310ba3cf2cb48aa9e2ae5b39dc5875495700e034f934ba8",
+        "oneway_slice": "e49ac3aca06e95d0e987dfbcd535567d1e774b1c3dddac96584cb94896bd0956",
+        "no_signaling": "aac925bdac97dad98e81654c8a2dacc7f6e0aca4ec014225a428d05f4a55a1f3",
+    }
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_sampled_boxes_are_pinned(self, kind):
+        digest = hashlib.sha256()
+        for box in sample(FamilySpec(kind, 11), 300):
+            digest.update(json.dumps(box_to_json_obj(box)).encode())
+        assert digest.hexdigest() == self.SAMPLE_DIGESTS[kind]
 
     def test_seeds_differ(self):
         a = sample(FamilySpec("general", 1), 3)

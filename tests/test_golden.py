@@ -3,8 +3,8 @@
 A refactor or a faster solver path must leave every one of them unchanged:
 the named reports, the reference scenario, seeded fuzz findings for each
 family, the commands whose cost the value path or a reused solve now
-supplies, and decompositions that are one of several optima.  Every command
-here exits 0.
+supplies, decompositions that are one of several optima, and the boxes the
+samplers and the parametric families build.  Every command here exits 0.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ GOLDEN = [
     ("decompose quantum --angles tsirelson --alt", "c6a2df1075728653de69fa1874ccdce66a94edeb246f818c15735cd806770e50"),
     ("decompose pr --basis chsh16", "60b3c077245f0c69551e22de5d6f77c91ae28e5b7b75ea381cad2d77f6e5fd78"),
     ("analyze quantum --angles tsirelson", "77dff6598e1ffd32b16ee67020350c43c1204f80cfa371c0cfd9f54b103b93a4"),
+    ("gen --family general --seed 7", "3df0952fa9790f3c88f00514f1200c444ef0497d9777d6fa4ff85a1335d7549b"),
+    ("gen --family chsh16_mixture --seed 7", "7265eb5d24da73a2bce0b479c31881d83a1c80d5559f274be16aa349f81178c1"),
+    ("gen --family oneway_slice --seed 7", "5f6aae86fec3ddba39f3421e7b824c5ec93af6a524b52fa83601c1851e3508d5"),
+    ("gen --family no_signaling --seed 7", "92ec53932eb5c942e0881ef1f366502a5d4575c69560cf755e6f76c7b6a7b99f"),
+    ("gen --kind isotropic --v 7/10", "9dfb005f23475ec85b1b3309fd09ae9138748f876a9eaf166f79a1e20ba485a0"),
+    ("gen --kind quantum --angles tsirelson", "ed0a65e3b83005dacfae10a1cb42bd2a05d53f2c010c6d69eee1e306f5f81f06"),
 ]
 
 

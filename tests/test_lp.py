@@ -307,11 +307,33 @@ def check_warm_certificate(prog: LinearProgram, got: LpSolution) -> None:
 def warm_solve(rows, start_rhs, rhs, cost) -> tuple[LinearProgram, LpSolution]:
     """Solve (rows, rhs, cost) by dual simplex from the optimal basis of
     (rows, start_rhs, cost)."""
-    prep = lp._prepare_program(program(rows, start_rhs, cost))
-    start = lp._start_state(prep, [F(x) for x in start_rhs])
+    start_prog = program(rows, start_rhs, cost)
+    prep = lp._prepare_program(start_prog)
+    start = lp._start_state(prep, *lp._integer_rhs(start_prog.rhs))
     prog = program(rows, rhs, cost)
-    got, _ = lp._solve_prepared(prep, prog.rhs, start)
+    got, _ = lp._solve_prepared(prep, *lp._integer_rhs(prog.rhs), start)
     return prog, got
+
+
+class TestTwoPhaseDualCheck:
+    def test_corrupted_reduced_costs_are_caught(self, monkeypatch):
+        # Phase 2 reads all-zero reduced costs, so it stops at once on the
+        # phase-1 basis (column 0 at cost 3), which column 1 beats: the final
+        # integer check of the true reduced costs must refuse it.
+        loop = lp._Engine._loop
+
+        def misread_phase_two(engine, col_cost, allowed=None):
+            if col_cost is None:
+                return loop(engine, col_cost, allowed)
+            engine._reduced = lambda costs: np.zeros(engine.n, dtype=object)
+            try:
+                return loop(engine, col_cost, allowed)
+            finally:
+                del engine._reduced
+
+        monkeypatch.setattr(lp._Engine, "_loop", misread_phase_two)
+        with pytest.raises(RuntimeError, match="not dual-feasible"):
+            solve(program([[1, 1]], [1], [3, 1]))
 
 
 class TestWarmStart:
@@ -363,13 +385,13 @@ class TestWarmStart:
     def test_start_needs_an_optimum(self):
         prep = lp._prepare_program(program([[1, -1]], [0], [-1, 0]))
         with pytest.raises(ValueError):
-            lp._start_state(prep, [F(0)])
+            lp._start_state(prep, [0], 1)
 
     def test_start_that_is_not_dual_feasible_is_caught(self):
         # The optimal basis for costs (1, 3, 2) is column 0, which column 1
         # beats under costs (3, 1, 2): the final integer check must refuse it.
         other = lp._prepare_program(program([[1, 1, 1]], [1], [1, 3, 2]))
-        start = lp._start_state(other, [F(1)])
+        start = lp._start_state(other, [1], 1)
         prep = lp._prepare_program(program([[1, 1, 1]], [1], [3, 1, 2]))
         with pytest.raises(RuntimeError, match="not dual-feasible"):
-            lp._solve_prepared(prep, [F(1)], start)
+            lp._solve_prepared(prep, [1], 1, start)

@@ -3,11 +3,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrbox.generators as generators
 import corrbox.measures as measures
 import corrbox.verify as verify
-from corrbox.boxes import box_from_json_obj, enumerate_deterministic, mix
+from corrbox.boxes import (
+    box_from_json_obj,
+    enumerate_deterministic,
+    mix,
+    relabel,
+    relabeling_group,
+)
 from corrbox.cost import facet_bound, optimal_cost
 from corrbox.generators import (
     FAMILY_KINDS,
@@ -86,6 +94,29 @@ README_CLAIMS = {
     "OW_BOUND.u_A": "silent",
     "OW_BOUND.u_B": "silent",
 }
+
+
+class TestRelabelingInvariance:
+    """C, s, both unpredictability variants and the pair (U_A, U_B) do not
+    depend on how inputs, outputs and parties are labelled (a party swap
+    exchanges U_A and U_B)."""
+
+    @settings(max_examples=40)
+    @given(
+        family=st.sampled_from(FAMILY_KINDS),
+        seed=st.integers(0, 2**32),
+        element=st.integers(0, len(relabeling_group()) - 1),
+    )
+    def test_measures_are_invariant(self, family, seed, element):
+        box = sample(FamilySpec(family, seed), 1)[0]
+        image = relabel(box, relabeling_group()[element])
+        before, after = analyze(box), analyze(image)
+        assert after.c == before.c
+        assert after.s == before.s
+        assert after.i_formula == before.i_formula
+        assert after.i_per_party == before.i_per_party
+        u_before = sorted((before.uncertainty.u_a, before.uncertainty.u_b))
+        assert sorted((after.uncertainty.u_a, after.uncertainty.u_b)) == u_before
 
 
 @pytest.mark.parametrize("domain", DOMAINS)
