@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gc
 import json
 import os
 import sys
@@ -189,6 +188,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if (args.kind is None) == (args.family is None):
         raise ValueError("pass exactly one of --kind and --family")
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
     if args.kind is not None:
         if args.count != 1:
             raise ValueError("--count above 1 needs --family")
@@ -321,15 +322,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    # A parser is reference cycles (each action points back at its parser).
-    # With the young generations collected first and the parser dropped once
-    # parsed, it dies young; kept through the command, it was promoted to the
-    # old generation to wait for a full collection, and in-process callers
-    # grew by about 2 KB per command.
-    gc.collect(1)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -31,7 +31,7 @@ import numpy as np
 from . import lp
 from .boxes import Box, enumerate_deterministic, format_fraction, mix
 from .generators import canonical_det_ids
-from .measures import Analysis, chsh
+from .measures import Analysis, _chsh_values, _facet_bound
 
 BASIS_KINDS = ("full256", "chsh16")
 _FULL256_IDS = tuple(range(256))
@@ -139,7 +139,7 @@ def optimal_cost(box: Box, basis: str = "full256") -> Fraction:
 
 def facet_bound(box: Box) -> Fraction:
     """The facet lower bound on C: max(0, (lambda_max - 2) / 2)."""
-    return chsh(box).facet_bound
+    return _facet_bound(max(_chsh_values(box)), box.den)
 
 
 def communication_cost(box: Box, basis: str = "full256") -> CostReport:

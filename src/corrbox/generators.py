@@ -116,6 +116,7 @@ def isotropic(v: Fraction | int | str) -> Box:
 
 # Measurement angles that maximize the CHSH value of a quantum box.
 TSIRELSON_ANGLES = (0.0, pi / 2, pi / 4, -pi / 4)
+_ANGLE_NAMES = ("theta_a0", "theta_a1", "theta_b0", "theta_b1")
 
 
 def quantum_box(
@@ -129,6 +130,11 @@ def quantum_box(
     quantities are exact for the rationalized box, not for the ideal one."""
     if len(angles) != 4:
         raise BadParameter(f"need two angles per party, got {len(angles)}")
+    for name, angle in zip(_ANGLE_NAMES, angles):
+        if not math.isfinite(angle):
+            raise BadParameter(
+                f"angle {name} must be a finite number of radians, got {angle}"
+            )
     if approx_denominator < 1:
         raise BadParameter(
             f"denominator bound must be at least 1, got {approx_denominator}"

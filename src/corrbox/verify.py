@@ -7,11 +7,16 @@ variants, uncertainty) is read from the box on first use, so each is computed
 at most once whoever asks for it: the property table, the sweep and the
 reference scenario here, and the CLI report through cost.CostReport.
 
-Each inequality is a row of _PROPERTIES and is tracked per box as a
-PropertyResult with an exact slack.  A result is "asserted" when the
-inequality is claimed on the box's domain, so a violation is a genuine
-finding that aborts a fuzz run with a witness; it is "observed" when the
-inequality is only being measured outside its domain.
+Each inequality is a row of _PROPERTIES: an integer linear form in the
+numerators of (s, i_formula, i_per_party, u_a, u_b) over the box's
+denominator and in C, with a positive divisor.  The sign of a slack is one
+integer comparison, which is all fuzz tallies; a PropertyResult, with its
+exact slack, is built from the same forms only where it is reported: by
+check_box, by the reference scenario, and for the witnesses of a fuzz box
+with a failing row.  A result is "asserted" when the inequality is claimed
+on the box's domain, so a violation is a genuine finding that aborts a fuzz
+run with a witness; it is "observed" when the inequality is only being
+measured outside its domain.
 
 Domains: "general" is any valid box; "oneway_slice" restricts to mixtures of
 the eight zero-bit named boxes and d0_1 .. d3_1; "chsh16" to mixtures of all
@@ -28,6 +33,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .boxes import Box, box_to_json_obj, enumerate_deterministic, format_fraction, mix
 from .cost import (
@@ -78,20 +84,30 @@ _HULLS = ("oneway_slice", "chsh16")
 # Domains column of OW_BOUND: asserted on every box that does not signal.
 _SILENT = None
 
-# The tracked inequalities in emission order: (id, variant, slack, domains
-# where asserted).  The inequality holds when the slack is nonnegative.
+# The tracked inequalities in emission order: (id, variant, form, domains
+# where asserted).  A form (coefficients, c_coefficient, divisor) is the slack
+#     (coefficients . Analysis.numerators / den + c_coefficient * C) / divisor,
+# where Analysis.numerators holds (s, i_formula, i_per_party, u_a, u_b) over
+# the box's denominator den.  The inequality holds when the slack is
+# nonnegative.
 _PROPERTIES = (
-    ("S_LE_C", None, lambda a: a.eta, DOMAINS),
-    ("S_2I_GE_C", "formula", lambda a: a.s + 2 * a.i_formula - a.c, _HULLS),
-    ("S_2I_GE_C", "per_party", lambda a: a.s + 2 * a.i_per_party - a.c, _HULLS),
-    ("I_GE_HALF_ETA", "formula", lambda a: a.i_formula - a.eta / 2, _HULLS),
-    ("I_GE_HALF_ETA", "per_party", lambda a: a.i_per_party - a.eta / 2, _HULLS),
-    ("S_2U_GE_C", "u_A", lambda a: a.s + 2 * a.uncertainty.u_a - a.c, _HULLS),
-    ("S_2U_GE_C", "u_B", lambda a: a.s + 2 * a.uncertainty.u_b - a.c, ("chsh16",)),
-    ("U_GE_HALF_ETA", "u_A", lambda a: a.uncertainty.u_a - a.eta / 2, _HULLS),
-    ("U_GE_HALF_ETA", "u_B", lambda a: a.uncertainty.u_b - a.eta / 2, ("chsh16",)),
-    ("OW_BOUND", "u_A", lambda a: a.uncertainty.u_a - a.c / 2, _SILENT),
-    ("OW_BOUND", "u_B", lambda a: a.uncertainty.u_b - a.c / 2, _SILENT),
+    # eta = C - s
+    ("S_LE_C", None, ((-1, 0, 0, 0, 0), 1, 1), DOMAINS),
+    # s + 2 I - C
+    ("S_2I_GE_C", "formula", ((1, 2, 0, 0, 0), -1, 1), _HULLS),
+    ("S_2I_GE_C", "per_party", ((1, 0, 2, 0, 0), -1, 1), _HULLS),
+    # I - eta / 2
+    ("I_GE_HALF_ETA", "formula", ((1, 2, 0, 0, 0), -1, 2), _HULLS),
+    ("I_GE_HALF_ETA", "per_party", ((1, 0, 2, 0, 0), -1, 2), _HULLS),
+    # s + 2 U - C
+    ("S_2U_GE_C", "u_A", ((1, 0, 0, 2, 0), -1, 1), _HULLS),
+    ("S_2U_GE_C", "u_B", ((1, 0, 0, 0, 2), -1, 1), ("chsh16",)),
+    # U - eta / 2
+    ("U_GE_HALF_ETA", "u_A", ((1, 0, 0, 2, 0), -1, 2), _HULLS),
+    ("U_GE_HALF_ETA", "u_B", ((1, 0, 0, 0, 2), -1, 2), ("chsh16",)),
+    # U - C / 2
+    ("OW_BOUND", "u_A", ((0, 0, 0, 2, 0), -1, 2), _SILENT),
+    ("OW_BOUND", "u_B", ((0, 0, 0, 0, 2), -1, 2), _SILENT),
 )
 
 # Per-box result keys in emission order.
@@ -100,22 +116,33 @@ _CHECK_KEYS = tuple(
 )
 
 
+def _slack_numerators(analysis: Analysis) -> tuple[int, ...]:
+    """Each row's slack times den * C.denominator * divisor, in integers: its
+    sign is the row's verdict."""
+    x = analysis.numerators
+    c_num = analysis.c.numerator * analysis.box.den
+    c_den = analysis.c.denominator
+    return tuple(
+        sum(map(mul, coefficients, x)) * c_den + c_coefficient * c_num
+        for _, _, (coefficients, c_coefficient, _), _ in _PROPERTIES
+    )
+
+
 def _property_results(analysis: Analysis, domain: str) -> tuple[PropertyResult, ...]:
     if domain not in DOMAINS:
         raise ValueError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
+    den = analysis.box.den * analysis.c.denominator
+    silent = analysis.numerators[0] == 0
     results = []
-    for property_id, variant, slack_of, asserted_in in _PROPERTIES:
-        slack = slack_of(analysis)
+    for row, slack in zip(_PROPERTIES, _slack_numerators(analysis)):
+        property_id, variant, (_, _, divisor), asserted_in = row
         holds = slack >= 0
-        if asserted_in is _SILENT:
-            asserted = analysis.s == 0
-        else:
-            asserted = domain in asserted_in
+        asserted = silent if asserted_in is _SILENT else domain in asserted_in
         results.append(
             PropertyResult(
                 property_id=property_id,
                 holds=holds,
-                slack=slack,
+                slack=Fraction(slack, den * divisor),
                 strictness="asserted" if asserted else "observed",
                 variant=variant,
                 witness=None if holds else analysis.box,
@@ -209,7 +236,7 @@ def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
     if corrupted:
         domain = "oneway_slice"
         facet_cost = False
-    tallies: dict[str, list[int]] = {key: [0, 0, 0] for key in _CHECK_KEYS}
+    violated = [0] * len(_PROPERTIES)
     witnesses: list[PropertyResult] = []
     aborted = False
     checked = 0
@@ -227,22 +254,22 @@ def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
                     )
         else:
             c = optimal_cost(box)
-        results = _property_results(Analysis(box, c), domain)
+        analysis = Analysis(box, c)
         checked += 1
-        for r in results:
-            tally = tallies[r.key]
-            tally[0] += 1
-            if r.holds:
-                tally[1] += 1
-            else:
-                tally[2] += 1
-                if r.strictness == "asserted":
-                    witnesses.append(r)
-        if any(
-            not r.holds and r.strictness == "asserted" for r in results
-        ):
-            aborted = True
-            break
+        failing = False
+        for row, slack in enumerate(_slack_numerators(analysis)):
+            if slack < 0:
+                violated[row] += 1
+                failing = True
+        if failing:
+            witnesses = [
+                r
+                for r in _property_results(analysis, domain)
+                if not r.holds and r.strictness == "asserted"
+            ]
+            if witnesses:
+                aborted = True
+                break
     return FindingsReport(
         family=kind,
         seed=spec.seed,
@@ -250,7 +277,9 @@ def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
         checked=checked,
         aborted=aborted,
         corrupted=corrupted,
-        per_property={key: tuple(v) for key, v in tallies.items()},
+        per_property={
+            key: (checked, checked - v, v) for key, v in zip(_CHECK_KEYS, violated)
+        },
         witnesses=tuple(witnesses),
     )
 

@@ -5,11 +5,14 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import corrbox
 from corrbox.boxes import box_from_json_obj, box_to_json_obj
 from corrbox.cli import main
 from corrbox.generators import canonical, isotropic
@@ -66,6 +69,12 @@ class TestAnalyze:
     def test_wrong_angle_count_is_usage_error(self, capsys):
         code, _, err = run(capsys, "analyze", "quantum", "--angles", "0.1", "0.2")
         assert code == 2 and "angles" in err
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "Infinity"])
+    def test_non_finite_angle_is_usage_error(self, capsys, bad):
+        code, out, err = run(capsys, "analyze", "quantum", "--angles", "0", "1", "2", bad)
+        assert code == 2 and out == ""
+        assert err.startswith("error: angle theta_b1 must be a finite number")
 
     def test_json_flag_matches_default(self, capsys):
         _, default, _ = run(capsys, "analyze", "pr")
@@ -219,7 +228,8 @@ class TestOneMeasurePerBox:
         import corrbox.measures as measures
 
         calls = []
-        for name in ("chsh", "signal"):
+        # the integer kernels behind chsh and signal
+        for name in ("_chsh_values", "_signal_values"):
             real = getattr(measures, name)
 
             def counted(box, name=name, real=real):
@@ -232,7 +242,7 @@ class TestOneMeasurePerBox:
                     monkeypatch.setattr(module, name, counted)
         code, _, _ = run(capsys, "analyze", "pr")
         assert code == 0
-        assert sorted(calls) == ["chsh", "signal"]
+        assert sorted(calls) == ["_chsh_values", "_signal_values"]
 
 
 class TestParserLifetime:
@@ -351,6 +361,27 @@ class TestGen:
     def test_count_without_out(self, capsys):
         code, _, _ = run(capsys, "gen", "--family", "general", "--count", "2")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "general", "--count", "0"],
+            ["--kind", "pr", "--count", "0"],
+            ["--family", "oneway_slice", "--count", "-1"],
+        ],
+    )
+    def test_count_below_one(self, capsys, argv):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: --count must be at least 1\n"
+
+    def test_count_zero_writes_nothing(self, capsys, tmp_path):
+        target = tmp_path / "boxes"
+        code, _, err = run(
+            capsys, "gen", "--family", "general", "--count", "0", "--out", str(target)
+        )
+        assert code == 2 and "--count must be at least 1" in err
+        assert not target.exists()
 
     @pytest.mark.parametrize(
         "params,message",
@@ -490,3 +521,37 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_one_parser_serves_every_command(self, capsys):
+        import corrbox.cli as cli
+
+        parser = cli._PARSER
+        run(capsys, "analyze", "pr", "--text")
+        run(capsys, "fuzz", "--count", "2")
+        assert cli._PARSER is parser
+        code, first, _ = run(capsys, "analyze", "pr", "--text")
+        code_again, again, _ = run(capsys, "analyze", "pr", "--text")
+        assert code == code_again == 0 and first == again
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def run_module(*argv):
+        """corrbox as python -m corrbox, in a fresh interpreter."""
+        src = os.path.dirname(os.path.dirname(corrbox.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "corrbox", *argv],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+
+    def test_output_matches_main(self, capsys):
+        done = self.run_module("analyze", "pr", "--text")
+        _, expected, _ = run(capsys, "analyze", "pr", "--text")
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout == expected
+
+    def test_exit_code_and_message(self):
+        done = self.run_module("gen", "--kind", "pr", "--count", "0")
+        assert done.returncode == 2
+        assert done.stderr == "error: --count must be at least 1\n"

@@ -20,7 +20,7 @@ from corrbox.cost import (
     find_distinct_decompositions,
     optimal_cost,
 )
-from corrbox.generators import FamilySpec, canonical, isotropic, sample
+from corrbox.generators import FAMILY_KINDS, FamilySpec, canonical, isotropic, sample
 from corrbox.measures import chsh, signal
 
 from _reference_lp import solve_reference
@@ -253,3 +253,24 @@ class TestValuePath:
         for box in sample(FamilySpec("general", 14), 3):
             optimal_cost(box)
         assert (start.basis, start.delta, start.mat.tobytes()) == before
+
+
+family_boxes = st.builds(
+    lambda family, seed: sample(FamilySpec(family, seed), 1)[0],
+    st.sampled_from(FAMILY_KINDS),
+    st.integers(0, 2**32),
+)
+
+
+class TestCostProperties:
+    @settings(max_examples=40)
+    @given(x=family_boxes, y=family_boxes, w=st.fractions(0, 1, max_denominator=1000))
+    def test_cost_of_a_mixture_is_at_most_the_mixture_of_costs(self, x, y, w):
+        blended = mix([(w, x), (1 - w, y)])
+        assert optimal_cost(blended) <= w * optimal_cost(x) + (1 - w) * optimal_cost(y)
+
+    def test_every_deterministic_box_costs_exactly_its_bits(self):
+        for det in enumerate_deterministic():
+            box = det.as_box()
+            assert optimal_cost(box) == det.cost_bits, det.id
+            assert communication_cost(box).c == det.cost_bits, det.id

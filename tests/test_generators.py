@@ -155,6 +155,16 @@ class TestQuantumBox:
         box = quantum_box((0.123, 2.5, 0.77, 1.9), 1)
         assert sum(box.setting_column(0, 0)) == 1
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("position,name", enumerate(
+        ("theta_a0", "theta_a1", "theta_b0", "theta_b1")
+    ))
+    def test_non_finite_angle_is_named(self, bad, position, name):
+        angles = [0.1, 0.2, 0.3, 0.4]
+        angles[position] = bad
+        with pytest.raises(BadParameter, match=f"angle {name} must be a finite"):
+            quantum_box(tuple(angles), 100)
+
     def test_parameter_guards(self):
         with pytest.raises(BadParameter):
             quantum_box((0.1, 0.2, 0.3), 100)

@@ -4,7 +4,9 @@ A refactor or a faster solver path must leave every one of them unchanged:
 the named reports, the reference scenario, seeded fuzz findings for each
 family, the commands whose cost the value path or a reused solve now
 supplies, decompositions that are one of several optima, and the boxes the
-samplers and the parametric families build.  Every command here exits 0.
+samplers and the parametric families build.  Every command in GOLDEN exits
+0; a fuzz run that the CORRBOX_FUZZ_CORRUPT harness check makes fail pins the
+witness bytes and the slack strings of a failing box.
 """
 
 from __future__ import annotations
@@ -71,3 +73,13 @@ def test_every_canonical_name_is_covered():
 
     commands = {command for command, _ in GOLDEN}
     assert all(f"analyze {name}" in commands for name in canonical_names())
+
+
+def test_corrupted_fuzz_witness_bytes_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("CORRBOX_FUZZ_CORRUPT", "1")
+    code = main("fuzz --family oneway_slice --seed 7 --count 50".split())
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "87bae46211afa09d1f10bb3dd017ec582c6d5a85f372dddcf83d4b39f4b6ffd8"
+    )

@@ -4,10 +4,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrbox.boxes import Box, enumerate_deterministic, mix
-from corrbox.generators import canonical, canonical_names, isotropic
+from corrbox.cost import facet_bound
+from corrbox.generators import (
+    FAMILY_KINDS,
+    FamilySpec,
+    canonical,
+    canonical_names,
+    isotropic,
+    quantum_box,
+    sample,
+)
 from corrbox.measures import (
+    Analysis,
+    ChshReport,
+    SignalReport,
+    UncertaintyReport,
     chsh,
     lhv_admissible,
     signal,
@@ -16,6 +31,108 @@ from corrbox.measures import (
 )
 
 from test_boxes import random_box
+
+
+# -- the Fraction formulas the integer kernels replaced, kept as the oracle --
+
+
+def oracle_chsh(box: Box) -> ChshReport:
+    e = [box.expectation(a, b) for a in range(2) for b in range(2)]
+    total = sum(e)
+    values = tuple(abs(total - 2 * e[k]) for k in range(4))
+    return ChshReport(values=values, lambda_max=max(values))
+
+
+def oracle_facet_bound(box: Box) -> Fraction:
+    return max(Fraction(0), (oracle_chsh(box).lambda_max - 2) / 2)
+
+
+def oracle_signal(box: Box) -> SignalReport:
+    s_a_to_b = max(abs(box.marginal_b(0, b) - box.marginal_b(1, b)) for b in range(2))
+    s_b_to_a = max(abs(box.marginal_a(a, 0) - box.marginal_a(a, 1)) for a in range(2))
+    return SignalReport(s_a_to_b=s_a_to_b, s_b_to_a=s_b_to_a, s=max(s_a_to_b, s_b_to_a))
+
+
+def oracle_residuals(box: Box):
+    settings_ = [(a, b) for a in range(2) for b in range(2)]
+    return (
+        [min(box.marginal_a(a, b), 1 - box.marginal_a(a, b)) for a, b in settings_],
+        [min(box.marginal_b(a, b), 1 - box.marginal_b(a, b)) for a, b in settings_],
+    )
+
+
+def oracle_unpredictability(box: Box, variant: str) -> Fraction:
+    res_a, res_b = oracle_residuals(box)
+    if variant == "formula":
+        return max(min(x, y) for x, y in zip(res_a, res_b))
+    return max(max(res_a), max(res_b))
+
+
+def oracle_uncertainty(box: Box) -> UncertaintyReport:
+    res_a, res_b = oracle_residuals(box)
+    delta = {
+        ("A", 0): max(res_a[0], res_a[1]),
+        ("A", 1): max(res_a[2], res_a[3]),
+        ("B", 0): max(res_b[0], res_b[2]),
+        ("B", 1): max(res_b[1], res_b[3]),
+    }
+    return UncertaintyReport(
+        delta=delta,
+        u_a=max(delta[("A", 0)], delta[("A", 1)]),
+        u_b=max(delta[("B", 0)], delta[("B", 1)]),
+    )
+
+
+family_boxes = st.builds(
+    lambda family, seed: sample(FamilySpec(family, seed), 1)[0],
+    st.sampled_from(FAMILY_KINDS),
+    st.integers(0, 2**32),
+)
+# Four angles rationalized to large denominator bounds: cells over a common
+# denominator far past 64 bits.
+quantum_boxes = st.builds(
+    quantum_box,
+    st.tuples(*[st.floats(-4.0, 4.0, allow_nan=False)] * 4),
+    st.integers(10**6, 10**18),
+)
+
+
+class TestIntegerKernelsMatchTheFractionFormulas:
+    @settings(max_examples=150)
+    @given(box=st.one_of(family_boxes, quantum_boxes))
+    def test_every_measure(self, box):
+        expected_chsh = oracle_chsh(box)
+        assert chsh(box) == expected_chsh
+        assert chsh(box).facet_bound == oracle_facet_bound(box)
+        assert facet_bound(box) == oracle_facet_bound(box)
+        assert signal(box) == oracle_signal(box)
+        for variant in ("formula", "per_party"):
+            assert unpredictability(box, variant) == oracle_unpredictability(box, variant)
+        assert uncertainty(box) == oracle_uncertainty(box)
+        assert lhv_admissible(box) == (
+            oracle_signal(box).s == 0 and expected_chsh.lambda_max <= 2
+        )
+
+    @settings(max_examples=60)
+    @given(box=st.one_of(family_boxes, quantum_boxes), c=st.fractions(0, 2))
+    def test_analysis_fields_and_numerators(self, box, c):
+        a = Analysis(box, c)
+        unc = oracle_uncertainty(box)
+        expected = (
+            oracle_signal(box).s,
+            oracle_unpredictability(box, "formula"),
+            oracle_unpredictability(box, "per_party"),
+            unc.u_a,
+            unc.u_b,
+        )
+        assert tuple(Fraction(n, box.den) for n in a.numerators) == expected
+        assert a.chsh == oracle_chsh(box)
+        assert a.lower_bound == oracle_facet_bound(box)
+        assert a.signal == oracle_signal(box)
+        assert a.s == expected[0]
+        assert a.eta == c - expected[0]
+        assert (a.i_formula, a.i_per_party) == expected[1:3]
+        assert a.uncertainty == unc
 
 
 class TestChsh:

@@ -10,6 +10,7 @@ import corrbox.generators as generators
 import corrbox.measures as measures
 import corrbox.verify as verify
 from corrbox.boxes import (
+    Box,
     box_from_json_obj,
     enumerate_deterministic,
     mix,
@@ -64,8 +65,13 @@ class TestAnalysis:
         def counted(name, fn):
             return lambda box: calls.append(name) or fn(box)
 
-        monkeypatch.setattr(measures, "chsh", counted("chsh", chsh))
-        monkeypatch.setattr(measures, "signal", counted("signal", signal))
+        # the integer kernels behind chsh, signal and the residuals
+        monkeypatch.setattr(
+            measures, "_chsh_values", counted("chsh", measures._chsh_values)
+        )
+        monkeypatch.setattr(
+            measures, "_signal_values", counted("signal", measures._signal_values)
+        )
         monkeypatch.setattr(
             measures, "_residuals", counted("residuals", measures._residuals)
         )
@@ -217,6 +223,77 @@ class TestCheckBox:
     def test_unknown_domain(self):
         with pytest.raises(ValueError):
             check_box(canonical("pr"), domain="everything")
+
+
+# The Fraction slacks the integer forms of verify._PROPERTIES replaced, kept
+# as the oracle: key -> slack on an Analysis.
+ORACLE_SLACKS = {
+    "S_LE_C": lambda a: a.eta,
+    "S_2I_GE_C.formula": lambda a: a.s + 2 * a.i_formula - a.c,
+    "S_2I_GE_C.per_party": lambda a: a.s + 2 * a.i_per_party - a.c,
+    "I_GE_HALF_ETA.formula": lambda a: a.i_formula - a.eta / 2,
+    "I_GE_HALF_ETA.per_party": lambda a: a.i_per_party - a.eta / 2,
+    "S_2U_GE_C.u_A": lambda a: a.s + 2 * a.uncertainty.u_a - a.c,
+    "S_2U_GE_C.u_B": lambda a: a.s + 2 * a.uncertainty.u_b - a.c,
+    "U_GE_HALF_ETA.u_A": lambda a: a.uncertainty.u_a - a.eta / 2,
+    "U_GE_HALF_ETA.u_B": lambda a: a.uncertainty.u_b - a.eta / 2,
+    "OW_BOUND.u_A": lambda a: a.uncertainty.u_a - a.c / 2,
+    "OW_BOUND.u_B": lambda a: a.uncertainty.u_b - a.c / 2,
+}
+
+
+class TestSlackForms:
+    @settings(max_examples=60)
+    @given(
+        family=st.sampled_from(FAMILY_KINDS),
+        seed=st.integers(0, 2**32),
+        c=st.fractions(0, 2),
+        domain=st.sampled_from(DOMAINS),
+    )
+    def test_forms_equal_the_fraction_slacks(self, family, seed, c, domain):
+        # any C in [0, 2], not only the box's own, so that rows fail too
+        box = sample(FamilySpec(family, seed), 1)[0]
+        a = Analysis(box, c)
+        results = verify._property_results(a, domain)
+        assert [r.key for r in results] == list(ORACLE_SLACKS)
+        for r in results:
+            expected = ORACLE_SLACKS[r.key](a)
+            assert r.slack == expected, r.key
+            assert r.holds == (expected >= 0), r.key
+            assert r.witness == (None if r.holds else box), r.key
+
+    @settings(max_examples=12)
+    @given(
+        family=st.sampled_from(FAMILY_KINDS),
+        seed=st.integers(0, 2**32),
+        count=st.integers(1, 12),
+    )
+    def test_fuzz_tallies_equal_results_rebuilt_box_by_box(self, family, seed, count):
+        spec = FamilySpec(family, seed)
+        domain = verify._DOMAIN_OF_FAMILY[family]
+        tallies = {key: [0, 0, 0] for key in ORACLE_SLACKS}
+        for box in sample(spec, count):
+            for r in check_box(box, domain):
+                tally = tallies[r.key]
+                tally[0] += 1
+                tally[1 if r.holds else 2] += 1
+        report = fuzz(spec, count)
+        assert report.checked == count and not report.aborted
+        assert report.per_property == {key: tuple(t) for key, t in tallies.items()}
+
+    @pytest.mark.parametrize("family", ("chsh16_mixture", "oneway_slice"))
+    def test_clean_hull_fuzz_builds_no_fraction_cells(self, monkeypatch, family):
+        def unread(box):
+            raise AssertionError("Box.p was read")
+
+        def unbuilt(*args):
+            raise AssertionError("a PropertyResult was built")
+
+        monkeypatch.setattr(Box, "p", property(unread))
+        monkeypatch.setattr(verify, "_property_results", unbuilt)
+        # past one _LP_EVERY cross-check, so the LP path is covered too
+        report = fuzz(FamilySpec(family, 9), verify._LP_EVERY + 1)
+        assert not report.aborted and report.checked == verify._LP_EVERY + 1
 
 
 class TestFuzz:
