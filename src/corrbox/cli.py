@@ -266,8 +266,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads every token that parses as a float,
+    such as -1e-3 or -inf, as a value: no corrbox option looks like a number,
+    and argparse alone takes only plain negative decimals for values."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="corrbox",
         description="Exact analysis of two-input two-output correlation boxes.",
     )

@@ -102,10 +102,14 @@ def _system_for(basis: str) -> _CostSystem:
     raise ValueError(f"unknown basis {basis!r}, expected one of {BASIS_KINDS}")
 
 
-def _decomposition_from_point(
-    point: tuple[Fraction, ...], ids: tuple[int, ...], basis: str
+def _decomposition(
+    solution: lp.LpSolution, ids: tuple[int, ...], basis: str
 ) -> Decomposition:
-    weights = {ids[j]: v for j, v in enumerate(point) if v != 0}
+    """The decomposition at an optimal vertex: the nonzero weights of its
+    basic columns, in ascending column order."""
+    assert solution.basis is not None
+    point = solution.point
+    weights = {ids[j]: point[j] for j in solution.basis if point[j] != 0}
     dets = enumerate_deterministic()
     cost = sum(
         (w * dets[i].cost_bits for i, w in weights.items()), Fraction(0)
@@ -149,7 +153,7 @@ def communication_cost(box: Box, basis: str = "full256") -> CostReport:
     Raises NotInHull when basis="chsh16" and the box lies outside that hull."""
     solution, _, system = _solve_cost(box, basis)
     assert solution.value is not None
-    decomposition = _decomposition_from_point(solution.point, system.ids, basis)
+    decomposition = _decomposition(solution, system.ids, basis)
     # The decomposition's cost is summed in Fractions from the point, the
     # value in integers from the basic state: two independent computations.
     if decomposition.cost != solution.value:
@@ -178,12 +182,13 @@ def optimal_decompositions(
     face finds none.  Raises NotInHull like communication_cost."""
     solution, engine, system = _solve_cost(box, basis)
     assert solution.value is not None and engine is not None
-    first = _decomposition_from_point(solution.point, system.ids, basis)
-    known = frozenset(j for j, v in enumerate(solution.point) if v != 0)
-    other = lp._alternative_from_engine(system.prep, engine, solution.value, known)
+    first = _decomposition(solution, system.ids, basis)
+    other = lp._alternative_from_engine(
+        system.prep, engine, solution.value, engine.support()
+    )
     if other is None:
         return first, None
-    return first, _decomposition_from_point(other.point, system.ids, basis)
+    return first, _decomposition(other, system.ids, basis)
 
 
 def find_distinct_decompositions(

@@ -14,20 +14,35 @@ every basis matrix of such a system is 0/1 (structural or artificial
 columns).  By Hadamard's bound, (k + 1)**((k + 1) / 2) / 2**k for a k x k
 0/1 matrix, each adjugate entry (a 15 x 15 minor) is at most 2**17, and
 delta, each w_i and each M_r a_j (16 x 16 determinants, by Cramer's rule)
-are at most 438870 < 2**18.75.  A delta-scaled reduced cost is then below
-17 * 2**20 * 2**18.75 < 2**43, and the largest kernel product, a reduced
-cost times a ratio-test denominator, stays below 2**62.
+are at most 438870 < 2**18.75.  A delta-scaled reduced cost (a 17 x 17
+determinant with one row of costs) is then below 17 * 2**20 * 2**18.75 <
+2**43.  So each kernel product stays below 2**18.75 * 2**43 < 2**62: a
+reduced cost times a ratio-test denominator, and both products w_p D_k and
+D_j T_pk of the reduced-cost update below, whose difference stays below
+2**63.
 
-Update rule per pivot (entering column j, pivot row p, w = M a_j):
-    delta' = w_p,   M'_p = M_p,   M'_i = (w_p M_i - w_i M_p) / delta
-The division is exact (Sylvester's identity); the solver asserts zero
-remainders, which doubles as an overflow trip-wire.
+Update rule per pivot (entering column j, pivot row p, w = M a_j, tableau
+row T_p = M_p A, s the sign of w_p):
+    delta' = |w_p|,  M'_p = s M_p,    M'_i = (|w_p| M_i - s w_i M_p) / delta
+                     xi'_p = s xi_p,  xi'_i = (|w_p| xi_i - s w_i xi_p) / delta
+                     D' = (|w_p| D - s D_j T_p) / delta
+D is the row of delta-scaled reduced costs, c delta - c_B M A, of the
+running loop's objective.  Each loop computes it from scratch once, then
+carries it through its pivots as one more tableau row, so no pivot rebuilds
+c_B M A.  The sign s keeps delta positive: negating M, delta, xi and D
+together changes no ratio, so every sign test reads the integers directly.
+Each division is exact (Sylvester's identity: the entries of M, xi and D are
+minors of the basis matrix bordered by a column or the cost row); the solver
+asserts zero remainders on all three, which doubles as an overflow
+trip-wire.  The ratio tests and the xi update read w and the pivot row as
+Python lists.
 
 The engine reads the right-hand side b as integer numerators over one
 positive denominator (a box's own form; solve converts a LinearProgram's
 Fractions once).  Every value and every vertex check is read from the
 integer state: value() sums the integer costs of the basic columns over one
-denominator, and check_basic_state re-substitutes xi into A x = b.  The
+denominator, and check_basic_state re-substitutes xi into A x = b over each
+basic column's nonzero entries (a table built with the prepared system).  The
 two-phase and warm solves and each vertex the optimal-face search returns
 (it pivots a copy of the engine) pass both; Fractions appear only when a
 point is read out.  Both solves also end with check_dual_feasible, an
@@ -35,17 +50,19 @@ integer check that every reduced cost at the optimal basis is nonnegative.
 
 Warm start.  Reduced costs depend on the basis and the objective only, so an
 optimal basis of one right-hand side is dual-feasible for every other one.
-_start_state records such a basis (with its M, delta and inert rows) and
-_solve_prepared(..., start=...) runs a dual simplex from it, with no phase 1:
-seed xi = M b; while some basic value is negative, the most negative row
-leaves (after _BLAND_AFTER pivots, the row of the smallest basic index), and
-the column entering is the one with the least ratio
-    delta * reduced_j / -(M_r a_j)   over columns with (M_r a_j) / delta < 0,
+_start_state records such a basis (with its M, also as rows of Python
+integers, delta and inert rows) and _solve_prepared(..., start=...) runs a
+dual simplex from it, with no phase 1: seed xi = M b; while some basic value
+is negative, the most negative row r leaves (after _BLAND_AFTER pivots, the
+row of the smallest basic index), and the column entering is the one with
+the least ratio
+    D_j / -(M_r a_j)   over columns with M_r a_j < 0,
 compared by integer cross-multiplication, ties to the smallest index.  The
-pivot itself is the same fraction-free update.  A row that no column can
-enter, or an inert row with xi != 0, proves infeasibility with that row of M
-as the Farkas vector.  At the end every reduced cost is checked nonnegative
-in integers and the basic state re-substituted, so an optimal warm solve
+pivot itself is the same fraction-free update, and the row M_r A the ratio
+test reads is its tableau row T_p.  A row that no column can enter, or an
+inert row with xi != 0, proves infeasibility with that row of M as the
+Farkas vector.  At the end every reduced cost is checked nonnegative in
+integers and the basic state re-substituted, so an optimal warm solve
 carries both a primal check and a dual certificate y with y.A <= objective
 and y.rhs = value.  It reports the value and the basis, not the point.
 """
@@ -54,6 +71,7 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -126,6 +144,7 @@ class _Prepared:
     cost_den: int
     row_scale: tuple[int, ...]
     dtype: type  # np.int64 on the int64 path, else object (Python integers)
+    col_rows: tuple[tuple[tuple[int, int], ...], ...]  # each column's (row, entry) != 0
 
     @property
     def int_mode(self) -> bool:
@@ -140,6 +159,7 @@ class _Start:
 
     basis: tuple[int, ...]
     mat: np.ndarray
+    rows: tuple[tuple[int, ...], ...]  # mat's rows as Python ints, for xi = M b
     delta: int
     inert: tuple[bool, ...]
 
@@ -162,6 +182,9 @@ def _prepared(
         and max(abs(c) for c in col_cost) <= 2**20
     )
     dtype = np.int64 if int_mode else object
+    col_rows = tuple(
+        tuple((i, v) for i, v in enumerate(column) if v) for column in a.T.tolist()
+    )
     return _Prepared(
         m=a.shape[0],
         n=a.shape[1],
@@ -171,6 +194,7 @@ def _prepared(
         cost_den=cost_den,
         row_scale=tuple(row_scale),
         dtype=dtype,
+        col_rows=col_rows,
     )
 
 
@@ -206,7 +230,8 @@ def _integer_rhs(rhs: Sequence[Fraction]) -> tuple[list[int], int]:
 class _Engine:
     """One solve over a prepared system: two-phase fraction-free simplex from
     the artificial basis, or dual simplex from a start state.  The right-hand
-    side is rhs_num / den: integer numerators over one positive denominator."""
+    side is rhs_num / den: integer numerators over one positive denominator.
+    delta stays positive, so every sign test reads the integers directly."""
 
     def __init__(
         self,
@@ -223,6 +248,9 @@ class _Engine:
         self.a = prep.a_int
         self.den = den
         self.b_num = [v if k == 1 else v * k for v, k in zip(rhs_num, prep.row_scale)]
+        # delta-scaled reduced costs of the running loop's objective, or None
+        # between loops; _pivot carries them as a tableau row.
+        self.reduced: np.ndarray | None = None
         if start is None:
             if any(v < 0 for v in self.b_num):
                 raise ValueError("rhs negative after row scaling")
@@ -236,34 +264,51 @@ class _Engine:
             self.mat = start.mat
             self.delta = start.delta
             self.inert = list(start.inert)
-            self.xi = [
-                sum(v * b for v, b in zip(row, self.b_num)) for row in start.mat.tolist()
-            ]
+            self.xi = [sum(map(operator.mul, row, self.b_num)) for row in start.rows]
 
     # -- arithmetic kernels ------------------------------------------------
 
     def _entering_w(self, j: int) -> np.ndarray:
         return self.mat @ self.a[:, j]
 
-    def _pivot(self, j: int, p: int, w: np.ndarray) -> None:
-        wp = int(w[p])
+    def _pivot(
+        self, j: int, p: int, w: np.ndarray, row: np.ndarray | None = None
+    ) -> None:
+        """Pivot column j into row p, where w = M a_j; row is the tableau row
+        M_p A when the caller already has it.  A negative w_p negates the new
+        M, xi and reduced costs together, which keeps delta positive."""
+        w_list = w.tolist()
+        wp = w_list[p]
         if wp == 0:
             raise RuntimeError("zero pivot element")
-        numer = wp * self.mat - w[:, None] * self.mat[p]
-        if (numer % self.delta).any():
+        sign = 1 if wp > 0 else -1
+        new_delta = sign * wp
+        delta = self.delta
+        if self.reduced is not None:
+            if row is None:
+                row = self.mat[p] @ self.a
+            numer = new_delta * self.reduced - (sign * int(self.reduced[j])) * row
+            if np.count_nonzero(numer % delta):
+                raise RuntimeError("inexact division in reduced-cost update")
+            self.reduced = numer // delta
+        mat_p = self.mat[p] if sign > 0 else -self.mat[p]
+        numer = new_delta * self.mat - w[:, None] * mat_p
+        if np.count_nonzero(numer % delta):
             raise RuntimeError("inexact division in basis update")
-        new_mat = numer // self.delta
-        new_mat[p] = self.mat[p]
+        new_mat = numer // delta
+        new_mat[p] = mat_p
         self.mat = new_mat
-        xi_p = self.xi[p]
-        for i, w_i in enumerate(w.tolist()):
+        xi = self.xi
+        xi_p = sign * xi[p]
+        for i, w_i in enumerate(w_list):
             if i == p:
                 continue
-            q, r = divmod(wp * self.xi[i] - w_i * xi_p, self.delta)
+            q, r = divmod(new_delta * xi[i] - w_i * xi_p, delta)
             if r != 0:
                 raise RuntimeError("inexact division in rhs update")
-            self.xi[i] = q
-        self.delta = wp
+            xi[i] = q
+        xi[p] = xi_p
+        self.delta = new_delta
         self.basis[p] = j
 
     def _cost_basis(self, col_cost: Sequence[int] | None) -> np.ndarray:
@@ -277,7 +322,7 @@ class _Engine:
         return np.array(out, dtype=self.prep.dtype)
 
     def _reduced(self, col_cost: Sequence[int] | None) -> np.ndarray:
-        """delta-scaled reduced costs of the structural columns."""
+        """delta-scaled reduced costs of the structural columns, from scratch."""
         yhat = self._cost_basis(col_cost) @ self.mat
         ata = self.a.T @ yhat
         if col_cost is None:
@@ -292,74 +337,70 @@ class _Engine:
 
     def _ratio_row(self, w: np.ndarray) -> int | None:
         """Bland leaving row: minimum ratio, ties by smallest basis index."""
-        sgn = 1 if self.delta > 0 else -1
-        best: tuple[int, int] | None = None  # (xi_pos, w_pos) of best row
-        best_row = -1
-        for i in range(self.m):
-            if self.inert[i]:
+        xi, basis, inert = self.xi, self.basis, self.inert
+        w = w.tolist()
+        best = -1
+        for i, w_i in enumerate(w):
+            if w_i <= 0 or inert[i]:
                 continue
-            w_pos = sgn * int(w[i])
-            if w_pos <= 0:
+            if best < 0:
+                best = i
                 continue
-            xi_pos = sgn * self.xi[i]
-            if best is None:
-                better = True
-            else:
-                lhs = xi_pos * best[1]
-                rhs = best[0] * w_pos
-                better = lhs < rhs or (
-                    lhs == rhs and self.basis[i] < self.basis[best_row]
-                )
-            if better:
-                best = (xi_pos, w_pos)
-                best_row = i
-        return None if best is None else best_row
+            lhs = xi[i] * w[best]
+            rhs = xi[best] * w_i
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                best = i
+        return None if best < 0 else best
 
     def _loop(
         self, col_cost: Sequence[int] | None, allowed: np.ndarray | None = None
     ) -> tuple[str, int | None, np.ndarray | None]:
-        """Pivot to optimality or unboundedness for one objective."""
-        for iteration in range(_ITERATION_CAP):
-            sgn = 1 if self.delta > 0 else -1
-            reduced = self._reduced(col_cost) * sgn
-            neg = np.asarray(reduced < 0)
-            if allowed is not None:
-                neg &= allowed
-            candidates = np.flatnonzero(neg)
-            if len(candidates) == 0:
-                return "optimal", None, None
-            if iteration < _BLAND_AFTER:
-                # argmin takes the first minimum, so ties stay deterministic
-                j = int(candidates[int(np.argmin(reduced[candidates]))])
-            else:
-                j = int(candidates[0])
-            w = self._entering_w(j)
-            p = self._ratio_row(w)
-            if p is None:
-                return "unbounded", j, w
-            self._pivot(j, p, w)
-        raise RuntimeError("simplex iteration cap exceeded")
+        """Pivot to optimality or unboundedness for one objective.  The reduced
+        costs are computed once, then carried through every pivot."""
+        self.reduced = self._reduced(col_cost)
+        try:
+            for iteration in range(_ITERATION_CAP):
+                reduced = self.reduced
+                if allowed is not None:
+                    reduced = np.where(allowed, reduced, 0)
+                if iteration < _BLAND_AFTER:
+                    # argmin takes the first minimum, so ties stay deterministic
+                    j = int(reduced.argmin())
+                    entering = reduced[j] < 0
+                else:
+                    negative = reduced < 0
+                    j = int(negative.argmax())
+                    entering = negative[j]
+                if not entering:
+                    return "optimal", None, None
+                w = self._entering_w(j)
+                p = self._ratio_row(w)
+                if p is None:
+                    return "unbounded", j, w
+                self._pivot(j, p, w)
+            raise RuntimeError("simplex iteration cap exceeded")
+        finally:
+            self.reduced = None
 
-    def _dual_ratio_column(self, row: np.ndarray, reduced: np.ndarray) -> int | None:
-        """Entering column of the dual ratio test on a leaving row, or None
-        when no column can enter.  row holds the sign-normalised -(M_r a_j),
-        reduced the sign-normalised reduced costs; the least reduced/row over
-        row > 0 wins, ties to the smallest index, compared exactly."""
-        candidates = np.flatnonzero(row > 0)
-        if len(candidates) == 0:
+    def _dual_ratio_column(self, row: np.ndarray) -> int | None:
+        """Entering column of the dual ratio test on a leaving row M_r A, or
+        None when no column can enter: the least reduced_j / -row_j over
+        row_j < 0, ties to the smallest index, compared exactly."""
+        columns = (row < 0).nonzero()[0]
+        if not len(columns):
             return None
-        red = reduced[candidates]
-        den = row[candidates]
-        # Start from the least reduced cost (a zero one is already a minimum);
-        # each pass moves to a column of strictly smaller ratio, so it stops.
-        k = int(np.argmin(red))
-        while True:
-            better = red * den[k] < red[k] * den
-            if not better.any():
-                break
-            k = int(np.argmax(better))
-        ties = red * den[k] == red[k] * den
-        return int(candidates[int(np.argmax(ties))])
+        reds = self.reduced[columns].tolist()
+        best = reds.index(min(reds))
+        if reds[best] != 0:
+            # A zero least reduced cost is already the least ratio; otherwise
+            # compare every ratio, reds[k] / -dens[k], by cross-multiplication.
+            dens = row[columns].tolist()
+            for k, (red, den) in enumerate(zip(reds, dens)):
+                lhs = red * dens[best]
+                rhs = reds[best] * den
+                if lhs > rhs or (lhs == rhs and k < best):
+                    best = k
+        return int(columns[best])
 
     def run_dual(self) -> int | None:
         """Dual simplex to optimality from a dual-feasible basis.  Returns None
@@ -367,25 +408,26 @@ class _Engine:
         for i in range(self.m):
             if self.inert[i] and self.xi[i] != 0:
                 return i
-        col_cost = self.prep.col_cost
-        for iteration in range(_ITERATION_CAP):
-            sgn = 1 if self.delta > 0 else -1
-            negative = [
-                i for i in range(self.m) if not self.inert[i] and sgn * self.xi[i] < 0
-            ]
-            if not negative:
-                self.check_dual_feasible()
-                return None
-            if iteration < _BLAND_AFTER:
-                r = min(negative, key=lambda i: sgn * self.xi[i])
-            else:
-                r = min(negative, key=lambda i: self.basis[i])
-            row = -sgn * (self.mat[r] @ self.a)
-            j = self._dual_ratio_column(row, self._reduced(col_cost) * sgn)
-            if j is None:
-                return r
-            self._pivot(j, r, self._entering_w(j))
-        raise RuntimeError("dual simplex iteration cap exceeded")
+        self.reduced = self._reduced(self.prep.col_cost)
+        try:
+            for iteration in range(_ITERATION_CAP):
+                xi, inert = self.xi, self.inert
+                negative = [i for i, v in enumerate(xi) if v < 0 and not inert[i]]
+                if not negative:
+                    self.check_dual_feasible()
+                    return None
+                if iteration < _BLAND_AFTER:
+                    r = min(negative, key=xi.__getitem__)
+                else:
+                    r = min(negative, key=self.basis.__getitem__)
+                row = self.mat[r] @ self.a
+                j = self._dual_ratio_column(row)
+                if j is None:
+                    return r
+                self._pivot(j, r, self._entering_w(j), row)
+            raise RuntimeError("dual simplex iteration cap exceeded")
+        finally:
+            self.reduced = None
 
     def _drive_out_artificials(self) -> None:
         for p in range(self.m):
@@ -393,9 +435,8 @@ class _Engine:
                 continue
             if self.xi[p] != 0:
                 raise RuntimeError("artificial basic at nonzero value")
-            row = self.mat[p] @ self.a
-            pivots = np.flatnonzero(np.asarray(row != 0))
-            if len(pivots) == 0:
+            pivots = (self.mat[p] @ self.a).nonzero()[0]
+            if not len(pivots):
                 # Redundant constraint row: inert from here on.  Its M row
                 # only ever gets rescaled, so it stays orthogonal to every
                 # column and never blocks a pivot.
@@ -443,25 +484,32 @@ class _Engine:
                 x[jb] = Fraction(self.xi[i], self.den * self.delta)
         return x
 
+    def support(self) -> frozenset[int]:
+        """The structural columns at a nonzero value."""
+        return frozenset(
+            jb for jb, v in zip(self.basis, self.xi) if jb < self.n and v != 0
+        )
+
     def structural_basis(self) -> tuple[int, ...]:
         return tuple(sorted(jb for jb in self.basis if jb < self.n))
 
     def check_basic_state(self) -> None:
-        """Integer re-substitution of the current basic solution."""
-        for i in range(self.m):
-            if self.xi[i] != 0 and (self.xi[i] < 0) != (self.delta < 0):
-                raise RuntimeError("negative coordinate in solver state")
-        basic = [i for i, jb in enumerate(self.basis) if jb < self.n]
-        columns = self.a[:, [self.basis[i] for i in basic]].tolist()
-        for r, row in enumerate(columns):
-            total = sum(a * self.xi[i] for a, i in zip(row, basic))
-            if total != self.b_num[r] * self.delta:
-                raise RuntimeError("solver state fails re-substitution")
+        """Integer re-substitution of the current basic solution, over each
+        basic column's nonzero entries."""
+        if self.delta <= 0 or min(self.xi) < 0:
+            raise RuntimeError("negative coordinate in solver state")
+        total = [0] * self.m
+        col_rows = self.prep.col_rows
+        for jb, v in zip(self.basis, self.xi):
+            if jb < self.n and v:
+                for r, a in col_rows[jb]:
+                    total[r] += a * v
+        if any(t != b * self.delta for t, b in zip(total, self.b_num)):
+            raise RuntimeError("solver state fails re-substitution")
 
     def check_dual_feasible(self) -> None:
         """Integer check that every reduced cost is nonnegative."""
-        sgn = 1 if self.delta > 0 else -1
-        if (self._reduced(self.prep.col_cost) * sgn < 0).any():
+        if np.count_nonzero(self._reduced(self.prep.col_cost) < 0):
             raise RuntimeError("optimal basis is not dual-feasible")
 
     def dual_vector(self, col_cost: Sequence[int] | None) -> tuple[Fraction, ...]:
@@ -479,7 +527,7 @@ class _Engine:
         that row meets no column with the sign of xi_p (see run_dual)."""
         sign = 1 if self.xi[p] > 0 else -1
         return tuple(
-            Fraction(sign * int(self.mat[p, i]) * self.prep.row_scale[i], abs(self.delta))
+            Fraction(sign * int(self.mat[p, i]) * self.prep.row_scale[i], self.delta)
             for i in range(self.m)
         )
 
@@ -501,7 +549,7 @@ class _Engine:
         return tuple(ray)
 
     def zero_reduced_mask(self, col_cost: Sequence[int]) -> np.ndarray:
-        return np.asarray(self._reduced(col_cost) == 0)
+        return self._reduced(col_cost) == 0
 
 
 def _start_state(prep: _Prepared, rhs_num: Sequence[int], den: int) -> _Start:
@@ -517,6 +565,7 @@ def _start_state(prep: _Prepared, rhs_num: Sequence[int], den: int) -> _Start:
     return _Start(
         basis=tuple(engine.basis),
         mat=mat,
+        rows=tuple(map(tuple, mat.tolist())),
         delta=engine.delta,
         inert=tuple(engine.inert),
     )
@@ -587,10 +636,6 @@ def solve(program: LinearProgram) -> LpSolution:
     return solution
 
 
-def _support(x: Sequence[Fraction]) -> frozenset[int]:
-    return frozenset(j for j, v in enumerate(x) if v != 0)
-
-
 def _alternative_from_engine(
     prep: _Prepared,
     engine: _Engine,
@@ -609,13 +654,11 @@ def _alternative_from_engine(
     overlap_cost = [1 if j in known_support else 0 for j in range(prep.n)]
     engine.reoptimize(overlap_cost, face)
     _check_on_face(engine, opt_value)
-    x = engine.point()
-    if _support(x) != known_support:
-        return _vertex(engine, opt_value, x)
+    if engine.support() != known_support:
+        return _vertex(engine, opt_value)
     face = engine.zero_reduced_mask(prep.col_cost)
     basic = set(engine.basis)
-    for j in np.flatnonzero(face):
-        j = int(j)
+    for j in face.nonzero()[0].tolist():
         if j in basic:
             continue
         w = engine._entering_w(j)
@@ -623,11 +666,10 @@ def _alternative_from_engine(
         if p is None or engine.xi[p] == 0:
             continue  # an unbounded edge, or a degenerate pivot to the same point
         moved = engine.pivoted(j, p, w)
-        x = moved.point()
-        if _support(x) == known_support:
+        if moved.support() == known_support:
             continue
         _check_on_face(moved, opt_value)
-        return _vertex(moved, opt_value, x)
+        return _vertex(moved, opt_value)
     return None
 
 
@@ -637,9 +679,12 @@ def _check_on_face(engine: _Engine, opt_value: Fraction) -> None:
         raise RuntimeError("optimal-face search left the optimal face")
 
 
-def _vertex(engine: _Engine, value: Fraction, point: list[Fraction]) -> LpSolution:
+def _vertex(engine: _Engine, value: Fraction) -> LpSolution:
     return LpSolution(
-        status="optimal", value=value, point=tuple(point), basis=engine.structural_basis()
+        status="optimal",
+        value=value,
+        point=tuple(engine.point()),
+        basis=engine.structural_basis(),
     )
 
 
@@ -653,4 +698,5 @@ def find_alternative_vertex(program: LinearProgram, known: LpSolution) -> LpSolu
     if solution.status != "optimal" or engine is None:
         return None
     assert solution.value is not None
-    return _alternative_from_engine(prep, engine, solution.value, _support(known.point))
+    known_support = frozenset(j for j, v in enumerate(known.point) if v != 0)
+    return _alternative_from_engine(prep, engine, solution.value, known_support)

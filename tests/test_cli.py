@@ -70,11 +70,20 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "quantum", "--angles", "0.1", "0.2")
         assert code == 2 and "angles" in err
 
-    @pytest.mark.parametrize("bad", ["inf", "nan", "Infinity"])
+    @pytest.mark.parametrize("bad", ["inf", "nan", "Infinity", "-inf", "-nan"])
     def test_non_finite_angle_is_usage_error(self, capsys, bad):
         code, out, err = run(capsys, "analyze", "quantum", "--angles", "0", "1", "2", bad)
         assert code == 2 and out == ""
         assert err.startswith("error: angle theta_b1 must be a finite number")
+
+    def test_negative_angle_in_scientific_notation(self, capsys):
+        code, scientific, _ = run(capsys, "analyze", "quantum", "--angles", "0", "1", "2", "-1e-3")
+        _, decimal, _ = run(capsys, "analyze", "quantum", "--angles", "0", "1", "2", "-0.001")
+        assert code == 0 and scientific == decimal
+
+    def test_option_like_token_is_still_an_option(self, capsys):
+        code, _, err = run(capsys, "analyze", "quantum", "--angles", "0", "1", "2", "-x")
+        assert code == 2 and "-x" in err
 
     def test_json_flag_matches_default(self, capsys):
         _, default, _ = run(capsys, "analyze", "pr")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -274,3 +276,51 @@ class TestCostProperties:
             box = det.as_box()
             assert optimal_cost(box) == det.cost_bits, det.id
             assert communication_cost(box).c == det.cost_bits, det.id
+
+
+class TestSolverPathPins:
+    """The two-phase path decides the printed vertex of every box, not only
+    the named boxes the goldens cover: these digests and pivot counts pin its
+    decompositions on sampled boxes of three families, and the pivots the
+    warm value path takes on the same boxes."""
+
+    CASES = (("general", "full256"), ("no_signaling", "full256"), ("chsh16_mixture", "chsh16"))
+    DIGESTS = (
+        "981daf2445f6824ed1fd720bc9b136c7840f76e6346fc84230905dd94e641dcf",
+        "dea457102476ffd43b89366dae86f8edd9ca96f262275f92a6965873f3165b8c",
+        "61748ecdc088b5dd3da0c3065c6e09f9285c772fa4dba6ffc8012a289b548155",
+    )
+    TWO_PHASE_PIVOTS = 2132
+    WARM_PIVOTS = 370
+
+    @staticmethod
+    def _count_pivots(monkeypatch) -> list[int]:
+        count = [0]
+        pivot = cost.lp._Engine._pivot
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return pivot(*args, **kwargs)
+
+        monkeypatch.setattr(cost.lp._Engine, "_pivot", counted)
+        return count
+
+    def test_two_phase_decompositions_and_pivots_unchanged(self, monkeypatch):
+        pivots = self._count_pivots(monkeypatch)
+        for (family, basis), digest in zip(self.CASES, self.DIGESTS):
+            objs = [
+                decomposition_to_json_obj(communication_cost(box, basis).decomposition)
+                for box in sample(FamilySpec(family, 13), 20)
+            ]
+            text = json.dumps(objs, sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, (family, basis)
+        assert pivots[0] == self.TWO_PHASE_PIVOTS
+
+    def test_warm_pivots_unchanged(self, monkeypatch):
+        for _, basis in self.CASES:
+            cost._system_for(basis).start  # the start state's own solve is not counted
+        pivots = self._count_pivots(monkeypatch)
+        for family, basis in self.CASES:
+            for box in sample(FamilySpec(family, 13), 20):
+                optimal_cost(box, basis)
+        assert pivots[0] == self.WARM_PIVOTS

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, find, given, settings
+from hypothesis import strategies as st
 
 import corrbox.lp as lp
 from corrbox.lp import (
@@ -57,6 +59,28 @@ def dual_from_basis(prog: LinearProgram, basis) -> list[Fraction] | None:
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
                 vec[r] = vec[r] - factor * vec[col]
     return vec
+
+
+def check_certificate(prog: LinearProgram, got: LpSolution) -> None:
+    """Farkas vector when infeasible (y.A <= 0, y.rhs > 0); ray when
+    unbounded (A ray = 0, ray >= 0, objective.ray < 0)."""
+    n = len(prog.objective)
+    m = len(prog.rhs)
+    if got.status == "infeasible":
+        y = got.certificate
+        assert y is not None
+        for j in range(n):
+            column_value = sum(y[i] * prog.constraint_matrix[i][j] for i in range(m))
+            assert column_value <= 0, f"y.A[{j}] = {column_value}"
+        assert sum(y[i] * prog.rhs[i] for i in range(m)) > 0
+    elif got.status == "unbounded":
+        ray = got.certificate
+        assert ray is not None
+        assert all(x >= 0 for x in ray)
+        for i in range(m):
+            row_value = sum(prog.constraint_matrix[i][j] * ray[j] for j in range(n))
+            assert row_value == 0, f"A.ray[{i}] = {row_value}"
+        assert sum(prog.objective[j] * ray[j] for j in range(n)) < 0
 
 
 # The fixed suite: (label, rows, rhs, cost, expected status).
@@ -130,24 +154,7 @@ class TestFixedSuite:
     @pytest.mark.parametrize("label,rows,rhs,cost,expected", SUITE, ids=[t[0] for t in SUITE])
     def test_certificates(self, label, rows, rhs, cost, expected):
         prog = program(rows, rhs, cost)
-        got = solve(prog)
-        n = len(prog.objective)
-        m = len(prog.rhs)
-        if got.status == "infeasible":
-            y = got.certificate
-            assert y is not None, label
-            for j in range(n):
-                column_value = sum(y[i] * prog.constraint_matrix[i][j] for i in range(m))
-                assert column_value <= 0, f"{label}: y.A[{j}] = {column_value}"
-            assert sum(y[i] * prog.rhs[i] for i in range(m)) > 0, label
-        elif got.status == "unbounded":
-            ray = got.certificate
-            assert ray is not None, label
-            assert all(x >= 0 for x in ray), label
-            for i in range(m):
-                row_value = sum(prog.constraint_matrix[i][j] * ray[j] for j in range(n))
-                assert row_value == 0, f"{label}: A.ray[{i}] = {row_value}"
-            assert sum(prog.objective[j] * ray[j] for j in range(n)) < 0, label
+        check_certificate(prog, solve(prog))
 
     @pytest.mark.parametrize("label,rows,rhs,cost,expected", SUITE, ids=[t[0] for t in SUITE])
     def test_reduced_costs_nonnegative_at_optimum(self, label, rows, rhs, cost, expected):
@@ -182,26 +189,118 @@ class TestValidation:
             program([], [], [])
 
 
-class TestRandomizedAgainstReference:
-    def test_small_random_programs(self):
-        rng = random.Random(4242)
-        statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-        for trial in range(60):
-            m = rng.randint(1, 3)
-            n = rng.randint(1, 5)
-            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-            rhs = [rng.randint(-3, 3) for _ in range(m)]
-            cost = [rng.randint(-3, 3) for _ in range(n)]
-            prog = program(rows, rhs, cost)
-            got = solve(prog)
-            ref_status, ref_value, _ = solve_reference(rows, rhs, cost)
-            assert got.status == ref_status, f"trial {trial}: {got.status} vs {ref_status}"
-            statuses[got.status] += 1
-            if got.status == "optimal":
-                assert got.value == ref_value, f"trial {trial}"
-                assert all(r == 0 for r in residual(prog, got.point)), f"trial {trial}"
-        # the seed must exercise every status at least once
-        assert min(statuses.values()) > 0, statuses
+def _with_seeded_examples(test):
+    """The 60 seeded programs of the first randomized oracle check (at most 3
+    rows and 5 columns, entries, rhs and costs in -3..3) as explicit examples,
+    each warm-solved on its rhs reversed."""
+    rng = random.Random(4242)
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.randint(-3, 3) for _ in range(m)]
+        cost = [rng.randint(-3, 3) for _ in range(n)]
+        test = example(("general", rows, rhs, cost, rhs[::-1]))(test)
+    return test
+
+
+_SMALL = st.integers(-3, 3)
+
+
+def _vectors(elements, size: int):
+    return st.lists(elements, min_size=size, max_size=size)
+
+
+@st.composite
+def _general_programs(draw):
+    """(kind, rows, rhs, cost, warm_rhs) with general integers: the object
+    path."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    rows = draw(_vectors(_vectors(_SMALL, n), m))
+    return "general", rows, draw(_vectors(_SMALL, m)), draw(_vectors(_SMALL, n)), draw(
+        _vectors(_SMALL, m)
+    )
+
+
+@st.composite
+def _zero_one_programs(draw):
+    """(kind, rows, rhs, cost, warm_rhs) for a 0/1 matrix whose rows and
+    columns are picked, with repeats, from a small base matrix: repeated rows
+    go inert, repeated columns and small costs tie in pricing.  A nonnegative
+    rhs keeps every row unflipped, so the program takes the int64 path."""
+    base_rows = draw(st.integers(1, 3))
+    base = draw(_vectors(_vectors(st.integers(0, 1), draw(st.integers(1, 4))), base_rows))
+    picks_r = draw(st.lists(st.integers(0, base_rows - 1), min_size=1, max_size=5))
+    picks_c = draw(st.lists(st.integers(0, len(base[0]) - 1), min_size=1, max_size=7))
+    rows = [[base[r][c] for c in picks_c] for r in picks_r]
+    m, n = len(rows), len(picks_c)
+    rhs = draw(_vectors(st.integers(0, 3), m))
+    cost = draw(_vectors(st.integers(-1, 2), n))
+    return "zero_one", rows, rhs, cost, draw(_vectors(st.integers(0, 3), m))
+
+
+_PROGRAMS = {"general": _general_programs(), "zero_one": _zero_one_programs()}
+# find() stops at the first example that meets its condition, unshrunk.
+_FIRST_EXAMPLE = settings(phases=[Phase.generate])
+
+
+def _path_and_status(case) -> tuple[str, str]:
+    """("int64" or "object", the solve's status)."""
+    _, rows, rhs, cost, _ = case
+    prog = program(rows, rhs, cost)
+    path = "int64" if lp._prepare_program(prog).int_mode else "object"
+    return path, solve(prog).status
+
+
+def _has_inert_row(case) -> bool:
+    _, rows, rhs, cost, _ = case
+    prog = program(rows, rhs, cost)
+    engine = lp._Engine(lp._prepare_program(prog), *lp._integer_rhs(prog.rhs))
+    engine.run_two_phase()
+    return any(engine.inert)
+
+
+class TestAgainstReference:
+    """lp.solve (two-phase) and the warm solve against the dense-tableau
+    oracle, on both arithmetic paths."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(_general_programs(), _zero_one_programs()))
+    @_with_seeded_examples
+    def test_two_phase_and_warm_solves_match_reference(self, case):
+        kind, rows, rhs, cost, warm_rhs = case
+        prog = program(rows, rhs, cost)
+        if kind == "zero_one":
+            assert lp._prepare_program(prog).int_mode
+        got = solve(prog)
+        ref_status, ref_value, _ = solve_reference(rows, rhs, cost)
+        assert got.status == ref_status
+        check_certificate(prog, got)
+        if got.status != "optimal":
+            return
+        assert got.value == ref_value
+        assert all(x >= 0 for x in got.point)
+        assert all(r == 0 for r in residual(prog, got.point))
+        # the optimal basis of rhs starts a dual simplex on warm_rhs
+        warm_prog, warm = warm_solve(rows, rhs, warm_rhs, cost)
+        ref_status, ref_value, _ = solve_reference(rows, warm_rhs, cost)
+        assert warm.status == ref_status
+        if warm.status == "optimal":
+            assert warm.value == ref_value
+        check_warm_certificate(warm_prog, warm)
+
+    @pytest.mark.parametrize("kind,path", [("general", "object"), ("zero_one", "int64")])
+    @pytest.mark.parametrize("status", ["optimal", "infeasible", "unbounded"])
+    def test_every_status_occurs_on_both_paths(self, kind, path, status):
+        find(
+            _PROGRAMS[kind],
+            lambda case: _path_and_status(case) == (path, status),
+            settings=_FIRST_EXAMPLE,
+        )
+
+    def test_zero_one_programs_reach_inert_rows(self):
+        find(_PROGRAMS["zero_one"], _has_inert_row, settings=_FIRST_EXAMPLE)
 
 
 class TestEscalation:
