@@ -51,20 +51,27 @@ integer check that every reduced cost at the optimal basis is nonnegative.
 Warm start.  Reduced costs depend on the basis and the objective only, so an
 optimal basis of one right-hand side is dual-feasible for every other one.
 _start_state records such a basis (with its M, also as rows of Python
-integers, delta and inert rows) and _solve_prepared(..., start=...) runs a
-dual simplex from it, with no phase 1: seed xi = M b; while some basic value
-is negative, the most negative row r leaves (after _BLAND_AFTER pivots, the
-row of the smallest basic index), and the column entering is the one with
-the least ratio
+integers, delta, inert rows and its delta-scaled reduced-cost row, computed
+once and read-only) and _solve_prepared(..., start=...) runs a dual simplex
+from it, with no phase 1 and no reduced costs rebuilt: seed xi = M b; while
+some basic value is negative, the most negative row r leaves (after
+_BLAND_AFTER pivots, the row of the smallest basic index), and the column
+entering is one with the least ratio
     D_j / -(M_r a_j)   over columns with M_r a_j < 0,
-compared by integer cross-multiplication, ties to the smallest index.  The
-pivot itself is the same fraction-free update, and the row M_r A the ratio
-test reads is its tableau row T_p.  A row that no column can enter, or an
-inert row with xi != 0, proves infeasibility with that row of M as the
-Farkas vector.  At the end every reduced cost is checked nonnegative in
+found by integer cross-multiplication as array operations over the
+candidate columns.  Most pivots are degenerate, with many columns at the
+least ratio 0; among the tied columns the one with the largest |M_r a_j|
+enters (the second pass of Harris's ratio test), remaining ties to the
+smallest index.  Under Bland's rule every tie goes to the smallest index,
+which its termination argument needs.  The pivot itself is the same
+fraction-free update, and the row M_r A the ratio test reads is its tableau
+row T_p.  A row that no column can enter, or an inert row with xi != 0,
+proves infeasibility with that row of M as the Farkas vector.  At the end
+every reduced cost is recomputed from scratch and checked nonnegative in
 integers and the basic state re-substituted, so an optimal warm solve
 carries both a primal check and a dual certificate y with y.A <= objective
-and y.rhs = value.  It reports the value and the basis, not the point.
+and y.rhs = value, whichever optimal basis it ends on.  It reports the
+value and the basis, not the point.
 """
 
 from __future__ import annotations
@@ -155,13 +162,15 @@ class _Prepared:
 class _Start:
     """An optimal basis of a prepared system, the state a warm solve starts
     from: basis (artificial index n + i on an inert row i), adjugate M
-    (read-only), determinant delta, and the inert rows."""
+    (read-only), determinant delta, the inert rows, and the delta-scaled
+    reduced costs of the system's objective at this basis (read-only)."""
 
     basis: tuple[int, ...]
     mat: np.ndarray
     rows: tuple[tuple[int, ...], ...]  # mat's rows as Python ints, for xi = M b
     delta: int
     inert: tuple[bool, ...]
+    reduced: np.ndarray
 
 
 def _lcm_of(denominators: Iterable[int]) -> int:
@@ -382,33 +391,44 @@ class _Engine:
         finally:
             self.reduced = None
 
-    def _dual_ratio_column(self, row: np.ndarray) -> int | None:
+    def _dual_ratio_column(self, row: np.ndarray, bland: bool) -> int | None:
         """Entering column of the dual ratio test on a leaving row M_r A, or
-        None when no column can enter: the least reduced_j / -row_j over
-        row_j < 0, ties to the smallest index, compared exactly."""
+        None when no column can enter: a least reduced_j / -row_j over
+        row_j < 0, compared exactly.  Among the tied columns the largest
+        -row_j enters, then the smallest index; under Bland's rule the
+        smallest index."""
+        reduced = self.reduced
+        # A candidate at reduced cost 0 has the least ratio, 0: the usual,
+        # degenerate pivot, and every such candidate ties.
+        zero_row = np.where(reduced == 0, row, 0)
+        j = int(zero_row.argmin())
+        if zero_row[j] < 0:
+            return int((zero_row < 0).argmax()) if bland else j
         columns = (row < 0).nonzero()[0]
         if not len(columns):
             return None
-        reds = self.reduced[columns].tolist()
-        best = reds.index(min(reds))
-        if reds[best] != 0:
-            # A zero least reduced cost is already the least ratio; otherwise
-            # compare every ratio, reds[k] / -dens[k], by cross-multiplication.
-            dens = row[columns].tolist()
-            for k, (red, den) in enumerate(zip(reds, dens)):
-                lhs = red * dens[best]
-                rhs = reds[best] * den
-                if lhs > rhs or (lhs == rhs and k < best):
-                    best = k
-        return int(columns[best])
+        reds, dens = reduced[columns], row[columns]
+        k = int(reds.argmin())
+        while True:
+            # gap_i > 0 exactly when candidate i's ratio is below candidate k's
+            gap = reds * dens[k] - reds[k] * dens
+            i = int(gap.argmax())
+            if gap[i] <= 0:
+                break
+            k = i
+        tied = gap == 0
+        if bland:
+            return int(columns[tied.argmax()])
+        return int(columns[np.where(tied, dens, 0).argmin()])
 
-    def run_dual(self) -> int | None:
-        """Dual simplex to optimality from a dual-feasible basis.  Returns None
-        when optimal, else the row whose M row proves infeasibility."""
+    def run_dual(self, reduced: np.ndarray) -> int | None:
+        """Dual simplex to optimality from a dual-feasible basis whose
+        delta-scaled reduced costs are reduced.  Returns None when optimal,
+        else the row whose M row proves infeasibility."""
         for i in range(self.m):
             if self.inert[i] and self.xi[i] != 0:
                 return i
-        self.reduced = self._reduced(self.prep.col_cost)
+        self.reduced = reduced
         try:
             for iteration in range(_ITERATION_CAP):
                 xi, inert = self.xi, self.inert
@@ -416,12 +436,13 @@ class _Engine:
                 if not negative:
                     self.check_dual_feasible()
                     return None
-                if iteration < _BLAND_AFTER:
-                    r = min(negative, key=xi.__getitem__)
-                else:
+                bland = iteration >= _BLAND_AFTER
+                if bland:
                     r = min(negative, key=self.basis.__getitem__)
+                else:
+                    r = min(negative, key=xi.__getitem__)
                 row = self.mat[r] @ self.a
-                j = self._dual_ratio_column(row)
+                j = self._dual_ratio_column(row, bland)
                 if j is None:
                     return r
                 self._pivot(j, r, self._entering_w(j), row)
@@ -562,12 +583,15 @@ def _start_state(prep: _Prepared, rhs_num: Sequence[int], den: int) -> _Start:
     engine.check_basic_state()
     mat = engine.mat.copy()
     mat.setflags(write=False)
+    reduced = engine._reduced(prep.col_cost)
+    reduced.setflags(write=False)
     return _Start(
         basis=tuple(engine.basis),
         mat=mat,
         rows=tuple(map(tuple, mat.tolist())),
         delta=engine.delta,
         inert=tuple(engine.inert),
+        reduced=reduced,
     )
 
 
@@ -579,7 +603,7 @@ def _solve_prepared(
     basis and dual certificate only)."""
     if start is not None:
         engine = _Engine(prep, rhs_num, den, start)
-        row = engine.run_dual()
+        row = engine.run_dual(start.reduced)
         if row is not None:
             solution = LpSolution(
                 status="infeasible",

@@ -8,14 +8,20 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrbox
-from corrbox.boxes import box_from_json_obj, box_to_json_obj
+from corrbox.boxes import box_from_json_obj, box_to_json_obj, format_fraction
 from corrbox.cli import main
-from corrbox.generators import canonical, isotropic
+from corrbox.cost import communication_cost
+from corrbox.generators import FAMILY_KINDS, FamilySpec, canonical, isotropic, sample
+from corrbox.verify import fuzz
 
 EXPECTED_SWEEP_HEADER = (
     "param,lambda_max,s,C,eta,I,U_A,U_B,"
@@ -471,6 +477,87 @@ class TestFuzzCommand:
         witness = obj["violating_witnesses"][0]
         assert witness["strictness"] == "asserted"
         box_from_json_obj(witness["box"])  # witness serializes as a valid box
+
+
+def _rational(text: str) -> Fraction:
+    """A report's rational string, which must be in lowest-terms num/den form."""
+    value = Fraction(text)
+    assert format_fraction(value) == text, text
+    return value
+
+
+def _reloads_to_the_same_bytes(text: str) -> dict:
+    """The object a report's JSON text loads to; dumping it again the way
+    the CLI does must give the same bytes."""
+    obj = json.loads(text)
+    assert json.dumps(obj, indent=2) + "\n" == text
+    return obj
+
+
+class TestReportJsonRoundTrip:
+    """analysis-v1 and findings-v1 on sampled boxes of every family: each
+    rational string reads back to the exact field it came from, each
+    embedded box to an equal Box, and the loaded object dumps to the same
+    bytes."""
+
+    @settings(max_examples=40)
+    @given(family=st.sampled_from(FAMILY_KINDS), seed=st.integers(0, 2**32))
+    def test_analysis(self, family, seed):
+        box = sample(FamilySpec(family, seed), 1)[0]
+        out = io.StringIO()
+        stdin = io.StringIO(json.dumps(box_to_json_obj(box)))
+        with mock.patch("sys.stdin", stdin), redirect_stdout(out):
+            assert main(["analyze", "-"]) == 0
+        obj = _reloads_to_the_same_bytes(out.getvalue())
+        assert obj["format"] == "analysis-v1"
+        assert box_from_json_obj(obj["box"]) == box
+        a = communication_cost(box)
+        chsh, sig, unc, cost = obj["chsh"], obj["signal"], obj["uncertainty"], obj["cost"]
+        assert tuple(map(_rational, chsh["values"])) == a.chsh.values
+        assert _rational(chsh["lambda_max"]) == a.chsh.lambda_max
+        assert _rational(sig["a_to_b"]) == a.signal.s_a_to_b
+        assert _rational(sig["b_to_a"]) == a.signal.s_b_to_a
+        assert _rational(sig["s"]) == a.s
+        assert _rational(obj["unpredictability"]["formula"]) == a.i_formula
+        assert _rational(obj["unpredictability"]["per_party"]) == a.i_per_party
+        delta = {(key[0], int(key[1])): _rational(v) for key, v in unc["delta"].items()}
+        assert delta == a.uncertainty.delta
+        assert _rational(unc["u_a"]) == a.uncertainty.u_a
+        assert _rational(unc["u_b"]) == a.uncertainty.u_b
+        assert _rational(cost["c"]) == a.c
+        assert _rational(cost["eta"]) == a.eta
+        assert _rational(cost["lower_bound"]) == a.lower_bound
+        decomposition = cost["decomposition"]
+        assert decomposition["basis"] == a.decomposition.basis_kind
+        assert _rational(decomposition["cost"]) == a.decomposition.cost
+        weights = {int(i): _rational(w) for i, w in decomposition["weights"].items()}
+        assert weights == a.decomposition.weights
+
+    @settings(max_examples=20)
+    @given(
+        family=st.sampled_from(FAMILY_KINDS),
+        seed=st.integers(0, 2**32),
+        count=st.integers(1, 8),
+        corrupt=st.booleans(),
+    )
+    def test_findings(self, family, seed, count, corrupt):
+        # a corrupted run aborts on its planted box, so it has witnesses
+        with mock.patch.dict(os.environ, {"CORRBOX_FUZZ_CORRUPT": "1" if corrupt else "0"}):
+            report = fuzz(FamilySpec(family, seed), count)
+        obj = _reloads_to_the_same_bytes(json.dumps(report.to_json_obj(), indent=2) + "\n")
+        assert obj["format"] == "findings-v1"
+        header = ("family", "seed", "samples", "checked", "aborted", "corrupted")
+        assert [obj[k] for k in header] == [getattr(report, k) for k in header]
+        per = {k: (v["checked"], v["held"], v["violated"]) for k, v in obj["per_property"].items()}
+        assert per == report.per_property
+        assert len(obj["violating_witnesses"]) == len(report.witnesses)
+        assert bool(report.witnesses) == corrupt
+        for got, r in zip(obj["violating_witnesses"], report.witnesses):
+            assert [got["property"], got["variant"], got["strictness"]] == [
+                r.property_id, r.variant, r.strictness
+            ]
+            assert _rational(got["slack"]) == r.slack
+            assert box_from_json_obj(got["box"]) == r.witness
 
 
 class TestRepro:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -190,9 +191,13 @@ class TestValidation:
 
 
 def _with_seeded_examples(test):
-    """The 60 seeded programs of the first randomized oracle check (at most 3
-    rows and 5 columns, entries, rhs and costs in -3..3) as explicit examples,
-    each warm-solved on its rhs reversed."""
+    """The seeded programs of the first two randomized oracle checks as
+    explicit examples.  60 two-phase programs (random.Random(4242): at most 3
+    rows and 5 columns, entries, rhs and costs in -3..3), each warm-solved
+    on its rhs reversed.  120 warm-start programs (random.Random(5151): at
+    most 4 rows and 6 columns, alternately general entries and costs in
+    -3..3 and 0/1 entries with costs in 0..3), each with a start rhs the
+    oracle solves to optimality and a second rhs, both in -3..3."""
     rng = random.Random(4242)
     for _ in range(60):
         m = rng.randint(1, 3)
@@ -201,6 +206,26 @@ def _with_seeded_examples(test):
         rhs = [rng.randint(-3, 3) for _ in range(m)]
         cost = [rng.randint(-3, 3) for _ in range(n)]
         test = example(("general", rows, rhs, cost, rhs[::-1]))(test)
+    rng = random.Random(5151)
+    trials = 0
+    while trials < 120:
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 6)
+        zero_one = trials % 2 == 1
+        if zero_one:
+            rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+            cost = [rng.randint(0, 3) for _ in range(n)]
+        else:
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+            cost = [rng.randint(-3, 3) for _ in range(n)]
+        start_rhs = [rng.randint(-3, 3) for _ in range(m)]
+        if solve_reference(rows, start_rhs, cost)[0] != "optimal":
+            continue
+        trials += 1
+        rhs = [rng.randint(-3, 3) for _ in range(m)]
+        # a negative start rhs flips its row off the int64 path
+        kind = "zero_one" if zero_one and min(start_rhs) >= 0 else "general"
+        test = example((kind, rows, start_rhs, cost, rhs))(test)
     return test
 
 
@@ -253,6 +278,17 @@ def _path_and_status(case) -> tuple[str, str]:
     return path, solve(prog).status
 
 
+def _warm_path_and_status(case) -> tuple[str, str | None]:
+    """("int64" or "object", the warm solve's status), the status None when
+    the start rhs has no optimum to start from."""
+    _, rows, rhs, cost, warm_rhs = case
+    prog = program(rows, rhs, cost)
+    path = "int64" if lp._prepare_program(prog).int_mode else "object"
+    if solve(prog).status != "optimal":
+        return path, None
+    return path, warm_solve(rows, rhs, warm_rhs, cost)[1].status
+
+
 def _has_inert_row(case) -> bool:
     _, rows, rhs, cost, _ = case
     prog = program(rows, rhs, cost)
@@ -285,9 +321,11 @@ class TestAgainstReference:
         # the optimal basis of rhs starts a dual simplex on warm_rhs
         warm_prog, warm = warm_solve(rows, rhs, warm_rhs, cost)
         ref_status, ref_value, _ = solve_reference(rows, warm_rhs, cost)
+        # a dual-feasible start rules out an unbounded program
         assert warm.status == ref_status
         if warm.status == "optimal":
             assert warm.value == ref_value
+            assert warm.point == ()
         check_warm_certificate(warm_prog, warm)
 
     @pytest.mark.parametrize("kind,path", [("general", "object"), ("zero_one", "int64")])
@@ -296,6 +334,15 @@ class TestAgainstReference:
         find(
             _PROGRAMS[kind],
             lambda case: _path_and_status(case) == (path, status),
+            settings=_FIRST_EXAMPLE,
+        )
+
+    @pytest.mark.parametrize("kind,path", [("general", "object"), ("zero_one", "int64")])
+    @pytest.mark.parametrize("status", ["optimal", "infeasible"])
+    def test_warm_solve_reaches_every_status_on_both_paths(self, kind, path, status):
+        find(
+            _PROGRAMS[kind],
+            lambda case: _warm_path_and_status(case) == (path, status),
             settings=_FIRST_EXAMPLE,
         )
 
@@ -436,34 +483,38 @@ class TestTwoPhaseDualCheck:
 
 
 class TestWarmStart:
-    def test_random_programs_against_reference(self):
-        rng = random.Random(5151)
-        statuses = {"optimal": 0, "infeasible": 0}
-        trials = 0
-        while trials < 120:
-            m = rng.randint(1, 4)
-            n = rng.randint(1, 6)
-            if trials % 2:
-                rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
-                cost = [rng.randint(0, 3) for _ in range(n)]
-            else:
-                rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-                cost = [rng.randint(-3, 3) for _ in range(n)]
-            start_rhs = [rng.randint(-3, 3) for _ in range(m)]
-            if solve_reference(rows, start_rhs, cost)[0] != "optimal":
-                continue
-            trials += 1
-            rhs = [rng.randint(-3, 3) for _ in range(m)]
-            prog, got = warm_solve(rows, start_rhs, rhs, cost)
-            ref_status, ref_value, _ = solve_reference(rows, rhs, cost)
-            # a dual-feasible start rules out an unbounded program
-            assert got.status == ref_status, f"trial {trials}: {got.status} vs {ref_status}"
-            statuses[got.status] += 1
-            if got.status == "optimal":
-                assert got.value == ref_value, f"trial {trials}"
-                assert got.point == ()
-            check_warm_certificate(prog, got)
-        assert min(statuses.values()) > 0, statuses
+    @pytest.mark.parametrize("cost,value", [([0, 1, 2], 1), ([0, 0, 0], 0)], ids=["at_1", "at_0"])
+    def test_ratio_tie_enters_the_largest_pivot(self, monkeypatch, cost, value):
+        # From the start basis (0,) the rhs -1 makes row 0 leave, and columns
+        # 1 and 2 tie at the least ratio (1/1 = 2/2, or 0/1 = 0/2) with pivot
+        # elements -1 and -2: the larger |M_r a_j| enters, and under Bland's
+        # rule the smaller index.
+        rows = [[1, -1, -2]]
+        _, got = warm_solve(rows, [1], [-1], cost)
+        assert (got.status, got.value, got.basis) == ("optimal", value, (2,))
+        monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
+        _, bland = warm_solve(rows, [1], [-1], cost)
+        assert (bland.status, bland.value, bland.basis) == ("optimal", value, (1,))
+
+    @given(
+        data=st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)), min_size=1, max_size=12),
+        scale=st.sampled_from([1, 10**30]),
+        bland=st.booleans(),
+    )
+    def test_ratio_test_matches_a_fraction_reference(self, data, scale, bland):
+        # Small entries make many ties; the scale of 10**30 takes the object path.
+        reduced = [d * scale for d, _ in data]
+        row = [a for _, a in data]
+        candidates = [j for j, a in enumerate(row) if a < 0]
+        expected = None
+        if candidates:
+            ratio = {j: F(reduced[j], -row[j]) for j in candidates}
+            tied = [j for j in candidates if ratio[j] == min(ratio.values())]
+            expected = tied[0] if bland else min(tied, key=lambda j: (row[j], j))
+        dtype = np.int64 if scale == 1 else object
+        engine = SimpleNamespace(reduced=np.array(reduced, dtype=dtype))
+        got = lp._Engine._dual_ratio_column(engine, np.array(row, dtype=dtype), bland)
+        assert got == expected
 
     def test_inert_row_proves_infeasibility(self):
         prog, got = warm_solve([[1, 1], [1, 1]], [1, 1], [1, 2], [2, 3])
