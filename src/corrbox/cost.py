@@ -34,7 +34,6 @@ from .generators import canonical_det_ids
 from .measures import Analysis, _chsh_values, _facet_bound
 
 BASIS_KINDS = ("full256", "chsh16")
-_FULL256_IDS = tuple(range(256))
 
 
 class NotInHull(ValueError):
@@ -87,19 +86,17 @@ class _CostSystem:
 
 
 @lru_cache(maxsize=len(BASIS_KINDS))
-def _cost_system(ids: tuple[int, ...]) -> _CostSystem:
+def _system_for(basis: str) -> _CostSystem:
+    if basis == "full256":
+        ids = tuple(range(256))
+    elif basis == "chsh16":
+        ids = canonical_det_ids()
+    else:
+        raise ValueError(f"unknown basis {basis!r}, expected one of {BASIS_KINDS}")
     dets = enumerate_deterministic()
     columns = np.array([dets[i].as_box().num for i in ids], dtype=np.int64).T.copy()
     costs = [dets[i].cost_bits for i in ids]
     return _CostSystem(prep=lp._prepare_int01(columns, costs), ids=ids)
-
-
-def _system_for(basis: str) -> _CostSystem:
-    if basis == "full256":
-        return _cost_system(_FULL256_IDS)
-    if basis == "chsh16":
-        return _cost_system(canonical_det_ids())
-    raise ValueError(f"unknown basis {basis!r}, expected one of {BASIS_KINDS}")
 
 
 def _decomposition(
@@ -183,9 +180,7 @@ def optimal_decompositions(
     solution, engine, system = _solve_cost(box, basis)
     assert solution.value is not None and engine is not None
     first = _decomposition(solution, system.ids, basis)
-    other = lp._alternative_from_engine(
-        system.prep, engine, solution.value, engine.support()
-    )
+    other = lp._alternative_from_engine(engine, engine.support())
     if other is None:
         return first, None
     return first, _decomposition(other, system.ids, basis)

@@ -163,12 +163,8 @@ def no_signaling_vertices() -> tuple[Box, ...]:
         det.as_box() for det in enumerate_deterministic() if det.cost_bits == 0
     ]
     assert len(locals_) == 16
-    seen: dict[tuple[Fraction, ...], Box] = {}
     pr = canonical("pr")
-    for r in relabeling_group():
-        image = relabel(pr, r)
-        seen.setdefault(image.p, image)
-    prs = [seen[key] for key in sorted(seen)]
+    prs = sorted({relabel(pr, r) for r in relabeling_group()}, key=lambda box: box.p)
     assert len(prs) == 8
     return tuple(locals_ + prs)
 

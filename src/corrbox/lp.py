@@ -39,14 +39,15 @@ Python lists.
 
 The engine reads the right-hand side b as integer numerators over one
 positive denominator (a box's own form; solve converts a LinearProgram's
-Fractions once).  Every value and every vertex check is read from the
-integer state: value() sums the integer costs of the basic columns over one
-denominator, and check_basic_state re-substitutes xi into A x = b over each
-basic column's nonzero entries (a table built with the prepared system).  The
-two-phase and warm solves and each vertex the optimal-face search returns
-(it pivots a copy of the engine) pass both; Fractions appear only when a
-point is read out.  Both solves also end with check_dual_feasible, an
-integer check that every reduced cost at the optimal basis is nonnegative.
+Fractions once).  Every result leaves through _optimal or _failed, checked
+in integers before a Fraction is built.  _optimal, the exit of the two-phase
+and warm solves, the start state and each optimal-face vertex, re-substitutes
+xi into A x = b over each basic column's nonzero entries (a table built with
+the prepared system), recomputes every reduced cost and requires it
+nonnegative, and reads value() as the integer costs of the basic columns
+over one denominator.  _failed takes a Farkas vector y, checked as
+delta y.A <= 0 and delta y.b > 0 in the row-scaled integers, or an integer
+ray, checked for A ray = 0, ray >= 0 and objective.ray < 0.
 
 Warm start.  Reduced costs depend on the basis and the objective only, so an
 optimal basis of one right-hand side is dual-feasible for every other one.
@@ -66,9 +67,8 @@ smallest index.  Under Bland's rule every tie goes to the smallest index,
 which its termination argument needs.  The pivot itself is the same
 fraction-free update, and the row M_r A the ratio test reads is its tableau
 row T_p.  A row that no column can enter, or an inert row with xi != 0,
-proves infeasibility with that row of M as the Farkas vector.  At the end
-every reduced cost is recomputed from scratch and checked nonnegative in
-integers and the basic state re-substituted, so an optimal warm solve
+proves infeasibility with that row of M, signed, as the Farkas vector.  An
+optimal warm solve leaves through _optimal like the two-phase one, so it
 carries both a primal check and a dual certificate y with y.A <= objective
 and y.rhs = value, whichever optimal basis it ends on.  It reports the
 value and the basis, not the point.
@@ -127,9 +127,10 @@ class LpSolution:
 
     value and basis are present only when optimal.  certificate carries a
     Farkas vector (infeasible: y.A <= 0 and y.rhs > 0) or a ray (unbounded:
-    A ray = 0, ray >= 0, objective.ray < 0).  A warm-started solve reports
-    no point; when optimal, its certificate is the dual vector y with
-    y.A <= objective and y.rhs = value.
+    A ray = 0, ray >= 0, objective.ray < 0), each checked in integers
+    before it is returned.  A warm-started solve reports no point; when
+    optimal, its certificate is the dual vector y with y.A <= objective and
+    y.rhs = value.
     """
 
     status: str
@@ -422,9 +423,9 @@ class _Engine:
         return int(columns[np.where(tied, dens, 0).argmin()])
 
     def run_dual(self, reduced: np.ndarray) -> int | None:
-        """Dual simplex to optimality from a dual-feasible basis whose
-        delta-scaled reduced costs are reduced.  Returns None when optimal,
-        else the row whose M row proves infeasibility."""
+        """Dual simplex from a basis whose delta-scaled reduced costs are
+        reduced, until no basic value is negative.  Returns None then, else
+        the row whose M row proves infeasibility."""
         for i in range(self.m):
             if self.inert[i] and self.xi[i] != 0:
                 return i
@@ -434,7 +435,6 @@ class _Engine:
                 xi, inert = self.xi, self.inert
                 negative = [i for i, v in enumerate(xi) if v < 0 and not inert[i]]
                 if not negative:
-                    self.check_dual_feasible()
                     return None
                 bland = iteration >= _BLAND_AFTER
                 if bland:
@@ -469,16 +469,16 @@ class _Engine:
     # -- runs --------------------------------------------------------------
 
     def run_two_phase(self) -> tuple[str, int | None, np.ndarray | None]:
+        """Phase 1 from the artificial basis, then phase 2 under the
+        program's objective: the status, with the entering column j and
+        w = M a_j of an unbounded end."""
         status, _, _ = self._loop(None)
         if status != "optimal":
             raise RuntimeError("phase 1 cannot be unbounded")
         if any(self.xi[i] != 0 for i in range(self.m) if self.basis[i] >= self.n):
             return "infeasible", None, None
         self._drive_out_artificials()
-        status, j, w = self._loop(self.prep.col_cost)
-        if status == "optimal":
-            self.check_dual_feasible()
-        return status, j, w
+        return self._loop(self.prep.col_cost)
 
     def reoptimize(self, col_cost: Sequence[int], allowed: np.ndarray) -> None:
         """Continue from an optimal state under a new objective, entering only
@@ -533,24 +533,29 @@ class _Engine:
         if np.count_nonzero(self._reduced(self.prep.col_cost) < 0):
             raise RuntimeError("optimal basis is not dual-feasible")
 
-    def dual_vector(self, col_cost: Sequence[int] | None) -> tuple[Fraction, ...]:
-        """y = c_B B^-1 in the program's own rows.  For the program's objective
-        at an optimum, y.A <= objective and y.rhs = value; for the phase-1
-        objective (None) at an infeasible end, y is a Farkas vector."""
-        yhat = self._cost_basis(col_cost) @ self.mat
-        den = self.delta * (1 if col_cost is None else self.prep.cost_den)
+    def dual_vector(self) -> tuple[Fraction, ...]:
+        """y = c_B B^-1 in the program's own rows; at an optimum, y.A <=
+        objective and y.rhs = value."""
+        yhat = self._cost_basis(self.prep.col_cost) @ self.mat
+        den = self.delta * self.prep.cost_den
         return tuple(
-            Fraction(int(yhat[i]) * self.prep.row_scale[i], den) for i in range(self.m)
+            Fraction(v * k, den) for v, k in zip(yhat.tolist(), self.prep.row_scale)
         )
 
-    def row_farkas_certificate(self, p: int) -> tuple[Fraction, ...]:
-        """Row p of M, signed so that y.rhs > 0; valid as a Farkas vector when
-        that row meets no column with the sign of xi_p (see run_dual)."""
-        sign = 1 if self.xi[p] > 0 else -1
-        return tuple(
-            Fraction(sign * int(self.mat[p, i]) * self.prep.row_scale[i], self.delta)
-            for i in range(self.m)
-        )
+    def farkas_certificate(self, row: int | None) -> tuple[Fraction, ...]:
+        """A Farkas vector y in the program's own rows: the phase-1 duals at
+        an infeasible two-phase end (row None), or row of M signed so that
+        y.rhs > 0 (see run_dual).  yhat = delta y is checked first in the
+        row-scaled integers: yhat.A_int <= 0 and yhat.b > 0."""
+        if row is None:
+            yhat = self._cost_basis(None) @ self.mat
+        else:
+            yhat = self.mat[row] if self.xi[row] > 0 else -self.mat[row]
+        ys = yhat.tolist()
+        yhat_b = sum(map(operator.mul, ys, self.b_num))
+        if np.count_nonzero(yhat @ self.a > 0) or yhat_b <= 0:
+            raise RuntimeError("Farkas certificate fails its integer check")
+        return tuple(Fraction(v * k, self.delta) for v, k in zip(ys, self.prep.row_scale))
 
     def value(self) -> Fraction:
         """Objective value of the basic solution, from the basic columns."""
@@ -562,15 +567,54 @@ class _Engine:
         return Fraction(total, self.den * self.delta * self.prep.cost_den)
 
     def ray_certificate(self, j: int, w: np.ndarray) -> tuple[Fraction, ...]:
-        ray = [Fraction(0)] * self.n
-        ray[j] = Fraction(1)
-        for i, jb in enumerate(self.basis):
+        """The ray of column j entering with w = M a_j and no leaving row.
+        Its delta-scaled integers (delta at j, -w_i at each basic column)
+        are checked first: A ray = 0, ray >= 0 and objective.ray < 0."""
+        ray = [0] * self.n
+        ray[j] = self.delta
+        for jb, w_i in zip(self.basis, w.tolist()):
             if jb < self.n:
-                ray[jb] = -Fraction(int(w[i]), self.delta)
-        return tuple(ray)
+                ray[jb] = -w_i
+        if (
+            np.count_nonzero(self.a @ np.array(ray, dtype=self.prep.dtype))
+            or min(ray) < 0
+            or sum(map(operator.mul, self.prep.col_cost, ray)) >= 0
+        ):
+            raise RuntimeError("unbounded ray fails its integer check")
+        return tuple(Fraction(v, self.delta) for v in ray)
 
-    def zero_reduced_mask(self, col_cost: Sequence[int]) -> np.ndarray:
-        return self._reduced(col_cost) == 0
+    def zero_reduced_mask(self) -> np.ndarray:
+        return self._reduced(self.prep.col_cost) == 0
+
+
+def _optimal(
+    engine: _Engine,
+    *,
+    point: bool = False,
+    dual: bool = False,
+    value: Fraction | None = None,
+) -> LpSolution:
+    """The one exit of an optimal solve: the basic state re-substituted and
+    every reduced cost checked nonnegative, in integers, and the value equal
+    to value when one is given.  The point and the dual vector are read out
+    when asked for."""
+    engine.check_basic_state()
+    engine.check_dual_feasible()
+    got = engine.value()
+    if value is not None and got != value:
+        raise RuntimeError("optimal-face search left the optimal face")
+    return LpSolution(
+        status="optimal",
+        value=got,
+        point=tuple(engine.point()) if point else (),
+        basis=engine.structural_basis(),
+        certificate=engine.dual_vector() if dual else None,
+    )
+
+
+def _failed(status: str, certificate: tuple[Fraction, ...]) -> LpSolution:
+    """The one exit of an infeasible or unbounded solve, with its certificate."""
+    return LpSolution(status, value=None, point=(), basis=None, certificate=certificate)
 
 
 def _start_state(prep: _Prepared, rhs_num: Sequence[int], den: int) -> _Start:
@@ -580,7 +624,7 @@ def _start_state(prep: _Prepared, rhs_num: Sequence[int], den: int) -> _Start:
     status, _, _ = engine.run_two_phase()
     if status != "optimal":
         raise ValueError(f"start right-hand side gives {status}, not optimal")
-    engine.check_basic_state()
+    _optimal(engine)  # every warm solve starts from a checked optimum
     mat = engine.mat.copy()
     mat.setflags(write=False)
     reduced = engine._reduced(prep.col_cost)
@@ -601,56 +645,18 @@ def _solve_prepared(
     """Solve for the right-hand side rhs_num / den: two-phase from the
     artificial basis, or, given a start state, dual simplex from it (value,
     basis and dual certificate only)."""
+    engine = _Engine(prep, rhs_num, den, start)
     if start is not None:
-        engine = _Engine(prep, rhs_num, den, start)
         row = engine.run_dual(start.reduced)
         if row is not None:
-            solution = LpSolution(
-                status="infeasible",
-                value=None,
-                point=(),
-                basis=None,
-                certificate=engine.row_farkas_certificate(row),
-            )
-            return solution, None
-        engine.check_basic_state()
-        solution = LpSolution(
-            status="optimal",
-            value=engine.value(),
-            point=(),
-            basis=engine.structural_basis(),
-            certificate=engine.dual_vector(prep.col_cost),
-        )
-        return solution, engine
-    engine = _Engine(prep, rhs_num, den)
+            return _failed("infeasible", engine.farkas_certificate(row)), None
+        return _optimal(engine, dual=True), engine
     status, j, w = engine.run_two_phase()
     if status == "infeasible":
-        solution = LpSolution(
-            status="infeasible",
-            value=None,
-            point=(),
-            basis=None,
-            certificate=engine.dual_vector(None),
-        )
-        return solution, None
+        return _failed(status, engine.farkas_certificate(None)), None
     if status == "unbounded":
-        assert j is not None and w is not None
-        solution = LpSolution(
-            status="unbounded",
-            value=None,
-            point=(),
-            basis=None,
-            certificate=engine.ray_certificate(j, w),
-        )
-        return solution, None
-    engine.check_basic_state()
-    solution = LpSolution(
-        status="optimal",
-        value=engine.value(),
-        point=tuple(engine.point()),
-        basis=engine.structural_basis(),
-    )
-    return solution, engine
+        return _failed(status, engine.ray_certificate(j, w)), None
+    return _optimal(engine, point=True), engine
 
 
 def solve(program: LinearProgram) -> LpSolution:
@@ -661,26 +667,27 @@ def solve(program: LinearProgram) -> LpSolution:
 
 
 def _alternative_from_engine(
-    prep: _Prepared,
-    engine: _Engine,
-    opt_value: Fraction,
-    known_support: frozenset[int],
+    engine: _Engine, known_support: frozenset[int]
 ) -> LpSolution | None:
-    """Search the optimal face for a basic solution with different support.
+    """Search the optimal face of an optimal engine for a basic solution with
+    different support.
 
     Stage 1: minimize the total weight on the known support, entering only
     through zero-reduced-cost columns (they span the optimal face).  Stage 2:
     single pivots along zero-reduced-cost columns from the resulting vertex,
-    each on a copy of the engine.  Every vertex returned passes the integer
-    re-substitution and value checks of its basic state.
+    each on a copy of the engine.  Both stages leave through _optimal at the
+    optimal value; entering only zero-reduced-cost columns keeps every
+    reduced cost of the objective as it was, so the dual check holds.
     """
-    face = engine.zero_reduced_mask(prep.col_cost)
-    overlap_cost = [1 if j in known_support else 0 for j in range(prep.n)]
+    opt_value = engine.value()
+    face = engine.zero_reduced_mask()
+    overlap_cost = [1 if j in known_support else 0 for j in range(engine.n)]
     engine.reoptimize(overlap_cost, face)
-    _check_on_face(engine, opt_value)
-    if engine.support() != known_support:
-        return _vertex(engine, opt_value)
-    face = engine.zero_reduced_mask(prep.col_cost)
+    moved_off = engine.support() != known_support
+    vertex = _optimal(engine, point=moved_off, value=opt_value)
+    if moved_off:
+        return vertex
+    face = engine.zero_reduced_mask()
     basic = set(engine.basis)
     for j in face.nonzero()[0].tolist():
         if j in basic:
@@ -692,24 +699,8 @@ def _alternative_from_engine(
         moved = engine.pivoted(j, p, w)
         if moved.support() == known_support:
             continue
-        _check_on_face(moved, opt_value)
-        return _vertex(moved, opt_value)
+        return _optimal(moved, point=True, value=opt_value)
     return None
-
-
-def _check_on_face(engine: _Engine, opt_value: Fraction) -> None:
-    engine.check_basic_state()
-    if engine.value() != opt_value:
-        raise RuntimeError("optimal-face search left the optimal face")
-
-
-def _vertex(engine: _Engine, value: Fraction) -> LpSolution:
-    return LpSolution(
-        status="optimal",
-        value=value,
-        point=tuple(engine.point()),
-        basis=engine.structural_basis(),
-    )
 
 
 def find_alternative_vertex(program: LinearProgram, known: LpSolution) -> LpSolution | None:
@@ -717,10 +708,8 @@ def find_alternative_vertex(program: LinearProgram, known: LpSolution) -> LpSolu
     or None when the search over the optimal face finds none."""
     if known.status != "optimal":
         return None
-    prep = _prepare_program(program)
-    solution, engine = _solve_prepared(prep, *_integer_rhs(program.rhs))
-    if solution.status != "optimal" or engine is None:
+    _, engine = _solve_prepared(_prepare_program(program), *_integer_rhs(program.rhs))
+    if engine is None:
         return None
-    assert solution.value is not None
     known_support = frozenset(j for j, v in enumerate(known.point) if v != 0)
-    return _alternative_from_engine(prep, engine, solution.value, known_support)
+    return _alternative_from_engine(engine, known_support)

@@ -406,12 +406,7 @@ def _mixture_grid(failures: list[str]) -> dict:
         rows = []
         for k in range(11):
             p = Fraction(k, 10)
-            if p == 0:
-                box = right
-            elif p == 1:
-                box = left
-            else:
-                box = mix([(p, left), (1 - p, right)])
+            box = mix([(p, left), (1 - p, right)])
             a = analyze(box)
             c_full, s = a.c, a.s
             c_16 = optimal_cost(box, "chsh16")
@@ -522,37 +517,37 @@ def _mixture_identity_check() -> dict:
     }
 
 
+def _hull_cost(box: Box) -> Fraction | None:
+    """C over the 16-box canonical basis, or None outside its hull."""
+    try:
+        return optimal_cost(box, "chsh16")
+    except NotInHull:
+        return None
+
+
 def _isotropic_sweep(failures: list[str]) -> list[dict]:
     rows = []
     for k in range(11):
         v = Fraction(k, 10)
-        box = isotropic(v)
-        c = optimal_cost(box, "full256")
-        lower_bound = facet_bound(box)
+        a = analyze(isotropic(v))
         expected = max(Fraction(0), 2 * v - 1)
-        if c != expected:
-            failures.append(f"isotropic_sweep v={v}: cost {c} != {expected}")
-        if lower_bound != expected:
+        if a.c != expected:
+            failures.append(f"isotropic_sweep v={v}: cost {a.c} != {expected}")
+        if a.lower_bound != expected:
             failures.append(f"isotropic_sweep v={v}: facet bound not tight")
-        chsh16: str | dict
-        if v >= Fraction(1, 2):
-            hull_cost = optimal_cost(box, "chsh16")
+        hull_cost = _hull_cost(a.box)
+        if v >= Fraction(1, 2) and hull_cost != expected:
+            failures.append(f"isotropic_sweep v={v}: hull cost {hull_cost}")
+        if v < Fraction(1, 2) and hull_cost is not None:
+            failures.append(f"isotropic_sweep v={v}: unexpectedly in hull")
+        chsh16: str | dict = "not-in-hull"
+        if hull_cost is not None:
             chsh16 = {"c": format_fraction(hull_cost)}
-            if hull_cost != expected:
-                failures.append(f"isotropic_sweep v={v}: hull cost {hull_cost}")
-        else:
-            try:
-                optimal_cost(box, "chsh16")
-            except NotInHull:
-                chsh16 = "not-in-hull"
-            else:
-                failures.append(f"isotropic_sweep v={v}: unexpectedly in hull")
-                chsh16 = "unexpected"
         rows.append(
             {
                 "v": format_fraction(v),
-                "c": format_fraction(c),
-                "lower_bound": format_fraction(lower_bound),
+                "c": format_fraction(a.c),
+                "lower_bound": format_fraction(a.lower_bound),
                 "chsh16": chsh16,
             }
         )
@@ -568,12 +563,7 @@ def _tsirelson(failures: list[str]) -> dict:
         failures.append(f"tsirelson: lambda_max off by {lam_err}")
     if cost_err > 3e-6:
         failures.append(f"tsirelson: cost off by {cost_err}")
-    try:
-        optimal_cost(a.box, "chsh16")
-    except NotInHull:
-        in_hull = False
-    else:
-        in_hull = True
+    in_hull = _hull_cost(a.box) is not None
     if in_hull:
         failures.append("tsirelson: box unexpectedly in the 16-box hull")
     return {

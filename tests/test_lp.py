@@ -425,6 +425,22 @@ class TestAlternativeVertex:
         assert second.value == first.value == 3
         assert all(r == 0 for r in residual(prog, second.point))
 
+    def test_every_vertex_leaves_through_the_dual_check(self, monkeypatch):
+        # The two-phase vertex, the stage-1 vertex (on the known support)
+        # and the stage-2 vertex each pass the integer dual check.
+        prog = program([[2, 0, 0, 2], [0, 1, 0, 1]], [3, 1], [2, 0, 2, 2])
+        first = solve(prog)
+        check = lp._Engine.check_dual_feasible
+        calls = []
+
+        def counted(engine):
+            calls.append(engine.structural_basis())
+            return check(engine)
+
+        monkeypatch.setattr(lp._Engine, "check_dual_feasible", counted)
+        assert find_alternative_vertex(prog, first).basis == (0, 1)
+        assert calls == [first.basis, first.basis, (0, 1)]
+
     def test_non_optimal_input_returns_none(self):
         prog = program([[1]], [-1], [1])
         first = solve(prog)
@@ -479,6 +495,47 @@ class TestTwoPhaseDualCheck:
 
         monkeypatch.setattr(lp._Engine, "_loop", misread_phase_two)
         with pytest.raises(RuntimeError, match="not dual-feasible"):
+            solve(program([[1, 1]], [1], [3, 1]))
+
+
+class TestFailureCertificates:
+    """A failure status whose certificate does not hold is refused before any
+    Fraction of it is returned."""
+
+    def test_false_two_phase_infeasibility_is_caught(self, monkeypatch):
+        run = lp._Engine.run_two_phase
+
+        def misreport(engine):
+            run(engine)
+            return "infeasible", None, None
+
+        monkeypatch.setattr(lp._Engine, "run_two_phase", misreport)
+        with pytest.raises(RuntimeError, match="Farkas certificate"):
+            solve(program([[1, 1]], [1], [3, 1]))
+
+    def test_false_warm_infeasibility_is_caught(self, monkeypatch):
+        prep = lp._prepare_program(program([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 2, 1]))
+        start = lp._start_state(prep, [1, 1], 1)
+        monkeypatch.setattr(lp._Engine, "run_dual", lambda engine, reduced: 0)
+        with pytest.raises(RuntimeError, match="Farkas certificate"):
+            lp._solve_prepared(prep, [2, 1], 1, start)
+
+    def test_false_unboundedness_is_caught(self, monkeypatch):
+        # Phase 2 finds no leaving row for column 1, which beats the phase-1
+        # basis (column 0): the ray (-1, 1) is not nonnegative.
+        loop = lp._Engine._loop
+
+        def no_leaving_row_in_phase_two(engine, col_cost, allowed=None):
+            if col_cost is None:
+                return loop(engine, col_cost, allowed)
+            engine._ratio_row = lambda w: None
+            try:
+                return loop(engine, col_cost, allowed)
+            finally:
+                del engine._ratio_row
+
+        monkeypatch.setattr(lp._Engine, "_loop", no_leaving_row_in_phase_two)
+        with pytest.raises(RuntimeError, match="unbounded ray"):
             solve(program([[1, 1]], [1], [3, 1]))
 
 
