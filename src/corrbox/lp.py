@@ -49,6 +49,29 @@ over one denominator.  _failed takes a Farkas vector y, checked as
 delta y.A <= 0 and delta y.b > 0 in the row-scaled integers, or an integer
 ray, checked for A ray = 0, ray >= 0 and objective.ray < 0.
 
+Forcing-row presolve.  A two-phase solve first looks at the zero rows Z:
+rows with b_i = 0 whose row-scaled entries are all >= 0.  Since x >= 0, every
+column with an entry on such a row is zero at every feasible point.  When the
+columns left free are linearly independent (an exact integer rank: at most m
+of them), the program has at most one feasible point, so no pivot order can
+change the vertex's point or its support, and the optimal-face search finds
+no second support either way; phase 1, the drive-out, phase 2 and both
+stages of that search then enter free columns only.  A deterministic box,
+whose 12 zero cells fix all but its own strategy, takes one pivot.  When the
+free columns are dependent the presolve fixes nothing: the pivot order
+decides the printed decomposition there, and fixing columns could change it.
+The certificates still hold over every column.  At the restricted end a fixed
+column j may have D_j < 0; with s_j = sum over Z of a_ij >= 1 and
+K = max ceil(-D_j / s_j), the dual vector yhat - K 1_Z keeps yhat.b (b
+vanishes on Z) and every free column's reduced cost (free columns vanish on
+Z), and makes D_j + K s_j >= 0 on every fixed one.  A phase-1 Farkas vector
+is lifted the same way, to yhat.a_j <= 0.  Both lifted vectors are checked
+over every column in integers, so a free column with a negative reduced cost
+still fails the check.  On the int64 path K < 2**43 and s_j <= 16, so a
+lifted reduced cost stays below 17 * 2**43 < 2**48.  The start state of a
+warm solve is solved over every column, since its basis must be
+dual-feasible for other right-hand sides.
+
 Warm start.  Reduced costs depend on the basis and the objective only, so an
 optimal basis of one right-hand side is dual-feasible for every other one.
 _start_state records such a basis (with its M, also as rows of Python
@@ -153,6 +176,7 @@ class _Prepared:
     row_scale: tuple[int, ...]
     dtype: type  # np.int64 on the int64 path, else object (Python integers)
     col_rows: tuple[tuple[tuple[int, int], ...], ...]  # each column's (row, entry) != 0
+    nonneg_rows: tuple[bool, ...]  # rows whose row-scaled entries are all >= 0
 
     @property
     def int_mode(self) -> bool:
@@ -205,6 +229,7 @@ def _prepared(
         row_scale=tuple(row_scale),
         dtype=dtype,
         col_rows=col_rows,
+        nonneg_rows=tuple((a >= 0).all(axis=1).tolist()),
     )
 
 
@@ -228,6 +253,23 @@ def _prepare_int01(columns: np.ndarray, costs: Sequence[int]) -> _Prepared:
     if not ((columns == 0) | (columns == 1)).all():
         raise ValueError("matrix entries must be 0 or 1")
     return _prepared(columns, [int(c) for c in costs], 1, (1,) * columns.shape[0])
+
+
+def _independent(vectors: list[list[int]]) -> bool:
+    """Whether integer vectors are linearly independent, by exact
+    fraction-free (Bareiss) elimination: each division is exact."""
+    rows = list(vectors)
+    prev = 1
+    for r, row in enumerate(rows):
+        c = next((c for c, v in enumerate(row) if v), None)
+        if c is None:
+            return False
+        pivot = row[c]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], row)]
+        prev = pivot
+    return True
 
 
 def _integer_rhs(rhs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -261,6 +303,10 @@ class _Engine:
         # delta-scaled reduced costs of the running loop's objective, or None
         # between loops; _pivot carries them as a tableau row.
         self.reduced: np.ndarray | None = None
+        # Set by presolve when it fixes columns: the columns that may enter
+        # and the indicator 1_Z of the zero rows.  None: every column may.
+        self.free: np.ndarray | None = None
+        self.zero_rows: np.ndarray | None = None
         if start is None:
             if any(v < 0 for v in self.b_num):
                 raise ValueError("rhs negative after row scaling")
@@ -331,9 +377,13 @@ class _Engine:
                 out.append(0 if col_cost is None else col_cost[jb])
         return np.array(out, dtype=self.prep.dtype)
 
-    def _reduced(self, col_cost: Sequence[int] | None) -> np.ndarray:
-        """delta-scaled reduced costs of the structural columns, from scratch."""
-        yhat = self._cost_basis(col_cost) @ self.mat
+    def _reduced(
+        self, col_cost: Sequence[int] | None, yhat: np.ndarray | None = None
+    ) -> np.ndarray:
+        """delta-scaled reduced costs of the structural columns, from scratch,
+        against yhat = c_B M or the given delta-scaled dual vector."""
+        if yhat is None:
+            yhat = self._cost_basis(col_cost) @ self.mat
         ata = self.a.T @ yhat
         if col_cost is None:
             return -ata
@@ -367,6 +417,8 @@ class _Engine:
     ) -> tuple[str, int | None, np.ndarray | None]:
         """Pivot to optimality or unboundedness for one objective.  The reduced
         costs are computed once, then carried through every pivot."""
+        if self.free is not None:
+            allowed = self.free if allowed is None else allowed & self.free
         self.reduced = self._reduced(col_cost)
         try:
             for iteration in range(_ITERATION_CAP):
@@ -456,17 +508,38 @@ class _Engine:
                 continue
             if self.xi[p] != 0:
                 raise RuntimeError("artificial basic at nonzero value")
-            pivots = (self.mat[p] @ self.a).nonzero()[0]
+            row = self.mat[p] @ self.a
+            if self.free is not None:
+                row = np.where(self.free, row, 0)
+            pivots = row.nonzero()[0]
             if not len(pivots):
                 # Redundant constraint row: inert from here on.  Its M row
                 # only ever gets rescaled, so it stays orthogonal to every
-                # column and never blocks a pivot.
+                # column that may enter and never blocks a pivot.
                 self.inert[p] = True
                 continue
             j = int(pivots[0])
             self._pivot(j, p, self._entering_w(j))
 
     # -- runs --------------------------------------------------------------
+
+    def presolve(self) -> None:
+        """Fix at zero every column with an entry on a zero row (b_i = 0, all
+        row-scaled entries >= 0), when the columns left free are linearly
+        independent; otherwise fix none (module docstring)."""
+        zero = [
+            int(nonneg and b == 0) for nonneg, b in zip(self.prep.nonneg_rows, self.b_num)
+        ]
+        if not any(zero):
+            return
+        zero_rows = np.array(zero, dtype=self.prep.dtype)
+        sums = zero_rows @ self.a
+        free = sums == 0
+        if free.all() or np.count_nonzero(free) > self.m:
+            return
+        if not _independent(self.a.T[free].tolist()):
+            return
+        self.free, self.zero_rows = free, zero_rows
 
     def run_two_phase(self) -> tuple[str, int | None, np.ndarray | None]:
         """Phase 1 from the artificial basis, then phase 2 under the
@@ -528,15 +601,30 @@ class _Engine:
         if any(t != b * self.delta for t, b in zip(total, self.b_num)):
             raise RuntimeError("solver state fails re-substitution")
 
+    def _certificate_dual(self, col_cost: Sequence[int] | None) -> np.ndarray:
+        """yhat = c_B M, the delta-scaled dual vector of the basis in the
+        row-scaled integers (col_cost None: phase 1).  After a presolve that
+        fixed columns, yhat - K 1_Z with the least K >= 0 that makes every
+        fixed column's reduced cost D_j + K s_j nonnegative; yhat.b and every
+        free column's reduced cost are unchanged, since both vanish on Z."""
+        yhat = self._cost_basis(col_cost) @ self.mat
+        if self.free is None:
+            return yhat
+        sums = np.maximum(self.zero_rows @ self.a, 1)  # s_j, at least 1 if fixed
+        short = np.where(self.free, 0, (sums - 1 - self._reduced(col_cost, yhat)) // sums)
+        return yhat - max(int(short.max()), 0) * self.zero_rows
+
     def check_dual_feasible(self) -> None:
-        """Integer check that every reduced cost is nonnegative."""
-        if np.count_nonzero(self._reduced(self.prep.col_cost) < 0):
+        """Integer check that every reduced cost against the certificate's
+        dual vector is nonnegative."""
+        col_cost = self.prep.col_cost
+        if np.count_nonzero(self._reduced(col_cost, self._certificate_dual(col_cost)) < 0):
             raise RuntimeError("optimal basis is not dual-feasible")
 
     def dual_vector(self) -> tuple[Fraction, ...]:
-        """y = c_B B^-1 in the program's own rows; at an optimum, y.A <=
-        objective and y.rhs = value."""
-        yhat = self._cost_basis(self.prep.col_cost) @ self.mat
+        """y = c_B B^-1 in the program's own rows, lifted after a presolve;
+        at an optimum, y.A <= objective and y.rhs = value."""
+        yhat = self._certificate_dual(self.prep.col_cost)
         den = self.delta * self.prep.cost_den
         return tuple(
             Fraction(v * k, den) for v, k in zip(yhat.tolist(), self.prep.row_scale)
@@ -548,7 +636,7 @@ class _Engine:
         y.rhs > 0 (see run_dual).  yhat = delta y is checked first in the
         row-scaled integers: yhat.A_int <= 0 and yhat.b > 0."""
         if row is None:
-            yhat = self._cost_basis(None) @ self.mat
+            yhat = self._certificate_dual(None)
         else:
             yhat = self.mat[row] if self.xi[row] > 0 else -self.mat[row]
         ys = yhat.tolist()
@@ -584,7 +672,9 @@ class _Engine:
         return tuple(Fraction(v, self.delta) for v in ray)
 
     def zero_reduced_mask(self) -> np.ndarray:
-        return self._reduced(self.prep.col_cost) == 0
+        """The columns that may enter at reduced cost zero."""
+        face = self._reduced(self.prep.col_cost) == 0
+        return face if self.free is None else face & self.free
 
 
 def _optimal(
@@ -651,6 +741,7 @@ def _solve_prepared(
         if row is not None:
             return _failed("infeasible", engine.farkas_certificate(row)), None
         return _optimal(engine, dual=True), engine
+    engine.presolve()
     status, j, w = engine.run_two_phase()
     if status == "infeasible":
         return _failed(status, engine.farkas_certificate(None)), None

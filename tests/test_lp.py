@@ -602,3 +602,68 @@ class TestWarmStart:
         prep = lp._prepare_program(program([[1, 1, 1]], [1], [3, 1, 2]))
         with pytest.raises(RuntimeError, match="not dual-feasible"):
             lp._solve_prepared(prep, [1], 1, start)
+
+
+def fixed_columns(prog: LinearProgram) -> list[int]:
+    """The columns the forcing-row presolve fixes at zero on prog."""
+    engine = lp._Engine(lp._prepare_program(prog), *lp._integer_rhs(prog.rhs))
+    engine.presolve()
+    return [] if engine.free is None else (~engine.free).nonzero()[0].tolist()
+
+
+class TestForcingRowPresolve:
+    """Explicit programs for the presolve's soundness, against the oracle."""
+
+    # x0 = 1 (row 0), x0 - x1 = 1 (row 1, given as -x0 + x1 = -1), x2 = 0 on
+    # the zero row 2, which fixes x2; x0 and x1 stay free and independent.
+    LIFTED = ([[1, 0, 0], [-1, 1, 0], [0, 0, 1]], [1, -1, 0], [0, -1, -5])
+
+    def test_zero_row_with_a_negative_entry_fixes_nothing(self):
+        # min -x0 with x0 - x1 = 0 and x1 + x2 = 1: fixing x0 and x1 on the
+        # first row would give 0, not -1.
+        rows, rhs, cost = [[1, -1, 0], [0, 1, 1]], [0, 1], [-1, 0, 0]
+        prog = program(rows, rhs, cost)
+        assert fixed_columns(prog) == []
+        got = solve(prog)
+        assert solve_reference(rows, rhs, cost) == ("optimal", got.value, list(got.point))
+        assert got.value == -1
+
+    def test_lifted_dual_covers_a_fixed_column(self):
+        # At the restricted optimum the fixed x2 has reduced cost -5: only
+        # the lift on the zero row makes the dual feasible there.
+        rows, rhs, cost = self.LIFTED
+        prog = program(rows, rhs, cost)
+        assert fixed_columns(prog) == [2]
+        got, engine = lp._solve_prepared(lp._prepare_program(prog), *lp._integer_rhs(prog.rhs))
+        assert engine._reduced(engine.prep.col_cost)[2] < 0
+        assert (got.status, got.value) == solve_reference(rows, rhs, cost)[:2]
+        y = engine.dual_vector()
+        for j in range(3):
+            assert sum(y[i] * rows[i][j] for i in range(3)) <= cost[j], j
+        assert sum(y[i] * rhs[i] for i in range(3)) == got.value
+
+    def test_infeasible_program_lifts_its_farkas_vector(self):
+        # x0 + x1 = 1 and x0 = 2 with x1 + x2 = 0 fixing x1 and x2: the
+        # phase-1 duals (-1, 1, 1) have y.a_2 = 2 > 0 until the lift.
+        rows, rhs, cost = [[1, 1, 0], [0, 1, 1], [1, 0, 1]], [1, 0, 2], [0, 0, 0]
+        prog = program(rows, rhs, cost)
+        assert fixed_columns(prog) == [1, 2]
+        got = solve(prog)
+        assert got.status == solve_reference(rows, rhs, cost)[0] == "infeasible"
+        check_certificate(prog, got)
+
+    def test_free_column_with_negative_reduced_cost_is_caught(self, monkeypatch):
+        # Skipping the drive-out and phase 2 leaves the free x1 nonbasic at
+        # reduced cost -1; the lift on the zero row cannot reach it.
+        prog = program(*self.LIFTED)
+        loop = lp._Engine._loop
+
+        def no_phase_two(engine, col_cost, allowed=None):
+            if col_cost is None:
+                return loop(engine, col_cost, allowed)
+            return "optimal", None, None
+
+        monkeypatch.setattr(lp._Engine, "_drive_out_artificials", lambda engine: None)
+        monkeypatch.setattr(lp._Engine, "_loop", no_phase_two)
+        with pytest.raises(RuntimeError, match="not dual-feasible"):
+            solve(prog)
