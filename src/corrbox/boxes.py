@@ -8,8 +8,15 @@ holding the four outcomes (A, B) in the order (0,0), (0,1), (1,0), (1,1).
 A Box stores them as 16 integer numerators over one positive denominator, in
 lowest terms across all 16 cells, so equal boxes have equal numerators and
 denominators, and it is validated in integers.  p is the same box as 16
-Fractions, built on first read.  mix_ints is the one mixing kernel: the
-samplers hand it raw integer weights, mix the weights it has validated.
+Fractions, built on first read.
+
+mix_ints is the one mixing kernel.  It mixes through a MixingTable, which
+holds the parts scaled to their common denominator and transposed, so each
+of the 16 cells of a mixture is one integer dot product of the weights with
+a column of the table; Box.from_numerators then reduces and validates the
+result.  The samplers build one table per family and hand it their raw
+integer weight draws; mix passes its boxes, and mix_ints builds their table
+for the weights mix has validated.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -150,16 +158,39 @@ def box_from_table(entries: Sequence[object]) -> Box:
     return Box(tuple(exact_fraction(e) for e in entries))
 
 
-def mix_ints(weights: Sequence[int], parts: Sequence[Box]) -> Box:
+@dataclass(frozen=True, init=False)
+class MixingTable:
+    """Boxes made ready to mix: every part's numerators are scaled to the
+    parts' common denominator den and transposed, so columns[i] holds cell
+    i of every part and a cell of a mixture is one integer dot product."""
+
+    columns: tuple[tuple[int, ...], ...]
+    den: int
+
+    def __init__(self, parts: Sequence[Box]) -> None:
+        if not parts:
+            raise BadWeights("empty mixture")
+        den = math.lcm(*(part.den for part in parts))
+        scaled = [[n * (den // part.den) for n in part.num] for part in parts]
+        object.__setattr__(self, "columns", tuple(zip(*scaled)))
+        object.__setattr__(self, "den", den)
+
+    def __len__(self) -> int:
+        """The number of parts."""
+        return len(self.columns[0])
+
+
+def mix_ints(weights: Sequence[int], parts: Sequence[Box] | MixingTable) -> Box:
     """The mixture sum_i weights[i] * parts[i] / sum(weights), for
-    nonnegative integer weights with a positive sum, computed in integers."""
-    used = [(w, part) for w, part in zip(weights, parts) if w]
-    common = math.lcm(*(part.den for _, part in used))
-    cells = [0] * 16
-    for w, part in used:
-        k = w * (common // part.den)
-        cells = [c + k * n for c, n in zip(cells, part.num)]
-    return Box.from_numerators(cells, common * sum(weights))
+    nonnegative integer weights with a positive sum, computed in integers.
+    Parts mixed many times can be passed as their MixingTable."""
+    table = parts if isinstance(parts, MixingTable) else MixingTable(parts)
+    if len(weights) != len(table):
+        raise BadWeights(f"{len(weights)} weights for {len(table)} parts")
+    return Box.from_numerators(
+        [sum(map(mul, weights, column)) for column in table.columns],
+        table.den * sum(weights),
+    )
 
 
 def mix(terms: Iterable[tuple[object, Box]]) -> Box:

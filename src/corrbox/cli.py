@@ -266,17 +266,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_number(token: str) -> bool:
+    for number in (float, Fraction):
+        try:
+            number(token)
+        except (ValueError, ZeroDivisionError):
+            continue
+        return True
+    return False
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that reads every token that parses as a float,
-    such as -1e-3 or -inf, as a value: no corrbox option looks like a number,
-    and argparse alone takes only plain negative decimals for values."""
+    """An argument parser that reads every token that parses as a float or
+    a fraction, such as -1e-3, -inf or -1/2, as a value: no corrbox option
+    looks like a number, and argparse alone takes only plain negative
+    decimals for values."""
 
     def _parse_optional(self, arg_string):
-        try:
-            float(arg_string)
-        except ValueError:
-            return super()._parse_optional(arg_string)
-        return None
+        if _is_number(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _build_parser() -> argparse.ArgumentParser:

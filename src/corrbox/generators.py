@@ -4,8 +4,13 @@ The canonical basis is 16 named deterministic boxes: eight zero-bit ones
 (d0_0 .. d7_0) and eight one-bit ones (d0_1 .. d7_1), plus the derived names
 "pr" (the even mixture of d0_1 and d3_1) and "noise" (uniform outcomes).
 Samplers draw integer weights from a seeded random.Random stream and build
-integer boxes from them (boxes.mix_ints), so a family spec plus a count pins
-the exact boxes; shorter runs are prefixes of longer ones.
+integer boxes from them, so a family spec plus a count pins the exact boxes;
+shorter runs are prefixes of longer ones.  A mixture family mixes its parts
+through one boxes.MixingTable, built on first use and cached, and
+boxes.mix_ints.  Each weight is read straight from the generator's bits:
+17 bits at a time, drawn again above 65536.  Those are exactly the calls
+rng.randint(0, 65536) makes, so the stream, and every sampled box, is the
+one randint gives.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from typing import Iterator
 from .boxes import (
     Box,
     DeterministicBox,
+    MixingTable,
     enumerate_deterministic,
     exact_fraction,
     mix_ints,
@@ -184,9 +190,17 @@ class FamilySpec:
 
 
 def _draw_weights(rng: random.Random, count: int) -> list[int]:
-    """count raw integer weights in [0, 65536] with a positive sum."""
+    """count raw integer weights in [0, 65536] with a positive sum, each
+    drawn as rng.randint(0, 65536) draws it: 17 bits, again while above
+    65536."""
+    getrandbits = rng.getrandbits
     while True:
-        raw = [rng.randint(0, 65536) for _ in range(count)]
+        raw = []
+        for _ in range(count):
+            weight = getrandbits(17)
+            while weight > 65536:
+                weight = getrandbits(17)
+            raw.append(weight)
         if any(raw):
             return raw
 
@@ -201,18 +215,18 @@ def _sample_general(rng: random.Random) -> Box:
     )
 
 
-def _mixture_over(rng: random.Random, parts: tuple[Box, ...]) -> Box:
-    return mix_ints(_draw_weights(rng, len(parts)), parts)
+def _mixture_over(rng: random.Random, table: MixingTable) -> Box:
+    return mix_ints(_draw_weights(rng, len(table)), table)
 
 
 @lru_cache(maxsize=None)
-def _mixture_parts(kind: str) -> tuple[Box, ...]:
+def _mixture_table(kind: str) -> MixingTable:
     if kind == "no_signaling":
-        return no_signaling_vertices()
+        return MixingTable(no_signaling_vertices())
     names = canonical_names()[:16 if kind == "chsh16_mixture" else 8]
     if kind == "oneway_slice":
         names += ("d0_1", "d1_1", "d2_1", "d3_1")
-    return tuple(canonical(name) for name in names)
+    return MixingTable([canonical(name) for name in names])
 
 
 def draw(spec: FamilySpec, count: int) -> Iterator[Box]:
@@ -221,9 +235,9 @@ def draw(spec: FamilySpec, count: int) -> Iterator[Box]:
     if count < 0:
         raise BadParameter(f"count must be nonnegative, got {count}")
     rng = random.Random(spec.seed)
-    parts = None if spec.kind == "general" else _mixture_parts(spec.kind)
+    table = None if spec.kind == "general" else _mixture_table(spec.kind)
     for _ in range(count):
-        yield _sample_general(rng) if parts is None else _mixture_over(rng, parts)
+        yield _sample_general(rng) if table is None else _mixture_over(rng, table)
 
 
 def sample(spec: FamilySpec, count: int) -> list[Box]:

@@ -13,6 +13,7 @@ from corrbox.boxes import (
     BadWeights,
     Box,
     Direction,
+    MixingTable,
     NegativeEntry,
     NotNormalized,
     box_from_json_obj,
@@ -27,6 +28,7 @@ from corrbox.boxes import (
     relabel,
     relabeling_group,
 )
+from corrbox.generators import FamilySpec, canonical, canonical_names, isotropic, sample
 
 
 def random_box(rng: random.Random) -> Box:
@@ -186,6 +188,35 @@ class TestMix:
         box = enumerate_deterministic()[0].as_box()
         with pytest.raises(BadWeights):
             mix([(Fraction(1, 2), box)])
+
+    # Canonical, isotropic and sampled general boxes have different
+    # denominators, and zero weights are kept in the table's lcm.
+    mix_parts = st.one_of(
+        st.sampled_from(canonical_names()).map(canonical),
+        st.fractions(min_value=0, max_value=1, max_denominator=60).map(isotropic),
+        st.integers(0, 10**6).map(lambda seed: sample(FamilySpec("general", seed), 1)[0]),
+    )
+    mix_terms = st.lists(
+        st.tuples(st.one_of(st.just(0), st.integers(1, 65536)), mix_parts),
+        min_size=1,
+        max_size=6,
+    ).filter(lambda terms: any(w for w, _ in terms))
+
+    @given(terms=mix_terms)
+    def test_mix_ints_is_the_fraction_mixture(self, terms):
+        total = sum(w for w, _ in terms)
+        expected = Box(
+            tuple(sum(Fraction(w, total) * part.p[i] for w, part in terms) for i in range(16))
+        )
+        box = mix_ints([w for w, _ in terms], [part for _, part in terms])
+        assert (box.num, box.den) == (expected.num, expected.den)
+
+    def test_mix_ints_needs_one_weight_per_part(self):
+        table = MixingTable([canonical("pr"), canonical("noise")])
+        with pytest.raises(BadWeights, match="3 weights for 2 parts"):
+            mix_ints((1, 1, 1), table)
+        with pytest.raises(BadWeights, match="empty"):
+            MixingTable([])
 
 
 class TestDeterministic:

@@ -87,6 +87,16 @@ class TestAnalyze:
         _, decimal, _ = run(capsys, "analyze", "quantum", "--angles", "0", "1", "2", "-0.001")
         assert code == 0 and scientific == decimal
 
+    def test_negative_fraction_weight_is_a_value(self, capsys):
+        code, out, err = run(capsys, "analyze", "isotropic", "--v", "-1/2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: isotropic parameter must be in [0, 1], got -1/2")
+
+    def test_negative_fraction_angle_is_a_value(self, capsys):
+        code, out, err = run(capsys, "analyze", "quantum", "--angles", "0", "1", "2", "-1/3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --angles needs radians, got ['0', '1', '2', '-1/3']")
+
     def test_option_like_token_is_still_an_option(self, capsys):
         code, _, err = run(capsys, "analyze", "quantum", "--angles", "0", "1", "2", "-x")
         assert code == 2 and "-x" in err
