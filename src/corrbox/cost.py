@@ -140,7 +140,7 @@ def optimal_cost(box: Box, basis: str = "full256") -> Fraction:
 
 def facet_bound(box: Box) -> Fraction:
     """The facet lower bound on C: max(0, (lambda_max - 2) / 2)."""
-    return _facet_bound(max(_chsh_values(box)), box.den)
+    return Fraction(*_facet_bound(max(_chsh_values(box)), box.den))
 
 
 def communication_cost(box: Box, basis: str = "full256") -> CostReport:

@@ -177,7 +177,9 @@ def no_signaling_vertices() -> tuple[Box, ...]:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A sampling family plus its seed; equal specs sample equal boxes."""
+    """A sampling family plus its seed; equal specs sample equal boxes.  The
+    seed must be nonnegative: random.Random seeds with its absolute value, so
+    a negative seed would sample another seed's boxes under its own name."""
 
     kind: str
     seed: int
@@ -187,6 +189,8 @@ class FamilySpec:
             raise BadParameter(
                 f"unknown family {self.kind!r}, expected one of {FAMILY_KINDS}"
             )
+        if self.seed < 0:
+            raise BadParameter(f"seed must be nonnegative, got {self.seed}")
 
 
 def _draw_weights(rng: random.Random, count: int) -> list[int]:

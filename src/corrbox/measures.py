@@ -1,9 +1,9 @@
 """Exact scalar measures on correlation boxes.
 
 Every measure is an integer kernel on the box's numerators num over its
-denominator den: each value it returns is the numerator of the measure over
-den, computed without tolerances and without a Fraction.  A Fraction is
-built only for a value that is reported:
+denominator den, unrolled over the cells: each value it returns is the
+numerator of the measure over den, computed without tolerances and without
+a Fraction.  A Fraction is built only for a value that is reported:
 
 * chsh: the four one-minus-sign correlator sums (in absolute value) and their
   maximum; the maximum also covers the sign-reversed functionals.
@@ -12,14 +12,17 @@ built only for a value that is reported:
 * uncertainty: per-party, per-setting guessing residuals and their maxima.
 
 Both unpredictability variants and the uncertainty report derive from the
-same eight residuals (_residuals), and the facet bound on C from the CHSH
-maximum (_facet_bound).
+same eight residuals (_residuals).  _numerators derives the five numerators
+the tracked inequalities read (s, i_formula, i_per_party, u_a, u_b) from the
+signal pair and the residuals, and _facet_bound the facet bound on C from
+the CHSH maximum as one integer pair.  verify.fuzz scores a box from these
+integers alone.
 
 Analysis is the per-box record: a box, its exact cost C, and the quantities
 above (with eta = C - s and the facet bound).  It keeps each kernel's
-integers from their first use, and numerators holds the five that verify's
-slack table reads; its Fraction fields are built when read.
-cost.CostReport is an Analysis with a decomposition.
+integers from their first use, and numerators is _numerators of them; its
+Fraction fields are built when read.  cost.CostReport is an Analysis with a
+decomposition.
 """
 
 from __future__ import annotations
@@ -32,13 +35,10 @@ from .boxes import Box
 
 UNPREDICTABILITY_VARIANTS = ("formula", "per_party")
 
-# The first cell of each setting column (a, b) = (0,0), (0,1), (1,0), (1,1).
-_COLUMNS = (0, 4, 8, 12)
-
-
-def _facet_bound(lambda_num: int, den: int) -> Fraction:
-    """max(0, (lambda_max - 2) / 2) for lambda_max = lambda_num / den."""
-    return Fraction(max(0, lambda_num - 2 * den), 2 * den)
+def _facet_bound(lambda_num: int, den: int) -> tuple[int, int]:
+    """max(0, (lambda_max - 2) / 2) for lambda_max = lambda_num / den, as a
+    numerator over the positive denominator 2 * den (not reduced)."""
+    return max(0, lambda_num - 2 * den), 2 * den
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class ChshReport:
     @property
     def facet_bound(self) -> Fraction:
         """The facet lower bound on C: max(0, (lambda_max - 2) / 2)."""
-        return _facet_bound(self.lambda_max.numerator, self.lambda_max.denominator)
+        return Fraction(*_facet_bound(*self.lambda_max.as_integer_ratio()))
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,13 @@ class UncertaintyReport:
 
 def _chsh_values(box: Box) -> tuple[int, int, int, int]:
     """The numerators of ChshReport.values over box.den."""
-    n = box.num
-    e = [n[i] - n[i + 1] - n[i + 2] + n[i + 3] for i in _COLUMNS]
-    total = sum(e)
-    return tuple(abs(total - 2 * x) for x in e)
+    n0, n1, n2, n3, n4, n5, n6, n7, n8, n9, n10, n11, n12, n13, n14, n15 = box.num
+    e0 = n0 - n1 - n2 + n3
+    e1 = n4 - n5 - n6 + n7
+    e2 = n8 - n9 - n10 + n11
+    e3 = n12 - n13 - n14 + n15
+    t = e0 + e1 + e2 + e3
+    return abs(t - 2 * e0), abs(t - 2 * e1), abs(t - 2 * e2), abs(t - 2 * e3)
 
 
 def _chsh_report(values: tuple[int, ...], den: int) -> ChshReport:
@@ -93,11 +96,9 @@ def chsh(box: Box) -> ChshReport:
 def _signal_values(box: Box) -> tuple[int, int]:
     """The numerators of (s_a_to_b, s_b_to_a) over box.den: the largest move
     of P(B = 0 | a, b) with a, and of P(A = 0 | a, b) with b."""
-    n = box.num
-    a_to_b = max(
-        abs(n[0] + n[2] - n[8] - n[10]), abs(n[4] + n[6] - n[12] - n[14])
-    )
-    b_to_a = max(abs(n[0] + n[1] - n[4] - n[5]), abs(n[8] + n[9] - n[12] - n[13]))
+    n0, n1, n2, _, n4, n5, n6, _, n8, n9, n10, _, n12, n13, n14, _ = box.num
+    a_to_b = max(abs(n0 + n2 - n8 - n10), abs(n4 + n6 - n12 - n14))
+    b_to_a = max(abs(n0 + n1 - n4 - n5), abs(n8 + n9 - n12 - n13))
     return a_to_b, b_to_a
 
 
@@ -110,7 +111,7 @@ def signal(box: Box) -> SignalReport:
     return _signal_report(_signal_values(box), box.den)
 
 
-Residuals = tuple[tuple[int, ...], tuple[int, ...]]
+Residuals = tuple[tuple[int, int, int, int], tuple[int, int, int, int]]
 
 
 def _residuals(box: Box) -> Residuals:
@@ -119,38 +120,33 @@ def _residuals(box: Box) -> Residuals:
     (0,1), (1,0), (1,1): min(m, 1 - m) is the error of the best constant
     guess for a bit.  The shared input of both unpredictability variants and
     of the uncertainty report."""
-    n, den = box.num, box.den
-    res_a = []
-    res_b = []
-    for i in _COLUMNS:
-        m_a = n[i] + n[i + 1]
-        m_b = n[i] + n[i + 2]
-        res_a.append(min(m_a, den - m_a))
-        res_b.append(min(m_b, den - m_b))
-    return tuple(res_a), tuple(res_b)
-
-
-def _unpredictability_of(residuals: Residuals, variant: str) -> int:
-    res_a, res_b = residuals
-    if variant == "formula":
-        return max(min(x, y) for x, y in zip(res_a, res_b))
-    return max(max(res_a), max(res_b))
-
-
-def _uncertainty_of(residuals: Residuals) -> tuple[tuple[int, ...], int, int]:
-    """The numerators of delta at (A, 0), (A, 1), (B, 0), (B, 1), u_a and u_b."""
-    res_a, res_b = residuals
-    delta = (
-        max(res_a[0], res_a[1]),
-        max(res_a[2], res_a[3]),
-        max(res_b[0], res_b[2]),
-        max(res_b[1], res_b[3]),
+    n0, n1, n2, _, n4, n5, n6, _, n8, n9, n10, _, n12, n13, n14, _ = box.num
+    den = box.den
+    a0, a1, a2, a3 = n0 + n1, n4 + n5, n8 + n9, n12 + n13
+    b0, b1, b2, b3 = n0 + n2, n4 + n6, n8 + n10, n12 + n14
+    return (
+        (min(a0, den - a0), min(a1, den - a1), min(a2, den - a2), min(a3, den - a3)),
+        (min(b0, den - b0), min(b1, den - b1), min(b2, den - b2), min(b3, den - b3)),
     )
-    return delta, max(delta[0], delta[1]), max(delta[2], delta[3])
+
+
+def _numerators(
+    signal: tuple[int, int], residuals: Residuals
+) -> tuple[int, int, int, int, int]:
+    """s, i_formula, i_per_party, u_a and u_b as numerators over den, from
+    the signal pair and the residuals.  i_formula is the largest over
+    settings of the smaller party-residual there; u_a and u_b are each
+    party's worst residual, and i_per_party the worse of the two."""
+    res_a, res_b = residuals
+    u_a, u_b = max(res_a), max(res_b)
+    return max(signal), max(map(min, res_a, res_b)), max(u_a, u_b), u_a, u_b
 
 
 def _uncertainty_report(residuals: Residuals, den: int) -> UncertaintyReport:
-    delta = [Fraction(v, den) for v in _uncertainty_of(residuals)[0]]
+    # delta at (A, a) maximizes over b, at (B, b) over a.
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = residuals
+    pairs = ((a0, a1), (a2, a3), (b0, b2), (b1, b3))
+    delta = [Fraction(max(x, y), den) for x, y in pairs]
     return UncertaintyReport(
         delta=dict(zip((("A", 0), ("A", 1), ("B", 0), ("B", 1)), delta)),
         u_a=max(delta[0], delta[1]),
@@ -167,7 +163,8 @@ def unpredictability(box: Box, variant: str = "formula") -> Fraction:
     """
     if variant not in UNPREDICTABILITY_VARIANTS:
         raise ValueError(f"unknown unpredictability variant: {variant!r}")
-    return Fraction(_unpredictability_of(_residuals(box), variant), box.den)
+    numerators = _numerators(_signal_values(box), _residuals(box))
+    return Fraction(numerators[1 + UNPREDICTABILITY_VARIANTS.index(variant)], box.den)
 
 
 def uncertainty(box: Box) -> UncertaintyReport:
@@ -205,15 +202,7 @@ class Analysis:
     def numerators(self) -> tuple[int, int, int, int, int]:
         """s, i_formula, i_per_party, u_a and u_b as integer numerators over
         box.den."""
-        residuals = self._residuals
-        _, u_a, u_b = _uncertainty_of(residuals)
-        return (
-            max(self._signal),
-            _unpredictability_of(residuals, "formula"),
-            _unpredictability_of(residuals, "per_party"),
-            u_a,
-            u_b,
-        )
+        return _numerators(self._signal, self._residuals)
 
     @cached_property
     def chsh(self) -> ChshReport:
@@ -234,7 +223,7 @@ class Analysis:
     @property
     def lower_bound(self) -> Fraction:
         """The facet bound from the cached CHSH values, a lower bound on c."""
-        return _facet_bound(max(self._chsh), self.box.den)
+        return Fraction(*_facet_bound(max(self._chsh), self.box.den))
 
     @cached_property
     def i_formula(self) -> Fraction:

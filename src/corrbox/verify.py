@@ -7,16 +7,18 @@ variants, uncertainty) is read from the box on first use, so each is computed
 at most once whoever asks for it: the property table, the sweep and the
 reference scenario here, and the CLI report through cost.CostReport.
 
-Each inequality is a row of _PROPERTIES: an integer linear form in the
-numerators of (s, i_formula, i_per_party, u_a, u_b) over the box's
-denominator and in C, with a positive divisor.  The sign of a slack is one
-integer comparison, which is all fuzz tallies; a PropertyResult, with its
-exact slack, is built from the same forms only where it is reported: by
-check_box, by the reference scenario, and for the witnesses of a fuzz box
-with a failing row.  A result is "asserted" when the inequality is claimed
-on the box's domain, so a violation is a genuine finding that aborts a fuzz
-run with a witness; it is "observed" when the inequality is only being
-measured outside its domain.
+Each inequality is a row of _PROPERTIES, and _slack_numerators gives every
+row's slack as one integer: a linear form in the numerators of
+(s, i_formula, i_per_party, u_a, u_b) over the box's denominator
+(measures._numerators) and in C as an integer pair.  The sign of a slack is
+one integer comparison, which is all fuzz tallies: it scores each box from
+the kernels' integers alone.  A PropertyResult, with its exact slack, is
+built from the same forms only where it is reported: by check_box, by the
+reference scenario, and for the witnesses of a fuzz box with a failing row,
+the only box fuzz builds an Analysis for.  A result is "asserted" when the
+inequality is claimed on the box's domain, so a violation is a genuine
+finding that aborts a fuzz run with a witness; it is "observed" when the
+inequality is only being measured outside its domain.
 
 Domains: "general" is any valid box; "oneway_slice" restricts to mixtures of
 the eight zero-bit named boxes and d0_1 .. d3_1; "chsh16" to mixtures of all
@@ -33,13 +35,11 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .boxes import Box, box_to_json_obj, enumerate_deterministic, format_fraction, mix
 from .cost import (
     NotInHull,
     decomposition_to_json_obj,
-    facet_bound,
     find_distinct_decompositions,
     optimal_cost,
 )
@@ -54,7 +54,8 @@ from .generators import (
     no_signaling_vertices,
     quantum_box,
 )
-from .measures import Analysis, chsh, signal
+from .measures import Analysis, _chsh_values, _facet_bound, _numerators, _residuals
+from .measures import _signal_values, chsh, signal
 
 DOMAINS = ("general", "oneway_slice", "chsh16")
 
@@ -84,30 +85,22 @@ _HULLS = ("oneway_slice", "chsh16")
 # Domains column of OW_BOUND: asserted on every box that does not signal.
 _SILENT = None
 
-# The tracked inequalities in emission order: (id, variant, form, domains
-# where asserted).  A form (coefficients, c_coefficient, divisor) is the slack
-#     (coefficients . Analysis.numerators / den + c_coefficient * C) / divisor,
-# where Analysis.numerators holds (s, i_formula, i_per_party, u_a, u_b) over
-# the box's denominator den.  The inequality holds when the slack is
-# nonnegative.
+# The tracked inequalities in emission order: (id, variant, divisor, domains
+# where asserted).  _slack_numerators gives each row's slack as an integer
+# numerator over its divisor times the denominators of the box and of C; the
+# inequality holds when the slack is nonnegative.
 _PROPERTIES = (
-    # eta = C - s
-    ("S_LE_C", None, ((-1, 0, 0, 0, 0), 1, 1), DOMAINS),
-    # s + 2 I - C
-    ("S_2I_GE_C", "formula", ((1, 2, 0, 0, 0), -1, 1), _HULLS),
-    ("S_2I_GE_C", "per_party", ((1, 0, 2, 0, 0), -1, 1), _HULLS),
-    # I - eta / 2
-    ("I_GE_HALF_ETA", "formula", ((1, 2, 0, 0, 0), -1, 2), _HULLS),
-    ("I_GE_HALF_ETA", "per_party", ((1, 0, 2, 0, 0), -1, 2), _HULLS),
-    # s + 2 U - C
-    ("S_2U_GE_C", "u_A", ((1, 0, 0, 2, 0), -1, 1), _HULLS),
-    ("S_2U_GE_C", "u_B", ((1, 0, 0, 0, 2), -1, 1), ("chsh16",)),
-    # U - eta / 2
-    ("U_GE_HALF_ETA", "u_A", ((1, 0, 0, 2, 0), -1, 2), _HULLS),
-    ("U_GE_HALF_ETA", "u_B", ((1, 0, 0, 0, 2), -1, 2), ("chsh16",)),
-    # U - C / 2
-    ("OW_BOUND", "u_A", ((0, 0, 0, 2, 0), -1, 2), _SILENT),
-    ("OW_BOUND", "u_B", ((0, 0, 0, 0, 2), -1, 2), _SILENT),
+    ("S_LE_C", None, 1, DOMAINS),  # eta = C - s
+    ("S_2I_GE_C", "formula", 1, _HULLS),  # s + 2 I - C
+    ("S_2I_GE_C", "per_party", 1, _HULLS),
+    ("I_GE_HALF_ETA", "formula", 2, _HULLS),  # I - eta / 2
+    ("I_GE_HALF_ETA", "per_party", 2, _HULLS),
+    ("S_2U_GE_C", "u_A", 1, _HULLS),  # s + 2 U - C
+    ("S_2U_GE_C", "u_B", 1, ("chsh16",)),
+    ("U_GE_HALF_ETA", "u_A", 2, _HULLS),  # U - eta / 2
+    ("U_GE_HALF_ETA", "u_B", 2, ("chsh16",)),
+    ("OW_BOUND", "u_A", 2, _SILENT),  # U - C / 2
+    ("OW_BOUND", "u_B", 2, _SILENT),
 )
 
 # Per-box result keys in emission order.
@@ -116,26 +109,36 @@ _CHECK_KEYS = tuple(
 )
 
 
-def _slack_numerators(analysis: Analysis) -> tuple[int, ...]:
-    """Each row's slack times den * C.denominator * divisor, in integers: its
-    sign is the row's verdict."""
-    x = analysis.numerators
-    c_num = analysis.c.numerator * analysis.box.den
-    c_den = analysis.c.denominator
-    return tuple(
-        sum(map(mul, coefficients, x)) * c_den + c_coefficient * c_num
-        for _, _, (coefficients, c_coefficient, _), _ in _PROPERTIES
-    )
+def _slack_numerators(
+    x: tuple[int, ...], den: int, c_num: int, c_den: int
+) -> tuple[int, ...]:
+    """Each row's slack times its divisor, den and c_den, in integers, for
+    x = (s, i_formula, i_per_party, u_a, u_b) over den and C = c_num / c_den
+    with c_den > 0.  Its sign is the row's verdict, the same for every
+    positive multiple of (c_num, c_den)."""
+    s, i_formula, i_per_party, u_a, u_b = x
+    c = c_num * den
+    s *= c_den
+    twice = 2 * c_den
+    # s + 2 I - C is also twice I - eta / 2, and s + 2 U - C twice U - eta / 2
+    i_f = s + twice * i_formula - c
+    i_p = s + twice * i_per_party - c
+    s_ua = s + twice * u_a - c
+    s_ub = s + twice * u_b - c
+    ow_a, ow_b = twice * u_a - c, twice * u_b - c
+    return c - s, i_f, i_p, i_f, i_p, s_ua, s_ub, s_ua, s_ub, ow_a, ow_b
 
 
 def _property_results(analysis: Analysis, domain: str) -> tuple[PropertyResult, ...]:
     if domain not in DOMAINS:
         raise ValueError(f"unknown domain {domain!r}, expected one of {DOMAINS}")
-    den = analysis.box.den * analysis.c.denominator
-    silent = analysis.numerators[0] == 0
+    x, c = analysis.numerators, analysis.c
+    den = analysis.box.den * c.denominator
+    slacks = _slack_numerators(x, analysis.box.den, c.numerator, c.denominator)
+    silent = x[0] == 0
     results = []
-    for row, slack in zip(_PROPERTIES, _slack_numerators(analysis)):
-        property_id, variant, (_, _, divisor), asserted_in = row
+    for row, slack in zip(_PROPERTIES, slacks):
+        property_id, variant, divisor, asserted_in = row
         holds = slack >= 0
         asserted = silent if asserted_in is _SILENT else domain in asserted_in
         results.append(
@@ -224,11 +227,15 @@ def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
     """Check every inequality on the first count boxes of the family spec,
     drawn one at a time, and abort on the first asserted violation.
 
-    On the two mixture families the cost is the facet bound, with the full
-    program re-solved on the first five boxes and every _LP_EVERY-th as a
-    cross-check.  Setting CORRBOX_FUZZ_CORRUPT=1 replaces the first box
-    with a two-bit exchange box and tightens the domain, which must trip an
-    asserted violation; it exists to prove the harness can fail."""
+    Each box is scored in integers: C as a numerator and a positive
+    denominator, the measures' kernels, and the signs of _slack_numerators,
+    which are all the tallies need.  An Analysis and its PropertyResults are
+    built only for a box with a failing row.  On the two mixture families C
+    is the facet bound, with the full program re-solved on the first five
+    boxes and every _LP_EVERY-th as a cross-check.  Setting
+    CORRBOX_FUZZ_CORRUPT=1 replaces the first box with a two-bit exchange box
+    and tightens the domain, which must trip an asserted violation; it exists
+    to prove the harness can fail."""
     kind = spec.kind
     domain = _DOMAIN_OF_FAMILY[kind]
     facet_cost = kind in ("chsh16_mixture", "oneway_slice")
@@ -244,9 +251,9 @@ def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
         if corrupted and index == 0:
             box = _exchange_box()
         if facet_cost:
-            c = facet_bound(box)
+            c_num, c_den = _facet_bound(max(_chsh_values(box)), box.den)
             if index < 5 or index % _LP_EVERY == 0:
-                solved = optimal_cost(box)
+                solved, c = optimal_cost(box), Fraction(c_num, c_den)
                 if solved != c:
                     raise RuntimeError(
                         f"facet bound {c} disagrees with program value "
@@ -254,22 +261,20 @@ def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
                     )
         else:
             c = optimal_cost(box)
-        analysis = Analysis(box, c)
+            c_num, c_den = c.numerator, c.denominator
+        x = _numerators(_signal_values(box), _residuals(box))
+        slacks = _slack_numerators(x, box.den, c_num, c_den)
         checked += 1
-        failing = False
-        for row, slack in enumerate(_slack_numerators(analysis)):
+        if min(slacks) >= 0:
+            continue
+        for row, slack in enumerate(slacks):
             if slack < 0:
                 violated[row] += 1
-                failing = True
-        if failing:
-            witnesses = [
-                r
-                for r in _property_results(analysis, domain)
-                if not r.holds and r.strictness == "asserted"
-            ]
-            if witnesses:
-                aborted = True
-                break
+        results = _property_results(Analysis(box, Fraction(c_num, c_den)), domain)
+        witnesses = [r for r in results if not r.holds and r.strictness == "asserted"]
+        if witnesses:
+            aborted = True
+            break
     return FindingsReport(
         family=kind,
         seed=spec.seed,

@@ -400,6 +400,17 @@ class TestGen:
         assert code == 2 and out == ""
         assert err == "error: --count must be at least 1\n"
 
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "boxes"
+        for count, out in (("1", []), ("2", ["--out", str(target)])):
+            code, stdout, err = run(
+                capsys, "gen", "--family", "general", "--seed", "-5", "--count",
+                count, *out,
+            )
+            assert code == 2 and stdout == ""
+            assert err == "error: seed must be nonnegative, got -5\n"
+        assert not target.exists()
+
     def test_count_zero_writes_nothing(self, capsys, tmp_path):
         target = tmp_path / "boxes"
         code, _, err = run(
@@ -476,6 +487,17 @@ class TestFuzzCommand:
         assert obj["format"] == "findings-v1"
         assert obj["aborted"] is False
         assert obj["checked"] == 20
+
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "findings.json"
+        for out in ([], ["--out", str(target)]):
+            code, stdout, err = run(
+                capsys, "fuzz", "--family", "general", "--seed", "-5", "--count",
+                "30", *out,
+            )
+            assert code == 2 and stdout == ""
+            assert err == "error: seed must be nonnegative, got -5\n"
+        assert not target.exists()
 
     def test_corrupted_run_exits_one_with_witness(self, capsys, monkeypatch):
         monkeypatch.setenv("CORRBOX_FUZZ_CORRUPT", "1")

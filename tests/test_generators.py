@@ -201,6 +201,14 @@ class TestSampling:
         with pytest.raises(BadParameter):
             FamilySpec("quantumish", 0)
 
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_negative_seed(self, kind):
+        # random.Random(-5) is random.Random(5): a negative seed would print
+        # its own value over the boxes of its absolute value
+        with pytest.raises(BadParameter, match="seed must be nonnegative, got -5"):
+            FamilySpec(kind, -5)
+        assert FamilySpec(kind, 0).seed == 0
+
     def test_negative_count(self):
         with pytest.raises(BadParameter):
             sample(FamilySpec("general", 0), -1)

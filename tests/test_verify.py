@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,14 @@ import corrbox.verify as verify
 from corrbox.boxes import (
     Box,
     box_from_json_obj,
+    box_to_json_obj,
     enumerate_deterministic,
+    format_fraction,
     mix,
     relabel,
     relabeling_group,
 )
+from corrbox.cli import main
 from corrbox.cost import facet_bound, optimal_cost
 from corrbox.generators import (
     FAMILY_KINDS,
@@ -24,6 +28,9 @@ from corrbox.generators import (
     canonical,
     canonical_deterministic,
     canonical_names,
+    draw,
+    isotropic,
+    quantum_box,
     sample,
 )
 from corrbox.measures import chsh, signal, uncertainty, unpredictability
@@ -281,6 +288,39 @@ class TestSlackForms:
         assert report.checked == count and not report.aborted
         assert report.per_property == {key: tuple(t) for key, t in tallies.items()}
 
+    @settings(max_examples=80)
+    @given(
+        box=st.one_of(
+            st.builds(
+                lambda family, seed: sample(FamilySpec(family, seed), 1)[0],
+                st.sampled_from(FAMILY_KINDS),
+                st.integers(0, 2**32),
+            ),
+            st.sampled_from(canonical_names()).map(canonical),
+            st.fractions(0, 1).map(isotropic),
+            st.builds(
+                quantum_box,
+                st.tuples(*[st.floats(-4, 4)] * 4),
+                st.integers(1, 10**18),
+            ),
+        ),
+        c=st.fractions(0, 2),
+        k=st.integers(1, 10**9),
+        domain=st.sampled_from(DOMAINS),
+    )
+    def test_signs_of_any_multiple_of_c_are_the_verdicts(self, box, c, k, domain):
+        # fuzz's path: the kernels' integers and C as any positive multiple
+        # of its reduced pair give the verdicts of the reported results
+        x = measures._numerators(
+            measures._signal_values(box), measures._residuals(box)
+        )
+        c_num, c_den = k * c.numerator, k * c.denominator
+        slacks = verify._slack_numerators(x, box.den, c_num, c_den)
+        a = Analysis(box, c)
+        signs = [slack >= 0 for slack in slacks]
+        assert signs == [r.holds for r in verify._property_results(a, domain)]
+        assert signs == [oracle(a) >= 0 for oracle in ORACLE_SLACKS.values()]
+
     @pytest.mark.parametrize("family", ("chsh16_mixture", "oneway_slice"))
     def test_clean_hull_fuzz_builds_no_fraction_cells(self, monkeypatch, family):
         def unread(box):
@@ -364,6 +404,83 @@ class TestFuzz:
         report = fuzz(FamilySpec("general", 5), 10)
         assert report.aborted and report.checked == 1
         assert len(drawn) == 1
+
+
+class TestFuzzScoring:
+    """fuzz scores a box from integers and builds an Analysis only for a box
+    with a failing row."""
+
+    @pytest.mark.parametrize("family", ("chsh16_mixture", "oneway_slice"))
+    def test_clean_hull_fuzz_builds_no_analysis(self, capsys, monkeypatch, family):
+        def unbuilt(*args):
+            raise AssertionError("an Analysis was built")
+
+        monkeypatch.setattr(verify, "Analysis", unbuilt)
+        code = main(["fuzz", "--family", family, "--seed", "3", "--count", "101"])
+        assert code == 0 and json.loads(capsys.readouterr().out)["checked"] == 101
+
+    def test_one_analysis_per_failing_box(self, monkeypatch):
+        spec = FamilySpec("general", 7)
+        failing_boxes = sum(
+            not all(r.holds for r in check_box(box, "general"))
+            for box in sample(spec, 200)
+        )
+        built = []
+        real = verify.Analysis
+        monkeypatch.setattr(
+            verify, "Analysis", lambda box, c: built.append(box) or real(box, c)
+        )
+        report = fuzz(spec, 200)
+        assert not report.aborted
+        # the golden run fails OW_BOUND rows, which a signaling box only observes
+        assert report.per_property["OW_BOUND.u_A"][2] == 7
+        assert report.per_property["OW_BOUND.u_B"][2] == 10
+        assert len(built) == failing_boxes and len(set(built)) == failing_boxes
+
+    def test_abort_at_a_later_box(self, monkeypatch):
+        # oneway_slice boxes under the general family (so C is solved, not
+        # the facet bound) in the oneway_slice domain, with the two-bit
+        # exchange box planted at index k: the run checks k + 1 boxes
+        k, count = 6, 12
+        planted = enumerate_deterministic()[83].as_box()
+        drawn = []
+
+        def planted_draw(spec, n):
+            assert (spec.kind, n) == ("general", count)
+            for index, box in enumerate(draw(FamilySpec("oneway_slice", 5), n)):
+                drawn.append(box)
+                yield planted if index == k else box
+
+        monkeypatch.setattr(verify, "draw", planted_draw)
+        monkeypatch.setitem(verify._DOMAIN_OF_FAMILY, "general", "oneway_slice")
+        report = fuzz(FamilySpec("general", 5), count)
+        assert report.aborted and report.checked == k + 1
+        assert len(drawn) == k + 1
+        boxes = drawn[:k] + [planted]
+        tallies = {key: [0, 0, 0] for key in ORACLE_SLACKS}
+        for box in boxes:
+            results = check_box(box, "oneway_slice")
+            for r in results:
+                tallies[r.key][0] += 1
+                tallies[r.key][1 if r.holds else 2] += 1
+            assert all(r.holds for r in results if r.strictness == "asserted") == (
+                box is not planted
+            )
+        assert report.per_property == {key: tuple(t) for key, t in tallies.items()}
+        expected = [
+            {
+                "property": r.property_id,
+                "variant": r.variant,
+                "strictness": "asserted",
+                "slack": format_fraction(r.slack),
+                "box": box_to_json_obj(planted),
+            }
+            for r in check_box(planted, "oneway_slice")
+            if not r.holds and r.strictness == "asserted"
+        ]
+        witnesses = report.to_json_obj()["violating_witnesses"]
+        assert json.dumps(witnesses, indent=2) == json.dumps(expected, indent=2)
+        assert len(witnesses) == 6
 
 
 @pytest.fixture(scope="module")
