@@ -11,12 +11,14 @@ denominators, and it is validated in integers.  p is the same box as 16
 Fractions, built on first read.
 
 mix_ints is the one mixing kernel.  It mixes through a MixingTable, which
-holds the parts scaled to their common denominator and transposed, so each
-of the 16 cells of a mixture is one integer dot product of the weights with
-a column of the table; Box.from_numerators then reduces and validates the
-result.  The samplers build one table per family and hand it their raw
-integer weight draws; mix passes its boxes, and mix_ints builds their table
-for the weights mix has validated.
+holds the parts scaled to their common denominator and stored sparsely: for
+each of the 16 cells, the parts whose scaled numerator there is nonzero and,
+unless they are all 1, those numerators.  A cell of a mixture is then the sum
+of the few weights that touch it, or their dot product with the
+coefficients; Box.from_numerators reduces and validates the result.  The
+samplers and the constant mixtures in generators build their tables once and
+hand them integer weights; mix passes its boxes, and mix_ints builds their
+table for the weights mix has validated.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 
@@ -112,9 +114,9 @@ class Box:
         return box
 
     def _store(self, num: tuple[int, ...], den: int) -> None:
-        for i, n in enumerate(num):
-            if n < 0:
-                raise NegativeEntry(f"entry {i} is negative: {Fraction(n, den)}")
+        if min(num) < 0:
+            i = next(i for i, n in enumerate(num) if n < 0)
+            raise NegativeEntry(f"entry {i} is negative: {Fraction(num[i], den)}")
         for setting in range(4):
             total = sum(num[4 * setting : 4 * setting + 4])
             if total != den:
@@ -158,26 +160,60 @@ def box_from_table(entries: Sequence[object]) -> Box:
     return Box(tuple(exact_fraction(e) for e in entries))
 
 
-@dataclass(frozen=True, init=False)
-class MixingTable:
-    """Boxes made ready to mix: every part's numerators are scaled to the
-    parts' common denominator den and transposed, so columns[i] holds cell
-    i of every part and a cell of a mixture is one integer dot product."""
+# The pick of a cell that every part touches: the whole weight list.
+_EVERY_PART = itemgetter(slice(None))
 
-    columns: tuple[tuple[int, ...], ...]
+
+@lru_cache(maxsize=256)
+def _sparse_cell(column: tuple[int, ...]) -> tuple[itemgetter, tuple[int, ...] | None]:
+    """The (pick, coefficients) entry of a cell from the parts' scaled
+    numerators there, some of them 0.  A single touching part is picked by a
+    slice, since itemgetter of one index returns a scalar, and no touching
+    part by an empty one."""
+    touching = tuple(itertools.compress(range(len(column)), column))
+    if len(touching) > 1:
+        pick = itemgetter(*touching)
+    else:
+        pick = itemgetter(slice(touching[0], touching[0] + 1) if touching else slice(0))
+    coefficients = tuple(filter(None, column))
+    return pick, None if max(coefficients, default=1) == 1 else coefficients
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class MixingTable:
+    """Boxes made ready to mix, stored sparsely: every part's numerators are
+    scaled to the parts' common denominator den, and cells[i] is the pair
+    (pick, coefficients) for cell i.  pick(weights) is the sequence of the
+    weights of the parts whose scaled numerator there is nonzero, and
+    coefficients are those numerators, or None when some part leaves the
+    cell at 0 and each of the others has 1 there, so the cell is a plain
+    sum.  A cell that every part touches picks the whole weight list.  Equal sparse cells share one
+    entry, across tables too.  count is the number of parts.  A table
+    equals only itself, as its itemgetters do."""
+
+    cells: tuple[tuple[itemgetter, tuple[int, ...] | None], ...]
     den: int
+    count: int
 
     def __init__(self, parts: Sequence[Box]) -> None:
         if not parts:
             raise BadWeights("empty mixture")
         den = math.lcm(*(part.den for part in parts))
-        scaled = [[n * (den // part.den) for n in part.num] for part in parts]
-        object.__setattr__(self, "columns", tuple(zip(*scaled)))
+        scaled = [
+            part.num if part.den == den else [n * (den // part.den) for n in part.num]
+            for part in parts
+        ]
+        cells = tuple(
+            (_EVERY_PART, column) if all(column) else _sparse_cell(column)
+            for column in zip(*scaled)
+        )
+        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "count", len(parts))
 
     def __len__(self) -> int:
         """The number of parts."""
-        return len(self.columns[0])
+        return self.count
 
 
 def mix_ints(weights: Sequence[int], parts: Sequence[Box] | MixingTable) -> Box:
@@ -188,7 +224,11 @@ def mix_ints(weights: Sequence[int], parts: Sequence[Box] | MixingTable) -> Box:
     if len(weights) != len(table):
         raise BadWeights(f"{len(weights)} weights for {len(table)} parts")
     return Box.from_numerators(
-        [sum(map(mul, weights, column)) for column in table.columns],
+        [
+            sum(pick(weights)) if coefficients is None
+            else sum(map(mul, pick(weights), coefficients))
+            for pick, coefficients in table.cells
+        ],
         table.den * sum(weights),
     )
 

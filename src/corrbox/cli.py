@@ -6,7 +6,9 @@ scenario run), sweep (parameter sweep as CSV).  Exit codes: 0 success, 1 an
 asserted property failed, 2 usage or input error, 3 internal error (a solver
 self-check or any other fault of the program, reported as one
 "error: internal: ..." line on stderr).  Output is deterministic: identical
-invocations print identical bytes.
+invocations print identical bytes.  A command checks its arguments, then
+opens its output file (gen creates its output directory) before any work, as
+shell redirection would, so an unwritable destination fails at once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from typing import IO, Iterator
 
 from .boxes import (
     Box,
@@ -27,6 +31,7 @@ from .boxes import (
 )
 from .cost import (
     NotInHull,
+    check_dimension,
     communication_cost,
     decomposition_to_json_obj,
     eta_star_of_cost,
@@ -38,25 +43,29 @@ from .generators import (
     FamilySpec,
     canonical,
     canonical_names,
+    draw,
     isotropic,
     quantum_box,
-    sample,
 )
 from .verify import analyze, fuzz, reproduce_paper
 
 _PARAMETRIC_KINDS = ("isotropic", "quantum")
+# Each source option and the one parametric kind that reads it.
+_SOURCE_OPTIONS = (("v", "isotropic"), ("angles", "quantum"), ("denom", "quantum"))
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
+@contextmanager
+def _output(path: str | None, newline: str | None = None) -> Iterator[IO[str]]:
+    """stdout, or the file at path, opened for writing at once."""
+    if path is None:
+        yield sys.stdout
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(path, "w", encoding="utf-8", newline=newline) as handle:
+            yield handle
 
 
-def _emit(obj: dict, out: str | None) -> None:
-    _write(json.dumps(obj, indent=2) + "\n", out)
+def _emit(obj: dict, handle: IO[str]) -> None:
+    handle.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _load_box_file(path: str) -> Box:
@@ -66,9 +75,19 @@ def _load_box_file(path: str) -> Box:
         return box_from_json_obj(json.load(handle))
 
 
+def _check_source_options(args: argparse.Namespace, source: str | None) -> None:
+    """Refuse a source option that the source (a name, or None for a file or
+    a sampled family) does not read."""
+    for option, reader in _SOURCE_OPTIONS:
+        if getattr(args, option) is not None and source != reader:
+            raise ValueError(f"--{option} applies only to {reader}")
+
+
 def _named_box(name: str, args: argparse.Namespace) -> Box:
     """A canonical box by name, isotropic with --v, or quantum with --angles
-    (four radians or the preset name tsirelson) and --denom."""
+    (four radians or the preset name tsirelson) and --denom (10**6 unless
+    given).  An option the name does not read is refused."""
+    _check_source_options(args, name)
     if name == "isotropic":
         if args.v is None:
             raise ValueError("isotropic needs --v")
@@ -78,15 +97,16 @@ def _named_box(name: str, args: argparse.Namespace) -> Box:
     raw = args.angles
     if raw is None:
         raise ValueError("quantum needs --angles")
+    denom = 10**6 if args.denom is None else args.denom
     if raw == ["tsirelson"]:
-        return quantum_box(TSIRELSON_ANGLES, args.denom)
+        return quantum_box(TSIRELSON_ANGLES, denom)
     if len(raw) != 4:
         raise ValueError("--angles takes four radians or the preset name tsirelson")
     try:
         angles = tuple(float(x) for x in raw)
     except ValueError:
         raise ValueError(f"--angles needs radians, got {raw!r}")
-    return quantum_box(angles, args.denom)
+    return quantum_box(angles, denom)
 
 
 def _resolve_box(args: argparse.Namespace) -> Box:
@@ -97,6 +117,7 @@ def _resolve_box(args: argparse.Namespace) -> Box:
                 f"box source {source!r} is neither a file, a canonical name, "
                 f"nor one of {_PARAMETRIC_KINDS}"
             )
+        _check_source_options(args, None)
         return _load_box_file(source)
     return _named_box(source, args)
 
@@ -114,12 +135,20 @@ def _add_source_options(sub: argparse.ArgumentParser) -> None:
         help="four measurement angles (a0 a1 b0 b1) or the preset name tsirelson",
     )
     sub.add_argument(
-        "--denom", type=int, default=10**6, help="quantum rationalization bound"
+        "--denom", type=int, help="quantum rationalization bound (default 10**6)"
     )
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     box = _resolve_box(args)
+    if args.dim is not None:
+        check_dimension(args.dim)
+    with _output(args.out) as handle:
+        _analyze_report(box, args, handle)
+    return 0
+
+
+def _analyze_report(box: Box, args: argparse.Namespace, handle: IO[str]) -> None:
     a = communication_cost(box, "full256")
     unc = a.uncertainty
     obj = {
@@ -179,10 +208,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         ]
         if args.dim is not None:
             lines.append(f"eta_star(d={args.dim}) ~ {obj['eta_star']['value']}")
-        _write("\n".join(lines) + "\n", args.out)
+        handle.write("\n".join(lines) + "\n")
     else:
-        _emit(obj, args.out)
-    return 0
+        _emit(obj, handle)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -195,47 +223,55 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise ValueError("--count above 1 needs --family")
         boxes = [_named_box(args.kind, args)]
     else:
-        spec = FamilySpec(args.family, args.seed)
-        boxes = sample(spec, args.count)
-    if len(boxes) == 1 and args.out is None:
-        _emit(box_to_json_obj(boxes[0]), None)
-        return 0
+        _check_source_options(args, None)
+        boxes = draw(FamilySpec(args.family, args.seed), args.count)
     if args.out is None:
-        raise ValueError("--count above 1 needs --out DIRECTORY")
+        if args.count != 1:
+            raise ValueError("--count above 1 needs --out DIRECTORY")
+        _emit(box_to_json_obj(next(iter(boxes))), sys.stdout)
+        return 0
     os.makedirs(args.out, exist_ok=True)
     for index, box in enumerate(boxes):
-        path = os.path.join(args.out, f"box-{index:04d}.json")
-        _emit(box_to_json_obj(box), path)
+        with _output(os.path.join(args.out, f"box-{index:04d}.json")) as handle:
+            _emit(box_to_json_obj(box), handle)
     return 0
+
+
+def _decomposition_obj(box: Box, args: argparse.Namespace) -> dict:
+    try:
+        if args.alt:
+            first, second = optimal_decompositions(box, args.basis)
+            return {
+                "first": decomposition_to_json_obj(first),
+                "second": None if second is None else decomposition_to_json_obj(second),
+            }
+        report = communication_cost(box, args.basis)
+        return decomposition_to_json_obj(report.decomposition)
+    except NotInHull:
+        return {"basis": args.basis, "status": "not-in-hull"}
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     box = _resolve_box(args)
-    try:
-        if args.alt:
-            first, second = optimal_decompositions(box, args.basis)
-            obj = {
-                "first": decomposition_to_json_obj(first),
-                "second": None if second is None else decomposition_to_json_obj(second),
-            }
-        else:
-            report = communication_cost(box, args.basis)
-            obj = decomposition_to_json_obj(report.decomposition)
-    except NotInHull:
-        obj = {"basis": args.basis, "status": "not-in-hull"}
-    _emit(obj, args.out)
+    with _output(args.out) as handle:
+        _emit(_decomposition_obj(box, args), handle)
     return 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    report = fuzz(FamilySpec(args.family, args.seed), args.count)
-    _emit(report.to_json_obj(), args.out)
+    spec = FamilySpec(args.family, args.seed)
+    if args.count < 0:
+        raise ValueError(f"count must be nonnegative, got {args.count}")
+    with _output(args.out) as handle:
+        report = fuzz(spec, args.count)
+        _emit(report.to_json_obj(), handle)
     return 1 if report.aborted else 0
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
-    report = reproduce_paper()
-    _emit(report, args.out)
+    with _output(args.out) as handle:
+        report = reproduce_paper()
+        _emit(report, handle)
     return 1 if report["failures"] else 0
 
 
@@ -246,24 +282,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("--steps must be at least 1")
     columns = ("param", "lambda_max", "s", "C", "eta", "I", "U_A", "U_B")
     header = list(columns) + [f"{name}_exact" for name in columns]
-    rows = []
-    for k in range(args.steps + 1):
-        v = Fraction(k, args.steps)
-        a = analyze(isotropic(v))
-        unc = a.uncertainty
-        exact = (v, a.chsh.lambda_max, a.s, a.c, a.eta, a.i_formula, unc.u_a, unc.u_b)
-        rows.append(
-            ["%.12g" % float(x) for x in exact] + [format_fraction(x) for x in exact]
-        )
-    handle = open(args.csv, "w", encoding="utf-8", newline="") if args.csv else sys.stdout
-    try:
+    with _output(args.csv, newline="") as handle:
+        rows = [_sweep_row(Fraction(k, args.steps)) for k in range(args.steps + 1)]
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if args.csv:
-            handle.close()
     return 0
+
+
+def _sweep_row(v: Fraction) -> list[str]:
+    a = analyze(isotropic(v))
+    unc = a.uncertainty
+    exact = (v, a.chsh.lambda_max, a.s, a.c, a.eta, a.i_formula, unc.u_a, unc.u_b)
+    return ["%.12g" % float(x) for x in exact] + [format_fraction(x) for x in exact]
 
 
 def _is_number(token: str) -> bool:
@@ -308,7 +339,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--kind", help="canonical name, isotropic, or quantum")
     gen.add_argument("--v", help="isotropic weight")
     gen.add_argument("--angles", nargs="+", metavar="RAD")
-    gen.add_argument("--denom", type=int, default=10**6)
+    gen.add_argument(
+        "--denom", type=int, help="quantum rationalization bound (default 10**6)"
+    )
     gen.add_argument("--family", choices=FAMILY_KINDS, help="sampling family")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--count", type=int, default=1)

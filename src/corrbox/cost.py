@@ -158,10 +158,15 @@ def communication_cost(box: Box, basis: str = "full256") -> CostReport:
     return CostReport(box, solution.value, decomposition)
 
 
-def eta_star_of_cost(c: Fraction, d: int) -> float:
-    """eta_star from a cost already solved: c - log2(d)."""
+def check_dimension(d: int) -> None:
+    """Raise BadDimension unless d is an alphabet size eta_star takes."""
     if d < 2:
         raise BadDimension(f"alphabet dimension must be at least 2, got {d}")
+
+
+def eta_star_of_cost(c: Fraction, d: int) -> float:
+    """eta_star from a cost already solved: c - log2(d)."""
+    check_dimension(d)
     return float(c) - math.log2(d)
 
 

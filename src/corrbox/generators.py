@@ -5,12 +5,13 @@ The canonical basis is 16 named deterministic boxes: eight zero-bit ones
 "pr" (the even mixture of d0_1 and d3_1) and "noise" (uniform outcomes).
 Samplers draw integer weights from a seeded random.Random stream and build
 integer boxes from them, so a family spec plus a count pins the exact boxes;
-shorter runs are prefixes of longer ones.  A mixture family mixes its parts
-through one boxes.MixingTable, built on first use and cached, and
-boxes.mix_ints.  Each weight is read straight from the generator's bits:
-17 bits at a time, drawn again above 65536.  Those are exactly the calls
-rng.randint(0, 65536) makes, so the stream, and every sampled box, is the
-one randint gives.
+shorter runs are prefixes of longer ones.  The canonical boxes, and the
+boxes.MixingTable of each mixture family and of the isotropic line, are built
+once, on first use, and cached; a mixture is boxes.mix_ints of integer
+weights over its table, which adds only the few parts that touch each cell.
+Each weight is read straight from the generator's bits: 17 bits at a time,
+drawn again above 65536.  Those are exactly the calls rng.randint(0, 65536)
+makes, so the stream, and every sampled box, is the one randint gives.
 """
 
 from __future__ import annotations
@@ -101,13 +102,20 @@ def canonical_deterministic(name: str) -> DeterministicBox:
     return _det_for_tables(out_a, out_b)
 
 
+@lru_cache(maxsize=None)
 def canonical(name: str) -> Box:
-    """A canonical box by name: the 16 basis names, pr, or noise."""
+    """A canonical box by name: the 16 basis names, pr, or noise.  Each is
+    built once; a Box is immutable, so every call shares it."""
     if name == "noise":
         return Box.from_numerators([1] * 16, 4)
     if name == "pr":
         return mix_ints((1, 1), (canonical("d0_1"), canonical("d3_1")))
     return canonical_deterministic(name).as_box()
+
+
+@lru_cache(maxsize=1)
+def _isotropic_table() -> MixingTable:
+    return MixingTable((canonical("pr"), canonical("noise")))
 
 
 def isotropic(v: Fraction | int | str) -> Box:
@@ -117,7 +125,7 @@ def isotropic(v: Fraction | int | str) -> Box:
     if not 0 <= weight <= 1:
         raise BadParameter(f"isotropic parameter must be in [0, 1], got {weight}")
     n, d = weight.numerator, weight.denominator
-    return mix_ints((n, d - n), (canonical("pr"), canonical("noise")))
+    return mix_ints((n, d - n), _isotropic_table())
 
 
 # Measurement angles that maximize the CHSH value of a quantum box.

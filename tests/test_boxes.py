@@ -28,7 +28,15 @@ from corrbox.boxes import (
     relabel,
     relabeling_group,
 )
-from corrbox.generators import FamilySpec, canonical, canonical_names, isotropic, sample
+from corrbox.generators import (
+    FamilySpec,
+    _mixture_table,
+    canonical,
+    canonical_names,
+    isotropic,
+    no_signaling_vertices,
+    sample,
+)
 
 
 def random_box(rng: random.Random) -> Box:
@@ -217,6 +225,68 @@ class TestMix:
             mix_ints((1, 1, 1), table)
         with pytest.raises(BadWeights, match="empty"):
             MixingTable([])
+
+
+def fraction_mixture(weights, parts) -> Box:
+    """The mixture computed cell by cell in Fractions, the oracle for mix_ints."""
+    total = sum(weights)
+    return Box(
+        tuple(
+            sum(Fraction(w, total) * part.p[i] for w, part in zip(weights, parts))
+            for i in range(16)
+        )
+    )
+
+
+class TestSparseMixingTable:
+    """A MixingTable keeps, per cell, only the parts that touch it."""
+
+    def test_disjoint_supports(self):
+        # d0_0 and d7_0 never share a cell: every cell is touched by exactly
+        # one of them or by neither.
+        parts = [canonical("d0_0"), canonical("d7_0")]
+        touched = [sum(1 for part in parts if part.num[i]) for i in range(16)]
+        assert sorted(set(touched)) == [0, 1]
+        for weights in ((1, 1), (3, 0), (0, 5), (65536, 1)):
+            box = mix_ints(weights, parts)
+            assert box == fraction_mixture(weights, parts)
+
+    def test_no_signaling_table_scales_deterministic_parts(self):
+        parts = no_signaling_vertices()
+        table = _mixture_table("no_signaling")
+        assert table.den == 2 and len(table) == 24
+        assert any(c is not None and 2 in c for _, c in table.cells)
+        rng = random.Random(14)
+        for _ in range(20):
+            weights = [rng.randint(0, 9) for _ in parts]
+            weights[rng.randrange(24)] += 1
+            assert mix_ints(weights, table) == fraction_mixture(weights, parts)
+
+    @pytest.mark.parametrize("name", ("d3_1", "pr", "noise"))
+    def test_single_part(self, name):
+        part = canonical(name)
+        table = MixingTable([part])
+        assert len(table) == 1
+        for weight in (1, 7):
+            assert mix_ints((weight,), table) == part == fraction_mixture((weight,), [part])
+
+    def test_cached_table_reused_with_different_weights(self):
+        parts = [canonical(name) for name in canonical_names()[:16]]
+        table = _mixture_table("chsh16_mixture")
+        rng = random.Random(41)
+        for _ in range(20):
+            weights = [rng.randint(0, 65536) for _ in parts]
+            weights[0] += 1
+            box = mix_ints(weights, table)
+            assert box == mix_ints(weights, parts) == fraction_mixture(weights, parts)
+
+    def test_count_mismatch_on_a_cached_table(self):
+        table = _mixture_table("oneway_slice")
+        assert len(table) == 12
+        with pytest.raises(BadWeights, match="11 weights for 12 parts"):
+            mix_ints([1] * 11, table)
+        with pytest.raises(BadWeights, match="13 weights for 12 parts"):
+            mix_ints([1] * 13, table)
 
 
 class TestDeterministic:

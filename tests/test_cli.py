@@ -637,6 +637,141 @@ class TestSweep:
         assert code == 2
 
 
+class TestDestinationOpenedFirst:
+    """A command opens its output before any work, so an unwritable path
+    exits 2 with one error line and nothing computed."""
+
+    @staticmethod
+    def missing(tmp_path, name):
+        return str(tmp_path / "missing" / name)
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: calls.append(1) or real(*a))
+        return calls
+
+    def test_fuzz_draws_no_box(self, capsys, tmp_path, monkeypatch):
+        from corrbox import generators
+
+        drawn = self.counted(monkeypatch, generators, "_sample_general")
+        code, out, err = run(
+            capsys, "fuzz", "--family", "general", "--count", "300",
+            "--out", self.missing(tmp_path, "f.json"),
+        )
+        assert code == 2 and out == "" and drawn == []
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_sweep_analyzes_nothing(self, capsys, tmp_path, monkeypatch):
+        import corrbox.cli as cli
+
+        calls = self.counted(monkeypatch, cli, "analyze")
+        code, out, err = run(
+            capsys, "sweep", "--steps", "200", "--csv", self.missing(tmp_path, "x.csv")
+        )
+        assert code == 2 and out == "" and calls == []
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("analyze", "pr"), "communication_cost"),
+            (("analyze", "pr", "--text"), "communication_cost"),
+            (("decompose", "pr"), "communication_cost"),
+            (("decompose", "pr", "--alt"), "optimal_decompositions"),
+            (("repro",), "reproduce_paper"),
+        ],
+    )
+    def test_report_computes_nothing(self, capsys, tmp_path, monkeypatch, argv, name):
+        import corrbox.cli as cli
+
+        calls = self.counted(monkeypatch, cli, name)
+        code, out, err = run(capsys, *argv, "--out", self.missing(tmp_path, "r.json"))
+        assert code == 2 and out == "" and calls == []
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("fuzz", "--count", "-1"), "count must be nonnegative, got -1"),
+            (("analyze", "pr", "--dim", "1"), "alphabet dimension must be at least 2, got 1"),
+        ],
+    )
+    def test_usage_error_leaves_the_file_alone(self, capsys, tmp_path, argv, message):
+        target = tmp_path / "kept.json"
+        target.write_text("kept\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+        assert target.read_text(encoding="utf-8") == "kept\n"
+
+    def test_gen_samples_nothing(self, capsys, tmp_path, monkeypatch):
+        from corrbox import generators
+
+        drawn = self.counted(monkeypatch, generators, "_sample_general")
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code, out, err = run(
+            capsys, "gen", "--family", "general", "--count", "50",
+            "--out", str(blocker / "boxes"),
+        )
+        assert code == 2 and out == "" and drawn == []
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestSourceOptions:
+    """--v, --angles and --denom are refused where the source does not read
+    them, instead of being dropped."""
+
+    @staticmethod
+    def box_file(tmp_path):
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(box_to_json_obj(canonical("pr"))), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ("analyze", "decompose"))
+    @pytest.mark.parametrize(
+        "source,options,message",
+        [
+            ("d0_0", ("--v", "1/2"), "--v applies only to isotropic"),
+            ("pr", ("--angles", "tsirelson"), "--angles applies only to quantum"),
+            ("noise", ("--denom", "10"), "--denom applies only to quantum"),
+            ("isotropic", ("--v", "1/2", "--denom", "10"), "--denom applies only to quantum"),
+            ("isotropic", ("--v", "1/2", "--angles", "tsirelson"),
+             "--angles applies only to quantum"),
+            ("quantum", ("--angles", "tsirelson", "--v", "1/2"),
+             "--v applies only to isotropic"),
+            (None, ("--v", "1/2"), "--v applies only to isotropic"),
+            (None, ("--denom", "10"), "--denom applies only to quantum"),
+        ],
+    )
+    def test_unread_option_is_usage_error(
+        self, capsys, tmp_path, command, source, options, message
+    ):
+        source = self.box_file(tmp_path) if source is None else source
+        code, out, err = run(capsys, command, source, *options)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--kind", "d0_0", "--v", "1/2"), "--v applies only to isotropic"),
+            (("--kind", "isotropic", "--v", "1/2", "--denom", "9"),
+             "--denom applies only to quantum"),
+            (("--kind", "quantum", "--angles", "tsirelson", "--v", "1"),
+             "--v applies only to isotropic"),
+            (("--family", "general", "--angles", "tsirelson"),
+             "--angles applies only to quantum"),
+            (("--family", "oneway_slice", "--v", "1/2"), "--v applies only to isotropic"),
+        ],
+    )
+    def test_gen_refuses_unread_options(self, capsys, argv, message):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestParser:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2

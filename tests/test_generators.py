@@ -63,6 +63,16 @@ class TestCanonicalNames:
         with pytest.raises(UnknownName):
             canonical("tsirelson")
 
+    def test_repeated_calls_give_equal_boxes(self):
+        for name in canonical_names():
+            first, again = canonical(name), canonical(name)
+            assert first == again and hash(first) == hash(again), name
+
+    def test_unknown_name_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(UnknownName):
+                canonical("d8_1")
+
     def test_signed_patterns(self):
         for index, name in enumerate(canonical_names()[:16]):
             expected = 2 if index < 8 else 4
