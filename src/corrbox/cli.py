@@ -47,7 +47,8 @@ from .generators import (
     isotropic,
     quantum_box,
 )
-from .verify import analyze, fuzz, reproduce_paper
+from .measures import Analysis
+from .verify import analyze_path, fuzz, reproduce_paper
 
 _PARAMETRIC_KINDS = ("isotropic", "quantum")
 # Each source option and the one parametric kind that reads it.
@@ -283,15 +284,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     columns = ("param", "lambda_max", "s", "C", "eta", "I", "U_A", "U_B")
     header = list(columns) + [f"{name}_exact" for name in columns]
     with _output(args.csv, newline="") as handle:
-        rows = [_sweep_row(Fraction(k, args.steps)) for k in range(args.steps + 1)]
+        weights = [Fraction(k, args.steps) for k in range(args.steps + 1)]
+        analyses = analyze_path([isotropic(v) for v in weights])
+        rows = [_sweep_row(v, a) for v, a in zip(weights, analyses)]
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     return 0
 
 
-def _sweep_row(v: Fraction) -> list[str]:
-    a = analyze(isotropic(v))
+def _sweep_row(v: Fraction, a: Analysis) -> list[str]:
     unc = a.uncertainty
     exact = (v, a.chsh.lambda_max, a.s, a.c, a.eta, a.i_formula, unc.u_a, unc.u_b)
     return ["%.12g" % float(x) for x in exact] + [format_fraction(x) for x in exact]

@@ -11,9 +11,11 @@ to print, so it runs the two-phase simplex from the artificial basis, whose
 vertex is fixed by its pivot rules.  optimal_cost wants only C, which is
 unique although its vertex is not, so it runs the dual simplex from the
 basis's cached start state and certifies the value with a dual-feasible
-vector of the same value.  Both read the value from the solver's integer
-state and end with an integer check that the final basis is dual-feasible.
-The box enters the program as its own integer numerators and denominator.
+vector of the same value; optimal_costs runs that solve along an ordered
+sequence of boxes, each from the previous box's optimal basis.  Both paths
+read the value from the solver's integer state and end with an integer check
+that the final basis is dual-feasible.  The box enters the program as its
+own integer numerators and denominator.
 
 communication_cost returns a CostReport: the box's measures.Analysis with
 the decomposition it solved for.
@@ -25,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -115,10 +118,13 @@ def _decomposition(
 
 
 def _solve_cost(
-    box: Box, basis: str, warm: bool = False
+    box: Box, basis: str, warm: bool = False, start: lp._Start | None = None
 ) -> tuple[lp.LpSolution, lp._Engine | None, _CostSystem]:
+    """The cost program on box: the dual simplex from start, or from the
+    basis's cached start when warm, else the two-phase solve."""
     system = _system_for(basis)
-    start = system.start if warm else None
+    if warm:
+        start = system.start
     solution, engine = lp._solve_prepared(system.prep, box.num, box.den, start)
     if solution.status == "infeasible":
         if basis == "full256":
@@ -136,6 +142,29 @@ def optimal_cost(box: Box, basis: str = "full256") -> Fraction:
     solution, _, _ = _solve_cost(box, basis, warm=True)
     assert solution.value is not None
     return solution.value
+
+
+def optimal_costs(
+    boxes: Iterable[Box], basis: str = "full256"
+) -> Iterator[Fraction | None]:
+    """optimal_cost for each box of an ordered sequence, solved as one warm
+    path, or None for a box outside the chsh16 hull.  Each solve starts at
+    the previous box's optimal basis (the first at the basis's cached
+    start), which is dual-feasible for every box since only the right-hand
+    side changes, so neighbouring boxes that share an optimal basis take
+    few pivots.  A box outside the hull keeps the last start."""
+    start = _system_for(basis).start
+    for box in boxes:
+        try:
+            solution, engine, _ = _solve_cost(box, basis, start=start)
+        except NotInHull:
+            yield None
+            continue
+        assert engine is not None
+        # an unchanged ordered basis has the same adjugate: the start stands
+        if tuple(engine.basis) != start.basis:
+            start = lp._start_from(engine)
+        yield solution.value
 
 
 def facet_bound(box: Box) -> Fraction:

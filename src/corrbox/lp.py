@@ -76,11 +76,14 @@ Warm start.  Reduced costs depend on the basis and the objective only, so an
 optimal basis of one right-hand side is dual-feasible for every other one.
 _start_state records such a basis (with its M, also as rows of Python
 integers, delta, inert rows and its delta-scaled reduced-cost row, computed
-once and read-only) and _solve_prepared(..., start=...) runs a dual simplex
-from it, with no phase 1 and no reduced costs rebuilt: seed xi = M b; while
-some basic value is negative, the most negative row r leaves (after
-_BLAND_AFTER pivots, the row of the smallest basic index), and the column
-entering is one with the least ratio
+once and read-only); _start_from, which it ends with, records the optimal
+basis of any solve made without a presolve, a warm one included, so a
+sequence of right-hand sides can start each solve at the previous optimum.
+_solve_prepared(..., start=...) runs a dual simplex from a start, with no
+phase 1 and no reduced costs rebuilt: seed xi = M b; while some basic value
+is negative, the most negative row r leaves (after _BLAND_AFTER pivots, the
+row of the smallest basic index), and the column entering is one with the
+least ratio
     D_j / -(M_r a_j)   over columns with M_r a_j < 0,
 found by integer cross-multiplication as array operations over the
 candidate columns.  Most pivots are degenerate, with many columns at the
@@ -707,17 +710,16 @@ def _failed(status: str, certificate: tuple[Fraction, ...]) -> LpSolution:
     return LpSolution(status, value=None, point=(), basis=None, certificate=certificate)
 
 
-def _start_state(prep: _Prepared, rhs_num: Sequence[int], den: int) -> _Start:
-    """The optimal basis of the two-phase solve on rhs_num / den, for warm
-    starts."""
-    engine = _Engine(prep, rhs_num, den)
-    status, _, _ = engine.run_two_phase()
-    if status != "optimal":
-        raise ValueError(f"start right-hand side gives {status}, not optimal")
-    _optimal(engine)  # every warm solve starts from a checked optimum
+def _start_from(engine: _Engine) -> _Start:
+    """The start state at an optimal engine's basis, checked by _optimal and
+    solved over every column (no presolve), so that it is dual-feasible for
+    every right-hand side: its adjugate, read-only and as rows of Python
+    integers, and its reduced costs recomputed from scratch."""
+    if engine.free is not None:
+        raise RuntimeError("a presolved basis cannot start a warm solve")
     mat = engine.mat.copy()
     mat.setflags(write=False)
-    reduced = engine._reduced(prep.col_cost)
+    reduced = engine._reduced(engine.prep.col_cost)
     reduced.setflags(write=False)
     return _Start(
         basis=tuple(engine.basis),
@@ -727,6 +729,17 @@ def _start_state(prep: _Prepared, rhs_num: Sequence[int], den: int) -> _Start:
         inert=tuple(engine.inert),
         reduced=reduced,
     )
+
+
+def _start_state(prep: _Prepared, rhs_num: Sequence[int], den: int) -> _Start:
+    """The optimal basis of the two-phase solve on rhs_num / den, for warm
+    starts."""
+    engine = _Engine(prep, rhs_num, den)
+    status, _, _ = engine.run_two_phase()
+    if status != "optimal":
+        raise ValueError(f"start right-hand side gives {status}, not optimal")
+    _optimal(engine)  # every warm solve starts from a checked optimum
+    return _start_from(engine)
 
 
 def _solve_prepared(

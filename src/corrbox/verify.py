@@ -6,6 +6,9 @@ per-box quantity (CHSH report, signal, eta = C - s, both unpredictability
 variants, uncertainty) is read from the box on first use, so each is computed
 at most once whoever asks for it: the property table, the sweep and the
 reference scenario here, and the CLI report through cost.CostReport.
+analyze_path does the same for an ordered sequence of boxes, solving their
+costs as one warm path; the sweep and each section of the reference scenario
+use it.
 
 Each inequality is a row of _PROPERTIES, and _slack_numerators gives every
 row's slack as one integer: a linear form in the numerators of
@@ -35,13 +38,22 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .boxes import Box, box_to_json_obj, enumerate_deterministic, format_fraction, mix
+from .boxes import (
+    Box,
+    MixingTable,
+    box_to_json_obj,
+    enumerate_deterministic,
+    format_fraction,
+    mix,
+    mix_ints,
+)
 from .cost import (
-    NotInHull,
     decomposition_to_json_obj,
     find_distinct_decompositions,
     optimal_cost,
+    optimal_costs,
 )
 from .generators import (
     TSIRELSON_ANGLES,
@@ -63,6 +75,13 @@ DOMAINS = ("general", "oneway_slice", "chsh16")
 def analyze(box: Box) -> Analysis:
     """The box with its exact cost over the 256 deterministic strategies."""
     return Analysis(box, optimal_cost(box))
+
+
+def analyze_path(boxes: Sequence[Box]) -> list[Analysis]:
+    """analyze on each box of an ordered sequence, the costs solved as one
+    warm path (cost.optimal_costs): each solve starts at the previous box's
+    optimum, so neighbouring boxes take few pivots."""
+    return [Analysis(box, c) for box, c in zip(boxes, optimal_costs(boxes))]
 
 
 @dataclass(frozen=True)
@@ -303,10 +322,11 @@ def _result_json(r: PropertyResult) -> dict:
 
 
 def _named_box_table(failures: list[str]) -> list[dict]:
+    names = canonical_names()[:16]
+    dets = [canonical_deterministic(name) for name in names]
+    analyses = analyze_path([det.as_box() for det in dets])
     rows = []
-    for index, name in enumerate(canonical_names()[:16]):
-        det = canonical_deterministic(name)
-        a = analyze(det.as_box())
+    for index, (name, det, a) in enumerate(zip(names, dets, analyses)):
         pattern = _signed_pattern(a.box)
         lam, s, c = a.chsh.lambda_max, a.s, a.c
         one_bit = index >= 8
@@ -404,17 +424,18 @@ def _pr_panel(failures: list[str]) -> dict:
 
 def _mixture_grid(failures: list[str]) -> dict:
     pairs = (("d0_1", "d2_1"), ("d0_1", "d3_1"))
+    boxes: list[Box] = []
+    for left_name, right_name in pairs:
+        table = MixingTable([canonical(left_name), canonical(right_name)])
+        boxes += [mix_ints((k, 10 - k), table) for k in range(11)]
+    # both grids as one warm path on each basis, read 11 points per grid
+    points = zip(analyze_path(boxes), optimal_costs(boxes, "chsh16"))
     grids = {}
     for left_name, right_name in pairs:
-        left = canonical(left_name)
-        right = canonical(right_name)
         rows = []
-        for k in range(11):
+        for k, (a, c_16) in zip(range(11), points):
             p = Fraction(k, 10)
-            box = mix([(p, left), (1 - p, right)])
-            a = analyze(box)
             c_full, s = a.c, a.s
-            c_16 = optimal_cost(box, "chsh16")
             weighted_cost = Fraction(1)  # both parts cost exactly one bit
             weighted_signal = Fraction(1)  # both parts signal at full strength
             mix_cost = PropertyResult(
@@ -522,25 +543,17 @@ def _mixture_identity_check() -> dict:
     }
 
 
-def _hull_cost(box: Box) -> Fraction | None:
-    """C over the 16-box canonical basis, or None outside its hull."""
-    try:
-        return optimal_cost(box, "chsh16")
-    except NotInHull:
-        return None
-
-
 def _isotropic_sweep(failures: list[str]) -> list[dict]:
+    weights = [Fraction(k, 10) for k in range(11)]
+    boxes = [isotropic(v) for v in weights]
+    hull_costs = optimal_costs(boxes, "chsh16")
     rows = []
-    for k in range(11):
-        v = Fraction(k, 10)
-        a = analyze(isotropic(v))
+    for v, a, hull_cost in zip(weights, analyze_path(boxes), hull_costs):
         expected = max(Fraction(0), 2 * v - 1)
         if a.c != expected:
             failures.append(f"isotropic_sweep v={v}: cost {a.c} != {expected}")
         if a.lower_bound != expected:
             failures.append(f"isotropic_sweep v={v}: facet bound not tight")
-        hull_cost = _hull_cost(a.box)
         if v >= Fraction(1, 2) and hull_cost != expected:
             failures.append(f"isotropic_sweep v={v}: hull cost {hull_cost}")
         if v < Fraction(1, 2) and hull_cost is not None:
@@ -568,7 +581,7 @@ def _tsirelson(failures: list[str]) -> dict:
         failures.append(f"tsirelson: lambda_max off by {lam_err}")
     if cost_err > 3e-6:
         failures.append(f"tsirelson: cost off by {cost_err}")
-    in_hull = _hull_cost(a.box) is not None
+    in_hull = next(optimal_costs([a.box], "chsh16")) is not None
     if in_hull:
         failures.append("tsirelson: box unexpectedly in the 16-box hull")
     return {

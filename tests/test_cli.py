@@ -666,7 +666,7 @@ class TestDestinationOpenedFirst:
     def test_sweep_analyzes_nothing(self, capsys, tmp_path, monkeypatch):
         import corrbox.cli as cli
 
-        calls = self.counted(monkeypatch, cli, "analyze")
+        calls = self.counted(monkeypatch, cli, "analyze_path")
         code, out, err = run(
             capsys, "sweep", "--steps", "200", "--csv", self.missing(tmp_path, "x.csv")
         )

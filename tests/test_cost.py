@@ -21,10 +21,12 @@ from corrbox.cost import (
     eta_star,
     find_distinct_decompositions,
     optimal_cost,
+    optimal_costs,
     optimal_decompositions,
 )
 from corrbox.generators import FAMILY_KINDS, FamilySpec, canonical, isotropic, sample
 from corrbox.measures import chsh, signal
+from corrbox.verify import reproduce_paper
 
 from _reference_lp import solve_reference
 from test_boxes import random_box
@@ -266,6 +268,111 @@ class TestValuePath:
         assert after == before
 
 
+def _single_cost(box, basis):
+    try:
+        return optimal_cost(box, basis)
+    except NotInHull:
+        return None
+
+
+def _start_bytes(start):
+    return (
+        start.basis,
+        start.delta,
+        start.inert,
+        start.rows,
+        start.mat.tobytes(),
+        start.reduced.tobytes(),
+    )
+
+
+class TestWarmPath:
+    """optimal_costs solves a sequence of boxes, each from the previous
+    box's optimal basis: the same values as one optimal_cost per box."""
+
+    @settings(max_examples=30)
+    @given(
+        draws=st.lists(
+            st.tuples(st.sampled_from(FAMILY_KINDS), st.integers(0, 2**32)),
+            min_size=2,
+            max_size=6,
+        ),
+        outside=st.lists(st.fractions(0, F(49, 100)), min_size=3, max_size=3),
+        basis=st.sampled_from(cost.BASIS_KINDS),
+    )
+    def test_path_equals_one_solve_per_box(self, draws, outside, basis):
+        # isotropic boxes below 1/2 lie outside the chsh16 hull: first, in
+        # the middle and last
+        boxes = [sample(FamilySpec(family, seed), 1)[0] for family, seed in draws]
+        first, middle, last = (isotropic(v) for v in outside)
+        half = len(boxes) // 2
+        path = [first, *boxes[:half], middle, *boxes[half:], last]
+        expected = [_single_cost(box, basis) for box in path]
+        assert list(optimal_costs(path, basis)) == expected
+        outside_at = [0, half + 1, len(path) - 1]
+        if basis == "chsh16":
+            assert all(expected[i] is None for i in outside_at)
+        else:
+            assert None not in expected
+
+    def test_path_leaves_every_start_unchanged(self, monkeypatch):
+        system = cost._system_for("full256")
+        starts = [system.start]
+        made = [_start_bytes(system.start)]
+        start_from = cost.lp._start_from
+
+        def recorded(engine):
+            start = start_from(engine)
+            assert not start.mat.flags.writeable and not start.reduced.flags.writeable
+            starts.append(start)
+            made.append(_start_bytes(start))
+            return start
+
+        monkeypatch.setattr(cost.lp, "_start_from", recorded)
+        boxes = sample(FamilySpec("general", 15), 4) + [isotropic(F(k, 10)) for k in range(11)]
+        assert list(optimal_costs(boxes)) == [optimal_cost(box) for box in boxes]
+        assert len(starts) > 2  # the path moved, more than once
+        # each start as it was made: neither later solves nor later starts
+        # wrote into it
+        assert [_start_bytes(start) for start in starts] == made
+
+    def test_box_outside_the_hull_keeps_the_last_start(self, monkeypatch):
+        mixture = sample(FamilySpec("chsh16_mixture", 3), 1)[0]
+        expected = [optimal_cost(mixture, "chsh16"), None, 1]
+        starts = []
+        start_from = cost.lp._start_from
+
+        def recorded(engine):
+            starts.append(start_from(engine))
+            return starts[-1]
+
+        monkeypatch.setattr(cost.lp, "_start_from", recorded)
+        used = []
+        solve_cost = cost._solve_cost
+
+        def solved(box, basis, warm=False, start=None):
+            used.append(start)
+            return solve_cost(box, basis, warm, start)
+
+        monkeypatch.setattr(cost, "_solve_cost", solved)
+        path = [mixture, canonical("noise"), canonical("pr")]
+        assert list(optimal_costs(path, "chsh16")) == expected
+        # the mixture moves the start; noise, outside the hull, does not
+        assert used == [cost._system_for("chsh16").start, starts[0], starts[0]]
+        assert len(starts) == 1
+
+
+    def test_presolved_basis_is_no_start(self):
+        # the forcing-row presolve fixes all but d3_1's own column, so its
+        # basis need not be dual-feasible for other boxes
+        system = cost._system_for("full256")
+        box = canonical("d3_1")
+        _, engine = cost.lp._solve_prepared(system.prep, box.num, box.den)
+        assert engine.free is not None
+        with pytest.raises(RuntimeError, match="presolved"):
+            cost.lp._start_from(engine)
+
+
 family_boxes = st.builds(
     lambda family, seed: sample(FamilySpec(family, seed), 1)[0],
     st.sampled_from(FAMILY_KINDS),
@@ -333,6 +440,38 @@ class TestSolverPathPins:
             for box in sample(FamilySpec(family, 13), 20):
                 optimal_cost(box, basis)
         assert pivots[0] == self.WARM_PIVOTS
+
+    # Warm pivots of one reproduce_paper per cost basis, and of sweep --steps
+    # 10: each section's boxes are one warm path.  Restarting every solve
+    # from the cached start takes 579 and 15, and 108 for the sweep.
+    REPRO_WARM_PIVOTS = {"full256": 107, "chsh16": 3}
+    SWEEP_WARM_PIVOTS = 16
+
+    def test_repro_and_sweep_warm_pivots_per_basis(self, monkeypatch, capsys):
+        from corrbox.cli import main
+
+        systems = {basis: cost._system_for(basis) for basis in cost.BASIS_KINDS}
+        for system in systems.values():
+            system.start  # the start state's own solve is not counted
+        pivots = self._count_pivots(monkeypatch)
+        per_basis = dict.fromkeys(systems, 0)
+        run_dual = cost.lp._Engine.run_dual
+
+        def counted(engine, reduced):
+            before = pivots[0]
+            try:
+                return run_dual(engine, reduced)
+            finally:
+                basis = next(b for b, s in systems.items() if s.prep is engine.prep)
+                per_basis[basis] += pivots[0] - before
+
+        monkeypatch.setattr(cost.lp._Engine, "run_dual", counted)
+        assert reproduce_paper()["failures"] == []
+        assert per_basis == self.REPRO_WARM_PIVOTS
+        per_basis.update(dict.fromkeys(systems, 0))
+        assert main(["sweep", "--steps", "10"]) == 0
+        capsys.readouterr()
+        assert per_basis == {"full256": self.SWEEP_WARM_PIVOTS, "chsh16": 0}
 
     def test_deterministic_boxes_take_one_pivot_each(self, monkeypatch):
         # Every other column has an entry on one of a deterministic box's 12

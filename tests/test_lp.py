@@ -520,6 +520,15 @@ class TestFailureCertificates:
         with pytest.raises(RuntimeError, match="Farkas certificate"):
             lp._solve_prepared(prep, [2, 1], 1, start)
 
+    def test_false_chained_infeasibility_is_caught(self, monkeypatch):
+        # A start made from a warm solve's optimum, as a warm path chains them.
+        prep = lp._prepare_program(program([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 2, 1]))
+        _, engine = lp._solve_prepared(prep, [2, 1], 1, lp._start_state(prep, [1, 1], 1))
+        chained = lp._start_from(engine)
+        monkeypatch.setattr(lp._Engine, "run_dual", lambda engine, reduced: 0)
+        with pytest.raises(RuntimeError, match="Farkas certificate"):
+            lp._solve_prepared(prep, [1, 3], 1, chained)
+
     def test_false_unboundedness_is_caught(self, monkeypatch):
         # Phase 2 finds no leaving row for column 1, which beats the phase-1
         # basis (column 0): the ray (-1, 1) is not nonnegative.

@@ -321,6 +321,34 @@ class TestSlackForms:
         assert signs == [r.holds for r in verify._property_results(a, domain)]
         assert signs == [oracle(a) >= 0 for oracle in ORACLE_SLACKS.values()]
 
+    def test_signs_between_the_thresholds_of_paired_rows(self):
+        # Paired rows (u_A / u_B, formula / per_party) change sign at different
+        # C, and a drawn C rarely falls between the two: here every threshold
+        # and every midpoint between neighbouring thresholds is tried, so a
+        # form that reads the other row's quantity gets a wrong sign.
+        boxes = sample(FamilySpec("general", 21), 6) + sample(FamilySpec("no_signaling", 21), 6)
+        split = 0
+        for box in boxes:
+            zero = Analysis(box, F(0))
+            s, u = zero.s, zero.uncertainty
+            if u.u_a == u.u_b:
+                continue
+            points = sorted(
+                {s, s + 2 * zero.i_formula, s + 2 * zero.i_per_party}
+                | {s + 2 * u.u_a, s + 2 * u.u_b, 2 * u.u_a, 2 * u.u_b}
+            )
+            x = measures._numerators(measures._signal_values(box), measures._residuals(box))
+            for c in points + [(lo + hi) / 2 for lo, hi in zip(points, points[1:])]:
+                a = Analysis(box, c)
+                slacks = verify._slack_numerators(x, box.den, c.numerator, c.denominator)
+                expected = [oracle(a) for oracle in ORACLE_SLACKS.values()]
+                assert len(slacks) == len(expected) == 11
+                for key, got, want in zip(ORACLE_SLACKS, slacks, expected):
+                    assert (got > 0) - (got < 0) == (want > 0) - (want < 0), (key, c)
+                rows = dict(zip(ORACLE_SLACKS, expected))
+                split += (rows["U_GE_HALF_ETA.u_A"] < 0) != (rows["U_GE_HALF_ETA.u_B"] < 0)
+        assert split > 0  # some C falls between the u_A and u_B thresholds
+
     @pytest.mark.parametrize("family", ("chsh16_mixture", "oneway_slice"))
     def test_clean_hull_fuzz_builds_no_fraction_cells(self, monkeypatch, family):
         def unread(box):
