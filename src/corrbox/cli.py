@@ -48,7 +48,7 @@ from .generators import (
     quantum_box,
 )
 from .measures import Analysis
-from .verify import analyze_path, fuzz, reproduce_paper
+from .verify import analyze, fuzz, reproduce_paper
 
 _PARAMETRIC_KINDS = ("isotropic", "quantum")
 # Each source option and the one parametric kind that reads it.
@@ -285,8 +285,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     header = list(columns) + [f"{name}_exact" for name in columns]
     with _output(args.csv, newline="") as handle:
         weights = [Fraction(k, args.steps) for k in range(args.steps + 1)]
-        analyses = analyze_path([isotropic(v) for v in weights])
-        rows = [_sweep_row(v, a) for v, a in zip(weights, analyses)]
+        rows = [_sweep_row(v, analyze(isotropic(v))) for v in weights]
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -6,16 +6,22 @@ supported: the full set of 256 deterministic boxes (every valid box is a
 mixture of these, so the program is always feasible) and the 16-element
 canonical basis, where membership can genuinely fail.
 
-Two paths solve the same program.  communication_cost wants a decomposition
-to print, so it runs the two-phase simplex from the artificial basis, whose
-vertex is fixed by its pivot rules.  optimal_cost wants only C, which is
-unique although its vertex is not, so it runs the dual simplex from the
-basis's cached start state and certifies the value with a dual-feasible
-vector of the same value; optimal_costs runs that solve along an ordered
-sequence of boxes, each from the previous box's optimal basis.  Both paths
-read the value from the solver's integer state and end with an integer check
-that the final basis is dual-feasible.  The box enters the program as its
-own integer numerators and denominator.
+Two paths give C.  communication_cost wants a decomposition to print, so it
+runs the two-phase simplex from the artificial basis, whose vertex is fixed
+by its pivot rules; the box enters the program as its own integer numerators
+and denominator.  optimal_cost wants only C, which by LP duality is the
+largest y.p over the vertices y of the dual polytope
+{y : y.d_j <= cost_j for all 256 strategies d_j}, taken modulo its
+lineality (a constant added to one setting's cells and taken from
+another's).  It has 408 vertices in 8 orbits of the 128 relabelings
+(_DUAL_ORBITS; tests/test_cost.py proves the list valid and complete), so
+optimal_cost reads C as an exact integer maximum over that table, and
+communication_cost checks its value against the table on every box.
+
+On the canonical basis every decomposition costs (F - 2) / 2, with F the
+signed correlator sum of measures._signed_pattern.  That form is a table
+row, tight on exactly the 16 canonical strategies, so by complementary
+slackness a box is in their hull exactly when the row attains the maximum.
 
 communication_cost returns a CostReport: the box's measures.Analysis with
 the decomposition it solved for.
@@ -24,17 +30,17 @@ the decomposition it solved for.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from functools import lru_cache
 
 import numpy as np
 
 from . import lp
-from .boxes import Box, enumerate_deterministic, format_fraction, mix
+from .boxes import Box, enumerate_deterministic, format_fraction, mix, relabeling_group
 from .generators import canonical_det_ids
-from .measures import Analysis, _chsh_values, _facet_bound
+from .measures import Analysis, _signed_pattern
 
 BASIS_KINDS = ("full256", "chsh16")
 
@@ -43,8 +49,77 @@ class NotInHull(ValueError):
     """The box is not a mixture of the requested basis."""
 
 
+_OUTSIDE_HULL = "box is not a mixture of the 16-box canonical basis"
+
+
 class BadDimension(ValueError):
     """Alphabet dimension for eta_star must be at least 2."""
+
+
+# The vertices of the full256 dual polytope, one representative per orbit of
+# the relabelings with the orbit's size: 2y over cells 0..15, with
+# y4 = y8 = y12 = 0.  The orbit of 8 holds the facet bound and (F - 2) / 2.
+_DUAL_ORBITS = (
+    (8, (0, 2, 2, 0, 0, -2, -2, 0, 0, -2, -2, 0, 0, -2, -2, 0)),
+    (16, (0, 2, 2, 4, 0, 0, -2, -2, 0, -2, 0, -2, 0, 0, 0, 0)),
+    (32, (0, 2, 0, 2, 0, -2, 0, -2, 0, -2, -2, -2, 0, 0, 0, 2)),
+    (32, (0, 2, 2, 2, 0, 0, -2, 0, 0, -2, 0, -2, 0, -2, 0, -2)),
+    (64, (0, 2, 1, 3, 0, -2, -1, -3, 0, -2, -1, -1, 0, 0, -1, 1)),
+    (64, (0, 2, 2, 2, 0, -2, -2, -2, 0, -2, -2, -2, 0, 0, 0, 2)),
+    (64, (0, 2, 2, 2, 0, 0, -2, 0, 0, -2, 0, 0, 0, -2, -2, -2)),
+    (128, (0, 2, 2, 3, 0, -1, -2, -1, 0, -2, -2, -3, 0, -1, 0, 1)),
+)
+# A denominator of at most this many bits takes one exact int64 matmul.
+_INT64_BITS = 40
+# Above it, the rows within this margin of a coarse pass's maximum are read
+# exactly: a coarse value is off by less than its row's sum of |2y| (at most
+# 32), so every exactly largest row lies within twice that.
+_COARSE_MARGIN = 2**8
+
+
+def _normalized(rows: np.ndarray) -> np.ndarray:
+    """Rows 2y moved along the lineality to y4 = y8 = y12 = 0: the one
+    representative of each class, with the same value on every box."""
+    first = rows[:, ::4]
+    out = rows - np.repeat(first, 4, axis=1)
+    out[:, :4] += first.sum(axis=1, keepdims=True)
+    return out
+
+
+@lru_cache(maxsize=1)
+def _dual_vertices() -> np.ndarray:
+    """The dual vertices as rows 2y: each orbit of _DUAL_ORBITS expanded under
+    the relabelings, each row normalized; int64 and read-only."""
+    perms = np.array([r.permutation() for r in relabeling_group()])
+    rows: list[tuple[int, ...]] = []
+    for size, rep in _DUAL_ORBITS:
+        orbit = _normalized(np.array(rep, dtype=np.int64)[perms]).tolist()
+        distinct = dict.fromkeys(map(tuple, orbit))
+        if len(distinct) != size:
+            raise RuntimeError(f"dual orbit has {len(distinct)} rows, expected {size}")
+        rows += distinct
+    table = np.array(rows, dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def _hull_numerator(box: Box) -> int:
+    """2 den (F - 2) / 2: the numerator over 2 den of C on the 16-box hull."""
+    return _signed_pattern(box) - 2 * box.den
+
+
+def _cost_numerator(box: Box) -> int:
+    """2 den C: the largest 2y.num over the dual vertices, exact.  A box with
+    a denominator of 2**40 or more takes a coarse int64 pass on the top 40
+    bits of its numerators, then exact Python integers on the rows near the
+    coarse maximum."""
+    table = _dual_vertices()
+    shift = box.den.bit_length() - _INT64_BITS
+    if shift <= 0:
+        return int((table @ np.array(box.num, dtype=np.int64)).max())
+    coarse = table @ np.array([v >> shift for v in box.num], dtype=np.int64)
+    near = table[coarse >= coarse.max() - _COARSE_MARGIN].tolist()
+    return max(sum(map(operator.mul, row, box.num)) for row in near)
 
 
 @dataclass(frozen=True)
@@ -74,28 +149,21 @@ class CostReport(Analysis):
 @dataclass(frozen=True)
 class _CostSystem:
     """The cost program over one basis: its prepared columns (with the costs
-    in bits), the strategy id of each column, and the warm-start state."""
+    in bits) and the strategy id of each column."""
 
     prep: lp._Prepared
     ids: tuple[int, ...]
 
-    @cached_property
-    def start(self) -> lp._Start:
-        """Optimal basis of the uniform mixture of the basis's own columns
-        (noise for full256), which is in the hull.  Built on the first warm
-        solve, so commands that only decompose never pay for it."""
-        counts = [int(k) for k in self.prep.a_int.sum(axis=1)]
-        return lp._start_state(self.prep, counts, self.prep.n)
+
+def _check_basis(basis: str) -> None:
+    if basis not in BASIS_KINDS:
+        raise ValueError(f"unknown basis {basis!r}, expected one of {BASIS_KINDS}")
 
 
 @lru_cache(maxsize=len(BASIS_KINDS))
 def _system_for(basis: str) -> _CostSystem:
-    if basis == "full256":
-        ids = tuple(range(256))
-    elif basis == "chsh16":
-        ids = canonical_det_ids()
-    else:
-        raise ValueError(f"unknown basis {basis!r}, expected one of {BASIS_KINDS}")
+    _check_basis(basis)
+    ids = tuple(range(256)) if basis == "full256" else canonical_det_ids()
     dets = enumerate_deterministic()
     columns = np.array([dets[i].as_box().num for i in ids], dtype=np.int64).T.copy()
     costs = [dets[i].cost_bits for i in ids]
@@ -118,58 +186,31 @@ def _decomposition(
 
 
 def _solve_cost(
-    box: Box, basis: str, warm: bool = False, start: lp._Start | None = None
+    box: Box, basis: str
 ) -> tuple[lp.LpSolution, lp._Engine | None, _CostSystem]:
-    """The cost program on box: the dual simplex from start, or from the
-    basis's cached start when warm, else the two-phase solve."""
+    """The two-phase solve of the cost program on box."""
     system = _system_for(basis)
-    if warm:
-        start = system.start
-    solution, engine = lp._solve_prepared(system.prep, box.num, box.den, start)
+    solution, engine = lp._solve_prepared(system.prep, box.num, box.den)
     if solution.status == "infeasible":
         if basis == "full256":
             raise RuntimeError("a valid box left the full deterministic hull")
-        raise NotInHull("box is not a mixture of the 16-box canonical basis")
+        raise NotInHull(_OUTSIDE_HULL)
     if solution.status != "optimal":
         raise RuntimeError(f"cost program ended {solution.status}")
     return solution, engine, system
 
 
 def optimal_cost(box: Box, basis: str = "full256") -> Fraction:
-    """The optimal cost C alone, without a decomposition.
+    """The optimal cost C alone, read from the dual-vertex table.  On chsh16
+    it is (F - 2) / 2, which is C on full256 exactly when the box is in the
+    16-box hull.
 
     Raises NotInHull when basis="chsh16" and the box lies outside that hull."""
-    solution, _, _ = _solve_cost(box, basis, warm=True)
-    assert solution.value is not None
-    return solution.value
-
-
-def optimal_costs(
-    boxes: Iterable[Box], basis: str = "full256"
-) -> Iterator[Fraction | None]:
-    """optimal_cost for each box of an ordered sequence, solved as one warm
-    path, or None for a box outside the chsh16 hull.  Each solve starts at
-    the previous box's optimal basis (the first at the basis's cached
-    start), which is dual-feasible for every box since only the right-hand
-    side changes, so neighbouring boxes that share an optimal basis take
-    few pivots.  A box outside the hull keeps the last start."""
-    start = _system_for(basis).start
-    for box in boxes:
-        try:
-            solution, engine, _ = _solve_cost(box, basis, start=start)
-        except NotInHull:
-            yield None
-            continue
-        assert engine is not None
-        # an unchanged ordered basis has the same adjugate: the start stands
-        if tuple(engine.basis) != start.basis:
-            start = lp._start_from(engine)
-        yield solution.value
-
-
-def facet_bound(box: Box) -> Fraction:
-    """The facet lower bound on C: max(0, (lambda_max - 2) / 2)."""
-    return Fraction(*_facet_bound(max(_chsh_values(box)), box.den))
+    _check_basis(basis)
+    top = _cost_numerator(box)
+    if basis == "chsh16" and _hull_numerator(box) != top:
+        raise NotInHull(_OUTSIDE_HULL)
+    return Fraction(top, 2 * box.den)
 
 
 def communication_cost(box: Box, basis: str = "full256") -> CostReport:
@@ -179,6 +220,10 @@ def communication_cost(box: Box, basis: str = "full256") -> CostReport:
     Raises NotInHull when basis="chsh16" and the box lies outside that hull."""
     solution, _, system = _solve_cost(box, basis)
     assert solution.value is not None
+    if basis == "full256" and solution.value != (table := optimal_cost(box)):
+        raise RuntimeError(
+            f"program value {solution.value} disagrees with the dual-vertex table's {table}"
+        )
     decomposition = _decomposition(solution, system.ids, basis)
     # The decomposition's cost is summed in Fractions from the point, the
     # value in integers from the basic state: two independent computations.

@@ -16,10 +16,9 @@ columns).  By Hadamard's bound, (k + 1)**((k + 1) / 2) / 2**k for a k x k
 delta, each w_i and each M_r a_j (16 x 16 determinants, by Cramer's rule)
 are at most 438870 < 2**18.75.  A delta-scaled reduced cost (a 17 x 17
 determinant with one row of costs) is then below 17 * 2**20 * 2**18.75 <
-2**43.  So each kernel product stays below 2**18.75 * 2**43 < 2**62: a
-reduced cost times a ratio-test denominator, and both products w_p D_k and
-D_j T_pk of the reduced-cost update below, whose difference stays below
-2**63.
+2**43.  So each kernel product stays below 2**18.75 * 2**43 < 2**62: both
+products w_p D_k and D_j T_pk of the reduced-cost update below, whose
+difference stays below 2**63.
 
 Update rule per pivot (entering column j, pivot row p, w = M a_j, tableau
 row T_p = M_p A, s the sign of w_p):
@@ -34,20 +33,19 @@ together changes no ratio, so every sign test reads the integers directly.
 Each division is exact (Sylvester's identity: the entries of M, xi and D are
 minors of the basis matrix bordered by a column or the cost row); the solver
 asserts zero remainders on all three, which doubles as an overflow
-trip-wire.  The ratio tests and the xi update read w and the pivot row as
-Python lists.
+trip-wire.  The ratio test and the xi update read w as a Python list.
 
 The engine reads the right-hand side b as integer numerators over one
 positive denominator (a box's own form; solve converts a LinearProgram's
 Fractions once).  Every result leaves through _optimal or _failed, checked
 in integers before a Fraction is built.  _optimal, the exit of the two-phase
-and warm solves, the start state and each optimal-face vertex, re-substitutes
-xi into A x = b over each basic column's nonzero entries (a table built with
-the prepared system), recomputes every reduced cost and requires it
-nonnegative, and reads value() as the integer costs of the basic columns
-over one denominator.  _failed takes a Farkas vector y, checked as
-delta y.A <= 0 and delta y.b > 0 in the row-scaled integers, or an integer
-ray, checked for A ray = 0, ray >= 0 and objective.ray < 0.
+solve and of each optimal-face vertex, re-substitutes xi into A x = b over
+each basic column's nonzero entries (a table built with the prepared
+system), recomputes every reduced cost and requires it nonnegative, and
+reads value() as the integer costs of the basic columns over one
+denominator.  _failed takes a Farkas vector y, checked as delta y.A <= 0 and
+delta y.b > 0 in the row-scaled integers, or an integer ray, checked for
+A ray = 0, ray >= 0 and objective.ray < 0.
 
 Forcing-row presolve.  A two-phase solve first looks at the zero rows Z:
 rows with b_i = 0 whose row-scaled entries are all >= 0.  Since x >= 0, every
@@ -68,36 +66,7 @@ Z), and makes D_j + K s_j >= 0 on every fixed one.  A phase-1 Farkas vector
 is lifted the same way, to yhat.a_j <= 0.  Both lifted vectors are checked
 over every column in integers, so a free column with a negative reduced cost
 still fails the check.  On the int64 path K < 2**43 and s_j <= 16, so a
-lifted reduced cost stays below 17 * 2**43 < 2**48.  The start state of a
-warm solve is solved over every column, since its basis must be
-dual-feasible for other right-hand sides.
-
-Warm start.  Reduced costs depend on the basis and the objective only, so an
-optimal basis of one right-hand side is dual-feasible for every other one.
-_start_state records such a basis (with its M, also as rows of Python
-integers, delta, inert rows and its delta-scaled reduced-cost row, computed
-once and read-only); _start_from, which it ends with, records the optimal
-basis of any solve made without a presolve, a warm one included, so a
-sequence of right-hand sides can start each solve at the previous optimum.
-_solve_prepared(..., start=...) runs a dual simplex from a start, with no
-phase 1 and no reduced costs rebuilt: seed xi = M b; while some basic value
-is negative, the most negative row r leaves (after _BLAND_AFTER pivots, the
-row of the smallest basic index), and the column entering is one with the
-least ratio
-    D_j / -(M_r a_j)   over columns with M_r a_j < 0,
-found by integer cross-multiplication as array operations over the
-candidate columns.  Most pivots are degenerate, with many columns at the
-least ratio 0; among the tied columns the one with the largest |M_r a_j|
-enters (the second pass of Harris's ratio test), remaining ties to the
-smallest index.  Under Bland's rule every tie goes to the smallest index,
-which its termination argument needs.  The pivot itself is the same
-fraction-free update, and the row M_r A the ratio test reads is its tableau
-row T_p.  A row that no column can enter, or an inert row with xi != 0,
-proves infeasibility with that row of M, signed, as the Farkas vector.  An
-optimal warm solve leaves through _optimal like the two-phase one, so it
-carries both a primal check and a dual certificate y with y.A <= objective
-and y.rhs = value, whichever optimal basis it ends on.  It reports the
-value and the basis, not the point.
+lifted reduced cost stays below 17 * 2**43 < 2**48.
 """
 
 from __future__ import annotations
@@ -154,9 +123,7 @@ class LpSolution:
     value and basis are present only when optimal.  certificate carries a
     Farkas vector (infeasible: y.A <= 0 and y.rhs > 0) or a ray (unbounded:
     A ray = 0, ray >= 0, objective.ray < 0), each checked in integers
-    before it is returned.  A warm-started solve reports no point; when
-    optimal, its certificate is the dual vector y with y.A <= objective and
-    y.rhs = value.
+    before it is returned.
     """
 
     status: str
@@ -184,21 +151,6 @@ class _Prepared:
     @property
     def int_mode(self) -> bool:
         return self.dtype is np.int64
-
-
-@dataclass(frozen=True)
-class _Start:
-    """An optimal basis of a prepared system, the state a warm solve starts
-    from: basis (artificial index n + i on an inert row i), adjugate M
-    (read-only), determinant delta, the inert rows, and the delta-scaled
-    reduced costs of the system's objective at this basis (read-only)."""
-
-    basis: tuple[int, ...]
-    mat: np.ndarray
-    rows: tuple[tuple[int, ...], ...]  # mat's rows as Python ints, for xi = M b
-    delta: int
-    inert: tuple[bool, ...]
-    reduced: np.ndarray
 
 
 def _lcm_of(denominators: Iterable[int]) -> int:
@@ -283,18 +235,12 @@ def _integer_rhs(rhs: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 class _Engine:
-    """One solve over a prepared system: two-phase fraction-free simplex from
-    the artificial basis, or dual simplex from a start state.  The right-hand
-    side is rhs_num / den: integer numerators over one positive denominator.
-    delta stays positive, so every sign test reads the integers directly."""
+    """One two-phase fraction-free simplex solve over a prepared system, from
+    the artificial basis.  The right-hand side is rhs_num / den: integer
+    numerators over one positive denominator.  delta stays positive, so every
+    sign test reads the integers directly."""
 
-    def __init__(
-        self,
-        prep: _Prepared,
-        rhs_num: Sequence[int],
-        den: int,
-        start: _Start | None = None,
-    ):
+    def __init__(self, prep: _Prepared, rhs_num: Sequence[int], den: int):
         if len(rhs_num) != prep.m:
             raise DimensionMismatch(f"rhs has {len(rhs_num)} entries, expected {prep.m}")
         self.prep = prep
@@ -303,6 +249,8 @@ class _Engine:
         self.a = prep.a_int
         self.den = den
         self.b_num = [v if k == 1 else v * k for v, k in zip(rhs_num, prep.row_scale)]
+        if any(v < 0 for v in self.b_num):
+            raise ValueError("rhs negative after row scaling")
         # delta-scaled reduced costs of the running loop's objective, or None
         # between loops; _pivot carries them as a tableau row.
         self.reduced: np.ndarray | None = None
@@ -310,32 +258,20 @@ class _Engine:
         # and the indicator 1_Z of the zero rows.  None: every column may.
         self.free: np.ndarray | None = None
         self.zero_rows: np.ndarray | None = None
-        if start is None:
-            if any(v < 0 for v in self.b_num):
-                raise ValueError("rhs negative after row scaling")
-            self.basis = [prep.n + i for i in range(prep.m)]  # artificials first
-            self.mat = np.eye(prep.m, dtype=prep.dtype)
-            self.delta = 1
-            self.xi = list(self.b_num)  # M @ b_num, exact Python ints
-            self.inert = [False] * prep.m  # redundant rows, permanently zero
-        else:
-            self.basis = list(start.basis)
-            self.mat = start.mat
-            self.delta = start.delta
-            self.inert = list(start.inert)
-            self.xi = [sum(map(operator.mul, row, self.b_num)) for row in start.rows]
+        self.basis = [prep.n + i for i in range(prep.m)]  # artificials first
+        self.mat = np.eye(prep.m, dtype=prep.dtype)
+        self.delta = 1
+        self.xi = list(self.b_num)  # M @ b_num, exact Python ints
+        self.inert = [False] * prep.m  # redundant rows, permanently zero
 
     # -- arithmetic kernels ------------------------------------------------
 
     def _entering_w(self, j: int) -> np.ndarray:
         return self.mat @ self.a[:, j]
 
-    def _pivot(
-        self, j: int, p: int, w: np.ndarray, row: np.ndarray | None = None
-    ) -> None:
-        """Pivot column j into row p, where w = M a_j; row is the tableau row
-        M_p A when the caller already has it.  A negative w_p negates the new
-        M, xi and reduced costs together, which keeps delta positive."""
+    def _pivot(self, j: int, p: int, w: np.ndarray) -> None:
+        """Pivot column j into row p, where w = M a_j.  A negative w_p negates
+        the new M, xi and reduced costs together, which keeps delta positive."""
         w_list = w.tolist()
         wp = w_list[p]
         if wp == 0:
@@ -344,8 +280,7 @@ class _Engine:
         new_delta = sign * wp
         delta = self.delta
         if self.reduced is not None:
-            if row is None:
-                row = self.mat[p] @ self.a
+            row = self.mat[p] @ self.a
             numer = new_delta * self.reduced - (sign * int(self.reduced[j])) * row
             if np.count_nonzero(numer % delta):
                 raise RuntimeError("inexact division in reduced-cost update")
@@ -444,64 +379,6 @@ class _Engine:
                     return "unbounded", j, w
                 self._pivot(j, p, w)
             raise RuntimeError("simplex iteration cap exceeded")
-        finally:
-            self.reduced = None
-
-    def _dual_ratio_column(self, row: np.ndarray, bland: bool) -> int | None:
-        """Entering column of the dual ratio test on a leaving row M_r A, or
-        None when no column can enter: a least reduced_j / -row_j over
-        row_j < 0, compared exactly.  Among the tied columns the largest
-        -row_j enters, then the smallest index; under Bland's rule the
-        smallest index."""
-        reduced = self.reduced
-        # A candidate at reduced cost 0 has the least ratio, 0: the usual,
-        # degenerate pivot, and every such candidate ties.
-        zero_row = np.where(reduced == 0, row, 0)
-        j = int(zero_row.argmin())
-        if zero_row[j] < 0:
-            return int((zero_row < 0).argmax()) if bland else j
-        columns = (row < 0).nonzero()[0]
-        if not len(columns):
-            return None
-        reds, dens = reduced[columns], row[columns]
-        k = int(reds.argmin())
-        while True:
-            # gap_i > 0 exactly when candidate i's ratio is below candidate k's
-            gap = reds * dens[k] - reds[k] * dens
-            i = int(gap.argmax())
-            if gap[i] <= 0:
-                break
-            k = i
-        tied = gap == 0
-        if bland:
-            return int(columns[tied.argmax()])
-        return int(columns[np.where(tied, dens, 0).argmin()])
-
-    def run_dual(self, reduced: np.ndarray) -> int | None:
-        """Dual simplex from a basis whose delta-scaled reduced costs are
-        reduced, until no basic value is negative.  Returns None then, else
-        the row whose M row proves infeasibility."""
-        for i in range(self.m):
-            if self.inert[i] and self.xi[i] != 0:
-                return i
-        self.reduced = reduced
-        try:
-            for iteration in range(_ITERATION_CAP):
-                xi, inert = self.xi, self.inert
-                negative = [i for i, v in enumerate(xi) if v < 0 and not inert[i]]
-                if not negative:
-                    return None
-                bland = iteration >= _BLAND_AFTER
-                if bland:
-                    r = min(negative, key=self.basis.__getitem__)
-                else:
-                    r = min(negative, key=xi.__getitem__)
-                row = self.mat[r] @ self.a
-                j = self._dual_ratio_column(row, bland)
-                if j is None:
-                    return r
-                self._pivot(j, r, self._entering_w(j), row)
-            raise RuntimeError("dual simplex iteration cap exceeded")
         finally:
             self.reduced = None
 
@@ -633,15 +510,11 @@ class _Engine:
             Fraction(v * k, den) for v, k in zip(yhat.tolist(), self.prep.row_scale)
         )
 
-    def farkas_certificate(self, row: int | None) -> tuple[Fraction, ...]:
+    def farkas_certificate(self) -> tuple[Fraction, ...]:
         """A Farkas vector y in the program's own rows: the phase-1 duals at
-        an infeasible two-phase end (row None), or row of M signed so that
-        y.rhs > 0 (see run_dual).  yhat = delta y is checked first in the
-        row-scaled integers: yhat.A_int <= 0 and yhat.b > 0."""
-        if row is None:
-            yhat = self._certificate_dual(None)
-        else:
-            yhat = self.mat[row] if self.xi[row] > 0 else -self.mat[row]
+        an infeasible end.  yhat = delta y is checked first in the row-scaled
+        integers: yhat.A_int <= 0 and yhat.b > 0."""
+        yhat = self._certificate_dual(None)
         ys = yhat.tolist()
         yhat_b = sum(map(operator.mul, ys, self.b_num))
         if np.count_nonzero(yhat @ self.a > 0) or yhat_b <= 0:
@@ -681,16 +554,11 @@ class _Engine:
 
 
 def _optimal(
-    engine: _Engine,
-    *,
-    point: bool = False,
-    dual: bool = False,
-    value: Fraction | None = None,
+    engine: _Engine, *, point: bool = False, value: Fraction | None = None
 ) -> LpSolution:
     """The one exit of an optimal solve: the basic state re-substituted and
     every reduced cost checked nonnegative, in integers, and the value equal
-    to value when one is given.  The point and the dual vector are read out
-    when asked for."""
+    to value when one is given.  The point is read out when asked for."""
     engine.check_basic_state()
     engine.check_dual_feasible()
     got = engine.value()
@@ -701,7 +569,6 @@ def _optimal(
         value=got,
         point=tuple(engine.point()) if point else (),
         basis=engine.structural_basis(),
-        certificate=engine.dual_vector() if dual else None,
     )
 
 
@@ -710,54 +577,15 @@ def _failed(status: str, certificate: tuple[Fraction, ...]) -> LpSolution:
     return LpSolution(status, value=None, point=(), basis=None, certificate=certificate)
 
 
-def _start_from(engine: _Engine) -> _Start:
-    """The start state at an optimal engine's basis, checked by _optimal and
-    solved over every column (no presolve), so that it is dual-feasible for
-    every right-hand side: its adjugate, read-only and as rows of Python
-    integers, and its reduced costs recomputed from scratch."""
-    if engine.free is not None:
-        raise RuntimeError("a presolved basis cannot start a warm solve")
-    mat = engine.mat.copy()
-    mat.setflags(write=False)
-    reduced = engine._reduced(engine.prep.col_cost)
-    reduced.setflags(write=False)
-    return _Start(
-        basis=tuple(engine.basis),
-        mat=mat,
-        rows=tuple(map(tuple, mat.tolist())),
-        delta=engine.delta,
-        inert=tuple(engine.inert),
-        reduced=reduced,
-    )
-
-
-def _start_state(prep: _Prepared, rhs_num: Sequence[int], den: int) -> _Start:
-    """The optimal basis of the two-phase solve on rhs_num / den, for warm
-    starts."""
-    engine = _Engine(prep, rhs_num, den)
-    status, _, _ = engine.run_two_phase()
-    if status != "optimal":
-        raise ValueError(f"start right-hand side gives {status}, not optimal")
-    _optimal(engine)  # every warm solve starts from a checked optimum
-    return _start_from(engine)
-
-
 def _solve_prepared(
-    prep: _Prepared, rhs_num: Sequence[int], den: int, start: _Start | None = None
+    prep: _Prepared, rhs_num: Sequence[int], den: int
 ) -> tuple[LpSolution, _Engine | None]:
-    """Solve for the right-hand side rhs_num / den: two-phase from the
-    artificial basis, or, given a start state, dual simplex from it (value,
-    basis and dual certificate only)."""
-    engine = _Engine(prep, rhs_num, den, start)
-    if start is not None:
-        row = engine.run_dual(start.reduced)
-        if row is not None:
-            return _failed("infeasible", engine.farkas_certificate(row)), None
-        return _optimal(engine, dual=True), engine
+    """The two-phase solve for the right-hand side rhs_num / den."""
+    engine = _Engine(prep, rhs_num, den)
     engine.presolve()
     status, j, w = engine.run_two_phase()
     if status == "infeasible":
-        return _failed(status, engine.farkas_certificate(None)), None
+        return _failed(status, engine.farkas_certificate()), None
     if status == "unbounded":
         return _failed(status, engine.ray_certificate(j, w)), None
     return _optimal(engine, point=True), engine

@@ -15,8 +15,9 @@ Both unpredictability variants and the uncertainty report derive from the
 same eight residuals (_residuals).  _numerators derives the five numerators
 the tracked inequalities read (s, i_formula, i_per_party, u_a, u_b) from the
 signal pair and the residuals, and _facet_bound the facet bound on C from
-the CHSH maximum as one integer pair.  verify.fuzz scores a box from these
-integers alone.
+the CHSH maximum as one integer pair.  _signed_pattern is the signed
+correlator sum F whose form (F - 2) / 2 is C on the 16-box hull.  verify.fuzz
+scores a box from these integers alone.
 
 Analysis is the per-box record: a box, its exact cost C, and the quantities
 above (with eta = C - s and the facet bound).  It keeps each kernel's
@@ -27,6 +28,7 @@ decomposition.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -82,6 +84,16 @@ def _chsh_values(box: Box) -> tuple[int, int, int, int]:
     e3 = n12 - n13 - n14 + n15
     t = e0 + e1 + e2 + e3
     return abs(t - 2 * e0), abs(t - 2 * e1), abs(t - 2 * e2), abs(t - 2 * e3)
+
+
+_F_ROW = (1, -1, -1, 1, 1, -1, -1, 1, -1, 1, 1, -1, 1, -1, -1, 1)
+
+
+def _signed_pattern(box: Box) -> int:
+    """F = E(0,0) + E(0,1) - E(1,0) + E(1,1) as a numerator over box.den:
+    2 + 2 * (cost bits) on each of the 16 canonical boxes, so (F - 2) / 2
+    is C on their hull (cost.optimal_cost)."""
+    return sum(map(operator.mul, _F_ROW, box.num))
 
 
 def _chsh_report(values: tuple[int, ...], den: int) -> ChshReport:

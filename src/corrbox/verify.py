@@ -6,9 +6,6 @@ per-box quantity (CHSH report, signal, eta = C - s, both unpredictability
 variants, uncertainty) is read from the box on first use, so each is computed
 at most once whoever asks for it: the property table, the sweep and the
 reference scenario here, and the CLI report through cost.CostReport.
-analyze_path does the same for an ordered sequence of boxes, solving their
-costs as one warm path; the sweep and each section of the reference scenario
-use it.
 
 Each inequality is a row of _PROPERTIES, and _slack_numerators gives every
 row's slack as one integer: a linear form in the numerators of
@@ -27,9 +24,9 @@ Domains: "general" is any valid box; "oneway_slice" restricts to mixtures of
 the eight zero-bit named boxes and d0_1 .. d3_1; "chsh16" to mixtures of all
 sixteen named boxes.  On both, C equals the facet bound
 max(0, (lambda_max - 2) / 2), a lower bound on every box: each named box has
-the signed CHSH term t2 = 2 + 2 * (its cost bits) and |t_k| <= 2 for the
-other three, so a mixture has lambda_max = t2 and its own decomposition
-costs (t2 - 2) / 2, the bound.  fuzz reads C from it there.
+the signed CHSH term t2 = F = 2 + 2 * (its cost bits) and |t_k| <= 2 for the
+other three, so a mixture has lambda_max = F and its own decomposition costs
+(F - 2) / 2, the bound.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .boxes import (
     Box,
@@ -50,10 +46,13 @@ from .boxes import (
     mix_ints,
 )
 from .cost import (
+    NotInHull,
+    _cost_numerator,
+    _hull_numerator,
+    _solve_cost,
     decomposition_to_json_obj,
     find_distinct_decompositions,
     optimal_cost,
-    optimal_costs,
 )
 from .generators import (
     TSIRELSON_ANGLES,
@@ -66,8 +65,8 @@ from .generators import (
     no_signaling_vertices,
     quantum_box,
 )
-from .measures import Analysis, _chsh_values, _facet_bound, _numerators, _residuals
-from .measures import _signal_values, chsh, signal
+from .measures import Analysis, _numerators, _residuals, _signal_values, _signed_pattern
+from .measures import chsh, signal
 
 DOMAINS = ("general", "oneway_slice", "chsh16")
 
@@ -77,11 +76,12 @@ def analyze(box: Box) -> Analysis:
     return Analysis(box, optimal_cost(box))
 
 
-def analyze_path(boxes: Sequence[Box]) -> list[Analysis]:
-    """analyze on each box of an ordered sequence, the costs solved as one
-    warm path (cost.optimal_costs): each solve starts at the previous box's
-    optimum, so neighbouring boxes take few pivots."""
-    return [Analysis(box, c) for box, c in zip(boxes, optimal_costs(boxes))]
+def _hull_cost(box: Box) -> Fraction | None:
+    """C over the 16-box canonical basis, or None outside its hull."""
+    try:
+        return optimal_cost(box, "chsh16")
+    except NotInHull:
+        return None
 
 
 @dataclass(frozen=True)
@@ -178,11 +178,6 @@ def check_box(box: Box, domain: str = "general") -> tuple[PropertyResult, ...]:
     return _property_results(analyze(box), domain)
 
 
-def _signed_pattern(box: Box) -> Fraction:
-    e = [box.expectation(a, b) for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    return e[0] + e[1] - e[2] + e[3]
-
-
 def _exchange_box() -> Box:
     # Each party outputs the other's setting: two bits of communication.
     return enumerate_deterministic()[83].as_box()
@@ -238,30 +233,44 @@ _DOMAIN_OF_FAMILY = {
 }
 
 
-# fuzz re-solves the program on every _LP_EVERY-th mixture box.
+# fuzz proves C by a two-phase solve on boxes 0..4 and every _LP_EVERY-th.
 _LP_EVERY = 100
+
+
+def _prove_cost(box: Box, c_num: int, label: str) -> None:
+    """Prove the table's C = c_num / (2 den) on box with a two-phase solve:
+    of the chsh16 program when C is the form (F - 2) / 2, whose feasibility
+    and value prove both C and hull membership, else of the full256 one."""
+    basis = "chsh16" if _hull_numerator(box) == c_num else "full256"
+    c = Fraction(c_num, 2 * box.den)
+    try:
+        solved = _solve_cost(box, basis)[0].value
+    except NotInHull:
+        solved = None
+    if solved != c:
+        raise RuntimeError(
+            f"dual-vertex table value {c} disagrees with the {basis} program "
+            f"value {solved} on {label}"
+        )
 
 
 def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
     """Check every inequality on the first count boxes of the family spec,
     drawn one at a time, and abort on the first asserted violation.
 
-    Each box is scored in integers: C as a numerator and a positive
-    denominator, the measures' kernels, and the signs of _slack_numerators,
+    Each box is scored in integers: C as the dual-vertex table's numerator
+    over 2 den, the measures' kernels, and the signs of _slack_numerators,
     which are all the tallies need.  An Analysis and its PropertyResults are
-    built only for a box with a failing row.  On the two mixture families C
-    is the facet bound, with the full program re-solved on the first five
-    boxes and every _LP_EVERY-th as a cross-check.  Setting
+    built only for a box with a failing row.  C is proven on the first five
+    boxes and every _LP_EVERY-th by a two-phase solve (_prove_cost).  Setting
     CORRBOX_FUZZ_CORRUPT=1 replaces the first box with a two-bit exchange box
     and tightens the domain, which must trip an asserted violation; it exists
     to prove the harness can fail."""
     kind = spec.kind
     domain = _DOMAIN_OF_FAMILY[kind]
-    facet_cost = kind in ("chsh16_mixture", "oneway_slice")
     corrupted = os.environ.get("CORRBOX_FUZZ_CORRUPT") == "1"
     if corrupted:
         domain = "oneway_slice"
-        facet_cost = False
     violated = [0] * len(_PROPERTIES)
     witnesses: list[PropertyResult] = []
     aborted = False
@@ -269,18 +278,9 @@ def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
     for index, box in enumerate(draw(spec, count)):
         if corrupted and index == 0:
             box = _exchange_box()
-        if facet_cost:
-            c_num, c_den = _facet_bound(max(_chsh_values(box)), box.den)
-            if index < 5 or index % _LP_EVERY == 0:
-                solved, c = optimal_cost(box), Fraction(c_num, c_den)
-                if solved != c:
-                    raise RuntimeError(
-                        f"facet bound {c} disagrees with program value "
-                        f"{solved} on {kind} sample {index}"
-                    )
-        else:
-            c = optimal_cost(box)
-            c_num, c_den = c.numerator, c.denominator
+        c_num, c_den = _cost_numerator(box), 2 * box.den
+        if index < 5 or index % _LP_EVERY == 0:
+            _prove_cost(box, c_num, f"{kind} sample {index}")
         x = _numerators(_signal_values(box), _residuals(box))
         slacks = _slack_numerators(x, box.den, c_num, c_den)
         checked += 1
@@ -324,10 +324,10 @@ def _result_json(r: PropertyResult) -> dict:
 def _named_box_table(failures: list[str]) -> list[dict]:
     names = canonical_names()[:16]
     dets = [canonical_deterministic(name) for name in names]
-    analyses = analyze_path([det.as_box() for det in dets])
     rows = []
-    for index, (name, det, a) in enumerate(zip(names, dets, analyses)):
-        pattern = _signed_pattern(a.box)
+    for index, (name, det) in enumerate(zip(names, dets)):
+        a = analyze(det.as_box())
+        pattern = Fraction(_signed_pattern(a.box), a.box.den)
         lam, s, c = a.chsh.lambda_max, a.s, a.c
         one_bit = index >= 8
         expected_pattern = 4 if one_bit else 2
@@ -428,8 +428,7 @@ def _mixture_grid(failures: list[str]) -> dict:
     for left_name, right_name in pairs:
         table = MixingTable([canonical(left_name), canonical(right_name)])
         boxes += [mix_ints((k, 10 - k), table) for k in range(11)]
-    # both grids as one warm path on each basis, read 11 points per grid
-    points = zip(analyze_path(boxes), optimal_costs(boxes, "chsh16"))
+    points = ((analyze(box), _hull_cost(box)) for box in boxes)
     grids = {}
     for left_name, right_name in pairs:
         rows = []
@@ -544,11 +543,10 @@ def _mixture_identity_check() -> dict:
 
 
 def _isotropic_sweep(failures: list[str]) -> list[dict]:
-    weights = [Fraction(k, 10) for k in range(11)]
-    boxes = [isotropic(v) for v in weights]
-    hull_costs = optimal_costs(boxes, "chsh16")
     rows = []
-    for v, a, hull_cost in zip(weights, analyze_path(boxes), hull_costs):
+    for v in (Fraction(k, 10) for k in range(11)):
+        box = isotropic(v)
+        a, hull_cost = analyze(box), _hull_cost(box)
         expected = max(Fraction(0), 2 * v - 1)
         if a.c != expected:
             failures.append(f"isotropic_sweep v={v}: cost {a.c} != {expected}")
@@ -581,7 +579,7 @@ def _tsirelson(failures: list[str]) -> dict:
         failures.append(f"tsirelson: lambda_max off by {lam_err}")
     if cost_err > 3e-6:
         failures.append(f"tsirelson: cost off by {cost_err}")
-    in_hull = next(optimal_costs([a.box], "chsh16")) is not None
+    in_hull = _hull_cost(a.box) is not None
     if in_hull:
         failures.append("tsirelson: box unexpectedly in the 16-box hull")
     return {

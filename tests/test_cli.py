@@ -321,6 +321,28 @@ class TestInternalError:
         assert code == 3 and out == ""
         assert err.startswith("error: internal: ") and err.count("\n") == 1
 
+    def test_incomplete_vertex_table_in_analyze(self, capsys, monkeypatch, tmp_path):
+        # Without the orbit of 128 the table reads 15/26 on this box, and the
+        # two-phase program's 8/13 refutes it.
+        import corrbox.cost as cost
+        from corrbox.boxes import Box
+
+        box = Box.from_numerators((10, 1, 1, 1, 1, 6, 5, 1, 1, 2, 7, 3, 1, 6, 5, 1), 13)
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(box_to_json_obj(box)), encoding="utf-8")
+        assert run(capsys, "analyze", str(path))[0] == 0
+        monkeypatch.setattr(cost, "_DUAL_ORBITS", cost._DUAL_ORBITS[:-1])
+        cost._dual_vertices.cache_clear()
+        try:
+            code, out, err = run(capsys, "analyze", str(path))
+        finally:
+            cost._dual_vertices.cache_clear()
+        assert code == 3 and out == ""
+        assert err == (
+            "error: internal: program value 8/13 disagrees with the dual-vertex "
+            "table's 15/26\n"
+        )
+
     def test_usage_error_keeps_code_two(self, capsys):
         code, _, err = run(capsys, "analyze", "pr", "--dim", "1")
         assert code == 2 and err.startswith("error: ")
@@ -666,7 +688,7 @@ class TestDestinationOpenedFirst:
     def test_sweep_analyzes_nothing(self, capsys, tmp_path, monkeypatch):
         import corrbox.cli as cli
 
-        calls = self.counted(monkeypatch, cli, "analyze_path")
+        calls = self.counted(monkeypatch, cli, "analyze")
         code, out, err = run(
             capsys, "sweep", "--steps", "200", "--csv", self.missing(tmp_path, "x.csv")
         )

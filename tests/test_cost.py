@@ -3,8 +3,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrbox.cost as cost
-from corrbox.boxes import enumerate_deterministic, mix, mix_ints
+from corrbox.boxes import Box, enumerate_deterministic, mix, mix_ints
 from corrbox.cost import (
     BadDimension,
     NotInHull,
@@ -21,12 +23,19 @@ from corrbox.cost import (
     eta_star,
     find_distinct_decompositions,
     optimal_cost,
-    optimal_costs,
     optimal_decompositions,
 )
-from corrbox.generators import FAMILY_KINDS, FamilySpec, canonical, isotropic, sample
+from corrbox.generators import (
+    FAMILY_KINDS,
+    FamilySpec,
+    canonical,
+    canonical_det_ids,
+    isotropic,
+    quantum_box,
+    sample,
+)
 from corrbox.measures import chsh, signal
-from corrbox.verify import reproduce_paper
+from corrbox.verify import analyze, reproduce_paper
 
 from _reference_lp import solve_reference
 from test_boxes import random_box
@@ -175,16 +184,30 @@ class TestDistinctDecompositions:
             find_distinct_decompositions(canonical("noise"), "chsh16")
 
 
-def _lcm_den(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v.denominator)
-    return out
+def _dot(a, b) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _table_rows() -> list[tuple[int, ...]]:
+    return [tuple(row) for row in cost._dual_vertices().tolist()]
+
+
+def _active_row(box: Box) -> tuple[int, ...]:
+    """A table row 2y of largest value on box, in Python integers."""
+    return max(_table_rows(), key=lambda row: _dot(row, box.num))
+
+
+def _hull_program_cost(box: Box) -> Fraction | None:
+    try:
+        return cost._solve_cost(box, "chsh16")[0].value
+    except NotInHull:
+        return None
 
 
 class TestValuePath:
-    """optimal_cost (dual simplex from the cached start) against the
-    two-phase communication_cost, and its dual certificate in integers."""
+    """optimal_cost (the dual-vertex table) against the two-phase
+    communication_cost, and its active row as a dual certificate in
+    integers."""
 
     @settings(max_examples=60)
     @given(
@@ -195,7 +218,6 @@ class TestValuePath:
     )
     def test_value_and_dual_certificate(self, family, seed):
         box = sample(FamilySpec(family, seed), 1)[0]
-        dets = enumerate_deterministic()
         for basis in ("full256", "chsh16"):
             try:
                 expected = communication_cost(box, basis).c
@@ -203,20 +225,13 @@ class TestValuePath:
                 with pytest.raises(NotInHull):
                     optimal_cost(box, basis)
                 continue
-            value = optimal_cost(box, basis)
-            assert value == expected, basis
-            y = cost._solve_cost(box, basis, warm=True)[0].certificate
-            assert y is not None and len(y) == 16
-            ly = _lcm_den(y)
-            y_int = [int(v * ly) for v in y]
-            for i in cost._system_for(basis).ids:
-                column = dets[i].as_box().p  # a 0/1 indicator of the cells
-                total = sum(yi for yi, cell in zip(y_int, column) if cell == 1)
-                assert total <= dets[i].cost_bits * ly, (basis, i)
-            lcm_p = _lcm_den(box.p)
-            p_int = [int(v * lcm_p) for v in box.p]
-            dot = sum(a * b for a, b in zip(y_int, p_int))
-            assert dot * value.denominator == value.numerator * ly * lcm_p, basis
+            assert optimal_cost(box, basis) == expected, basis
+        # the active row 2y is dual-feasible, 2y.d_j <= 2 cost_j on every
+        # strategy, and 2y.p = 2C
+        row = _active_row(box)
+        for det in enumerate_deterministic():
+            assert _dot(row, det.as_box().num) <= 2 * det.cost_bits, det.id
+        assert Fraction(_dot(row, box.num), 2 * box.den) == optimal_cost(box)
 
     def test_deterministic_boxes(self):
         for det in enumerate_deterministic()[::17]:
@@ -231,41 +246,37 @@ class TestValuePath:
             optimal_cost(canonical("pr"), "full512")
 
     def test_bland_rule_gives_the_same_value(self, monkeypatch):
-        # Bland's rule takes the smallest index at every tie, the default
-        # rule the largest pivot element: different paths, the same C.
+        # Bland's rule from the first pivot takes another path through the
+        # two-phase program to the same C as the table.
         boxes = [box for kind in FAMILY_KINDS for box in sample(FamilySpec(kind, 12), 4)]
-        expected = [optimal_cost(b) for b in boxes]
         monkeypatch.setattr(cost.lp, "_BLAND_AFTER", 0)
-        assert [optimal_cost(b) for b in boxes] == expected
+        assert [communication_cost(b).c for b in boxes] == [optimal_cost(b) for b in boxes]
 
     def test_object_arithmetic_gives_the_same_value(self):
-        # A repeated first row makes 17 rows, which the int64 rule refuses,
-        # so the same warm solve runs on Python integers.
-        system = cost._system_for("full256")
-        assert system.prep.int_mode
-        columns = system.prep.a_int
-        prep = cost.lp._prepare_int01(np.vstack([columns, columns[:1]]), system.prep.col_cost)
-        assert not prep.int_mode
-        counts = [int(k) for k in prep.a_int.sum(axis=1)]
-        start = cost.lp._start_state(prep, counts, prep.n)
-        for box in sample(FamilySpec("no_signaling", 13), 3):
-            rhs = box.num + box.num[:1]
-            got, _ = cost.lp._solve_prepared(prep, rhs, box.den, start)
-            assert got.value == optimal_cost(box)
+        # Denominators of 2**40 and more take the coarse int64 pass and exact
+        # Python integers on the rows near its maximum: the same maximum as
+        # every row in Python integers.
+        boxes = sample(FamilySpec("general", 13), 10) + [
+            quantum_box((0.1 * k, 0.7, 0.3 * k, -0.4), 10**18 + k) for k in range(5)
+        ]
+        assert min(box.den for box in boxes) >= 2**40
+        for box in boxes:
+            top = max(_dot(row, box.num) for row in _table_rows())
+            assert cost._cost_numerator(box) == top
+            assert optimal_cost(box) == F(top, 2 * box.den)
+        # the margin covers the coarse pass's error, less than each row's
+        # sum of |2y| on either side
+        assert 2 * int(abs(cost._dual_vertices()).sum(axis=1).max()) <= cost._COARSE_MARGIN
 
-    def test_start_state_is_shared_and_read_only(self):
-        system = cost._system_for("full256")
-        start = system.start
-        assert not start.mat.flags.writeable
-        assert not start.reduced.flags.writeable
-        # the cached row is the start basis's reduced costs, from scratch
-        engine = cost.lp._Engine(system.prep, [0] * system.prep.m, 1, start)
-        assert start.reduced.tolist() == engine._reduced(system.prep.col_cost).tolist()
-        before = (start.basis, start.delta, start.mat.tobytes(), start.reduced.tobytes())
+    def test_vertex_table_is_shared_and_read_only(self):
+        table = cost._dual_vertices()
+        assert table is cost._dual_vertices()
+        assert table.shape == (408, 16) and table.dtype == np.int64
+        assert not table.flags.writeable
+        before = table.tobytes()
         for box in sample(FamilySpec("general", 14), 3):
             optimal_cost(box)
-        after = (start.basis, start.delta, start.mat.tobytes(), start.reduced.tobytes())
-        assert after == before
+        assert table.tobytes() == before
 
 
 def _single_cost(box, basis):
@@ -275,20 +286,9 @@ def _single_cost(box, basis):
         return None
 
 
-def _start_bytes(start):
-    return (
-        start.basis,
-        start.delta,
-        start.inert,
-        start.rows,
-        start.mat.tobytes(),
-        start.reduced.tobytes(),
-    )
-
-
 class TestWarmPath:
-    """optimal_costs solves a sequence of boxes, each from the previous
-    box's optimal basis: the same values as one optimal_cost per box."""
+    """A path of boxes in and out of the chsh16 hull: analyze's C and
+    optimal_cost on each basis equal the two-phase program box by box."""
 
     @settings(max_examples=30)
     @given(
@@ -307,70 +307,235 @@ class TestWarmPath:
         first, middle, last = (isotropic(v) for v in outside)
         half = len(boxes) // 2
         path = [first, *boxes[:half], middle, *boxes[half:], last]
-        expected = [_single_cost(box, basis) for box in path]
-        assert list(optimal_costs(path, basis)) == expected
+        got = [_single_cost(box, basis) for box in path]
+        if basis == "full256":
+            assert [analyze(box).c for box in path] == got
+            expected = [cost._solve_cost(box, basis)[0].value for box in path]
+        else:
+            expected = [_hull_program_cost(box) for box in path]
+        assert got == expected
         outside_at = [0, half + 1, len(path) - 1]
         if basis == "chsh16":
             assert all(expected[i] is None for i in outside_at)
         else:
             assert None not in expected
 
-    def test_path_leaves_every_start_unchanged(self, monkeypatch):
-        system = cost._system_for("full256")
-        starts = [system.start]
-        made = [_start_bytes(system.start)]
-        start_from = cost.lp._start_from
 
-        def recorded(engine):
-            start = start_from(engine)
-            assert not start.mat.flags.writeable and not start.reduced.flags.writeable
-            starts.append(start)
-            made.append(_start_bytes(start))
-            return start
-
-        monkeypatch.setattr(cost.lp, "_start_from", recorded)
-        boxes = sample(FamilySpec("general", 15), 4) + [isotropic(F(k, 10)) for k in range(11)]
-        assert list(optimal_costs(boxes)) == [optimal_cost(box) for box in boxes]
-        assert len(starts) > 2  # the path moved, more than once
-        # each start as it was made: neither later solves nor later starts
-        # wrote into it
-        assert [_start_bytes(start) for start in starts] == made
-
-    def test_box_outside_the_hull_keeps_the_last_start(self, monkeypatch):
-        mixture = sample(FamilySpec("chsh16_mixture", 3), 1)[0]
-        expected = [optimal_cost(mixture, "chsh16"), None, 1]
-        starts = []
-        start_from = cost.lp._start_from
-
-        def recorded(engine):
-            starts.append(start_from(engine))
-            return starts[-1]
-
-        monkeypatch.setattr(cost.lp, "_start_from", recorded)
-        used = []
-        solve_cost = cost._solve_cost
-
-        def solved(box, basis, warm=False, start=None):
-            used.append(start)
-            return solve_cost(box, basis, warm, start)
-
-        monkeypatch.setattr(cost, "_solve_cost", solved)
-        path = [mixture, canonical("noise"), canonical("pr")]
-        assert list(optimal_costs(path, "chsh16")) == expected
-        # the mixture moves the start; noise, outside the hull, does not
-        assert used == [cost._system_for("chsh16").start, starts[0], starts[0]]
-        assert len(starts) == 1
+# The strategies as rows d_j of cell indicators, and their costs in bits.
+_STRATEGIES = [det.as_box().num for det in enumerate_deterministic()]
+_BITS = [det.cost_bits for det in enumerate_deterministic()]
+# The coordinates of a normalized row: all cells but 4, 8 and 12.
+_FREE = [c for c in range(16) if c not in (4, 8, 12)]
 
 
-    def test_presolved_basis_is_no_start(self):
-        # the forcing-row presolve fixes all but d3_1's own column, so its
-        # basis need not be dual-feasible for other boxes
-        system = cost._system_for("full256")
-        box = canonical("d3_1")
-        _, engine = cost.lp._solve_prepared(system.prep, box.num, box.den)
-        assert engine.free is not None
-        with pytest.raises(RuntimeError, match="presolved"):
-            cost.lp._start_from(engine)
+def _tight(row) -> list[int]:
+    return [j for j, d in enumerate(_STRATEGIES) if _dot(row, d) == 2 * _BITS[j]]
+
+
+def _echelon(vectors) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of vectors over the rationals, with its
+    pivot columns."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    pivots: list[int] = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        pivot = [x / rows[p][c] for x in rows[p]]
+        rows[p] = rows[r]
+        rows[r] = pivot
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _rank(vectors) -> int:
+    return len(_echelon(vectors)[1])
+
+
+def _primitive(v) -> tuple[int, ...]:
+    scale = 1
+    for x in v:
+        scale = math.lcm(scale, Fraction(x).denominator)
+    ints = [int(x * scale) for x in v]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def _kernel_vector(vectors) -> tuple[int, ...]:
+    """A primitive integer vector orthogonal to d - 1 independent vectors of
+    length d."""
+    rows, pivots = _echelon(vectors)
+    free = next(c for c in range(len(rows[0])) if c not in pivots)
+    v = [Fraction(0)] * len(rows[0])
+    v[free] = Fraction(1)
+    for row, c in zip(rows, pivots):
+        v[c] = -row[free]
+    return _primitive(v)
+
+
+def _extreme_rays(rows: list[list[int]]) -> list[tuple[int, ...]]:
+    """The extreme rays of the pointed cone {z : a.z <= 0 for a in rows}, by
+    exact double description (Fukuda and Prodon, 1996): the simplicial cone
+    of d independent rows, then each other row cut in, keeping a ray's set
+    of tight rows and combining a pair across the cut only when no third
+    ray is tight on every row both are (the combinatorial adjacency test)."""
+    d = len(rows[0])
+    basis: list[int] = []
+    for i, a in enumerate(rows):
+        if _rank([rows[k] for k in basis] + [a]) > len(basis):
+            basis.append(i)
+    assert len(basis) == d
+    rays = []
+    for k in basis:
+        tight = [i for i in basis if i != k]
+        r = _kernel_vector([rows[i] for i in tight])
+        if _dot(rows[k], r) > 0:
+            r = tuple(-x for x in r)
+        rays.append((r, frozenset(tight)))
+    for i, a in enumerate(rows):
+        if i in basis:
+            continue
+        values = [_dot(a, r) for r, _ in rays]
+        kept = [ray for ray, v in zip(rays, values) if v < 0]
+        kept += [(r, z | {i}) for (r, z), v in zip(rays, values) if v == 0]
+        for (rp, zp), vp in zip(rays, values):
+            if vp <= 0:
+                continue
+            for (rm, zm), vm in zip(rays, values):
+                common = zp & zm
+                if vm >= 0 or len(common) < d - 2:
+                    continue
+                if any(common <= z for r, z in rays if r != rp and r != rm):
+                    continue
+                kept.append((_primitive([vp * x - vm * y for x, y in zip(rm, rp)]), common | {i}))
+        rays = kept
+    return [r for r, _ in rays]
+
+
+@lru_cache(maxsize=None)
+def _neighbours(rep: tuple[int, ...]) -> tuple[tuple[tuple[Fraction, ...], ...], int, int]:
+    """The vertices adjacent to rep, a row 2y with y4 = y8 = y12 = 0, with the
+    number of extreme rays of its tangent cone and how many are unbounded.
+    The cone {z : z.d_j <= 0 on rep's tight strategies} is taken in the
+    coordinates where z4 = z8 = z12 = 0; each bounded ray is followed to the
+    first strategy it makes tight."""
+    tight = _tight(rep)
+    rays = _extreme_rays([[_STRATEGIES[j][c] for c in _FREE] for j in tight])
+    out = []
+    for ray in rays:
+        z = [0] * 16
+        for c, x in zip(_FREE, ray):
+            z[c] = x
+        steps = [
+            Fraction(2 * _BITS[j] - _dot(rep, d), _dot(z, d))
+            for j, d in enumerate(_STRATEGIES)
+            if _dot(z, d) > 0
+        ]
+        if steps:
+            t = min(steps)
+            out.append(tuple(v + t * x for v, x in zip(rep, z)))
+    return tuple(out), len(rays), len(rays) - len(out)
+
+
+def _orbit_slices() -> list[slice]:
+    out, start = [], 0
+    for size, _ in cost._DUAL_ORBITS:
+        out.append(slice(start, start + size))
+        start += size
+    return out
+
+
+class TestDualVertexTable:
+    """The 408 rows are the complete vertex list of the full256 dual
+    polytope, modulo the lineality: each is dual-feasible with a tight set of
+    rank 13 (validity), and every vertex adjacent to an orbit's
+    representative is a row (completeness, by adjacency decomposition:
+    Christof and Reinelt, IJCGA 11, 2001).  The vertex graph of a pointed
+    polyhedron is connected and the relabelings map the table onto itself,
+    so a list closed under adjacency from each orbit holds every vertex."""
+
+    def test_rows_are_valid_vertices(self):
+        table = cost._dual_vertices()
+        assert [size for size, _ in cost._DUAL_ORBITS] == [8, 16, 32, 32, 64, 64, 64, 128]
+        assert table.shape == (408, 16) and len(set(_table_rows())) == 408
+        assert not table[:, [4, 8, 12]].any()
+        # 2y.d_j <= 2 cost_j for every row and strategy, in integers
+        assert (table @ np.array(_STRATEGIES).T <= 2 * np.array(_BITS)).all()
+        for _, rep in cost._DUAL_ORBITS:
+            assert rep in set(_table_rows())
+            assert _rank([_STRATEGIES[j] for j in _tight(rep)]) == 13, rep
+
+    def test_every_neighbour_is_a_row(self):
+        rows = set(_table_rows())
+        rays = unbounded = 0
+        for _, rep in cost._DUAL_ORBITS:
+            found, n_rays, n_unbounded = _neighbours(rep)
+            assert set(found) <= rows, rep
+            rays += n_rays
+            unbounded += n_unbounded
+        assert (rays, unbounded) == (212, 75)
+
+    @pytest.mark.parametrize("dropped", range(8))
+    def test_dropping_any_orbit_fails_the_check(self, dropped):
+        table = _table_rows()
+        kept = set()
+        for k, part in enumerate(_orbit_slices()):
+            if k != dropped:
+                kept.update(table[part])
+        found = {
+            n
+            for k, (_, rep) in enumerate(cost._DUAL_ORBITS)
+            if k != dropped
+            for n in _neighbours(rep)[0]
+        }
+        assert not found <= kept
+
+
+def _f_row() -> list[int]:
+    """(F - 2) / 2 as a row 2y: F's signs at each setting s = 2a + b on the
+    four outcome cells, then -2 on the cells of setting 0 (their sum is 1)."""
+    signs = (1, 1, -1, 1)
+    row = [signs[c // 4] * (1, -1, -1, 1)[c % 4] for c in range(16)]
+    return [v - 2 if c < 4 else v for c, v in enumerate(row)]
+
+
+class TestHullRule:
+    """optimal_cost(box, "chsh16") is (F - 2) / 2 when that equals the
+    full256 C, else NotInHull: the F row is a table row, tight on exactly the
+    16 canonical strategies, so by complementary slackness the box is in
+    their hull exactly when the row is optimal."""
+
+    def test_f_row_is_tight_on_exactly_the_canonical_strategies(self):
+        row = _f_row()
+        assert all(_dot(row, d) <= 2 * b for d, b in zip(_STRATEGIES, _BITS))
+        assert _tight(row) == sorted(canonical_det_ids())
+        normalized = cost._normalized(np.array([row], dtype=np.int64))[0]
+        assert tuple(normalized.tolist()) in set(_table_rows())
+
+    def test_hull_rule_matches_the_chsh16_program(self):
+        rng = random.Random(1616)
+        dets = enumerate_deterministic()
+        ids = canonical_det_ids()
+        others = [i for i in range(256) if i not in ids]
+        boxes = [isotropic(F(k, 100)) for k in range(101)]
+        for kind in FAMILY_KINDS:
+            boxes += sample(FamilySpec(kind, 16), 25)
+        for _ in range(60):
+            # a canonical mixture and one other strategy at small weight
+            parts = rng.sample(ids, rng.randint(1, 6)) + [rng.choice(others)]
+            weights = [rng.randint(50, 200) for _ in parts[:-1]] + [rng.randint(0, 3)]
+            boxes.append(mix_ints(weights, [dets[i].as_box() for i in parts]))
+        inside = 0
+        for box in boxes:
+            expected = _hull_program_cost(box)
+            assert _single_cost(box, "chsh16") == expected, box.num
+            inside += expected is not None
+        assert 0 < inside < len(boxes)
 
 
 family_boxes = st.builds(
@@ -397,8 +562,7 @@ class TestCostProperties:
 class TestSolverPathPins:
     """The two-phase path decides the printed vertex of every box, not only
     the named boxes the goldens cover: these digests and pivot counts pin its
-    decompositions on sampled boxes of three families, and the pivots the
-    warm value path takes on the same boxes."""
+    decompositions on sampled boxes of three families."""
 
     CASES = (("general", "full256"), ("no_signaling", "full256"), ("chsh16_mixture", "chsh16"))
     DIGESTS = (
@@ -407,7 +571,6 @@ class TestSolverPathPins:
         "61748ecdc088b5dd3da0c3065c6e09f9285c772fa4dba6ffc8012a289b548155",
     )
     TWO_PHASE_PIVOTS = 2132
-    WARM_PIVOTS = 275
 
     @staticmethod
     def _count_pivots(monkeypatch) -> list[int]:
@@ -432,46 +595,19 @@ class TestSolverPathPins:
             assert hashlib.sha256(text.encode()).hexdigest() == digest, (family, basis)
         assert pivots[0] == self.TWO_PHASE_PIVOTS
 
-    def test_warm_pivots_unchanged(self, monkeypatch):
-        for _, basis in self.CASES:
-            cost._system_for(basis).start  # the start state's own solve is not counted
-        pivots = self._count_pivots(monkeypatch)
-        for family, basis in self.CASES:
-            for box in sample(FamilySpec(family, 13), 20):
-                optimal_cost(box, basis)
-        assert pivots[0] == self.WARM_PIVOTS
-
-    # Warm pivots of one reproduce_paper per cost basis, and of sweep --steps
-    # 10: each section's boxes are one warm path.  Restarting every solve
-    # from the cached start takes 579 and 15, and 108 for the sweep.
-    REPRO_WARM_PIVOTS = {"full256": 107, "chsh16": 3}
-    SWEEP_WARM_PIVOTS = 16
-
-    def test_repro_and_sweep_warm_pivots_per_basis(self, monkeypatch, capsys):
+    def test_repro_and_sweep_solve_no_program_for_values(self, monkeypatch, capsys):
+        # Every value comes from the table; repro's one solve is the noise
+        # box's pair of decompositions.
         from corrbox.cli import main
 
-        systems = {basis: cost._system_for(basis) for basis in cost.BASIS_KINDS}
-        for system in systems.values():
-            system.start  # the start state's own solve is not counted
-        pivots = self._count_pivots(monkeypatch)
-        per_basis = dict.fromkeys(systems, 0)
-        run_dual = cost.lp._Engine.run_dual
-
-        def counted(engine, reduced):
-            before = pivots[0]
-            try:
-                return run_dual(engine, reduced)
-            finally:
-                basis = next(b for b, s in systems.items() if s.prep is engine.prep)
-                per_basis[basis] += pivots[0] - before
-
-        monkeypatch.setattr(cost.lp._Engine, "run_dual", counted)
+        solved = []
+        solve = cost._solve_cost
+        monkeypatch.setattr(cost, "_solve_cost", lambda *a: solved.append(a[1]) or solve(*a))
         assert reproduce_paper()["failures"] == []
-        assert per_basis == self.REPRO_WARM_PIVOTS
-        per_basis.update(dict.fromkeys(systems, 0))
+        assert solved == ["full256"]
         assert main(["sweep", "--steps", "10"]) == 0
         capsys.readouterr()
-        assert per_basis == {"full256": self.SWEEP_WARM_PIVOTS, "chsh16": 0}
+        assert solved == ["full256"]
 
     def test_deterministic_boxes_take_one_pivot_each(self, monkeypatch):
         # Every other column has an entry on one of a deterministic box's 12

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -192,12 +191,11 @@ class TestValidation:
 
 def _with_seeded_examples(test):
     """The seeded programs of the first two randomized oracle checks as
-    explicit examples.  60 two-phase programs (random.Random(4242): at most 3
-    rows and 5 columns, entries, rhs and costs in -3..3), each warm-solved
-    on its rhs reversed.  120 warm-start programs (random.Random(5151): at
-    most 4 rows and 6 columns, alternately general entries and costs in
-    -3..3 and 0/1 entries with costs in 0..3), each with a start rhs the
-    oracle solves to optimality and a second rhs, both in -3..3."""
+    explicit examples.  60 programs (random.Random(4242): at most 3 rows and
+    5 columns, entries, rhs and costs in -3..3).  120 more (random.Random(5151):
+    at most 4 rows and 6 columns, alternately general entries and costs in
+    -3..3 and 0/1 entries with costs in 0..3), each with an rhs in -3..3 the
+    oracle solves to optimality, and each also solved on a second rhs."""
     rng = random.Random(4242)
     for _ in range(60):
         m = rng.randint(1, 3)
@@ -205,7 +203,7 @@ def _with_seeded_examples(test):
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         rhs = [rng.randint(-3, 3) for _ in range(m)]
         cost = [rng.randint(-3, 3) for _ in range(n)]
-        test = example(("general", rows, rhs, cost, rhs[::-1]))(test)
+        test = example(("general", rows, rhs, cost))(test)
     rng = random.Random(5151)
     trials = 0
     while trials < 120:
@@ -218,14 +216,14 @@ def _with_seeded_examples(test):
         else:
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
             cost = [rng.randint(-3, 3) for _ in range(n)]
-        start_rhs = [rng.randint(-3, 3) for _ in range(m)]
-        if solve_reference(rows, start_rhs, cost)[0] != "optimal":
+        first_rhs = [rng.randint(-3, 3) for _ in range(m)]
+        if solve_reference(rows, first_rhs, cost)[0] != "optimal":
             continue
         trials += 1
-        rhs = [rng.randint(-3, 3) for _ in range(m)]
-        # a negative start rhs flips its row off the int64 path
-        kind = "zero_one" if zero_one and min(start_rhs) >= 0 else "general"
-        test = example((kind, rows, start_rhs, cost, rhs))(test)
+        for rhs in (first_rhs, [rng.randint(-3, 3) for _ in range(m)]):
+            # a negative rhs flips its row off the int64 path
+            kind = "zero_one" if zero_one and min(rhs) >= 0 else "general"
+            test = example((kind, rows, rhs, cost))(test)
     return test
 
 
@@ -238,19 +236,16 @@ def _vectors(elements, size: int):
 
 @st.composite
 def _general_programs(draw):
-    """(kind, rows, rhs, cost, warm_rhs) with general integers: the object
-    path."""
+    """(kind, rows, rhs, cost) with general integers: the object path."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 6))
     rows = draw(_vectors(_vectors(_SMALL, n), m))
-    return "general", rows, draw(_vectors(_SMALL, m)), draw(_vectors(_SMALL, n)), draw(
-        _vectors(_SMALL, m)
-    )
+    return "general", rows, draw(_vectors(_SMALL, m)), draw(_vectors(_SMALL, n))
 
 
 @st.composite
 def _zero_one_programs(draw):
-    """(kind, rows, rhs, cost, warm_rhs) for a 0/1 matrix whose rows and
+    """(kind, rows, rhs, cost) for a 0/1 matrix whose rows and
     columns are picked, with repeats, from a small base matrix: repeated rows
     go inert, repeated columns and small costs tie in pricing.  A nonnegative
     rhs keeps every row unflipped, so the program takes the int64 path."""
@@ -262,7 +257,7 @@ def _zero_one_programs(draw):
     m, n = len(rows), len(picks_c)
     rhs = draw(_vectors(st.integers(0, 3), m))
     cost = draw(_vectors(st.integers(-1, 2), n))
-    return "zero_one", rows, rhs, cost, draw(_vectors(st.integers(0, 3), m))
+    return "zero_one", rows, rhs, cost
 
 
 _PROGRAMS = {"general": _general_programs(), "zero_one": _zero_one_programs()}
@@ -272,25 +267,14 @@ _FIRST_EXAMPLE = settings(phases=[Phase.generate])
 
 def _path_and_status(case) -> tuple[str, str]:
     """("int64" or "object", the solve's status)."""
-    _, rows, rhs, cost, _ = case
+    _, rows, rhs, cost = case
     prog = program(rows, rhs, cost)
     path = "int64" if lp._prepare_program(prog).int_mode else "object"
     return path, solve(prog).status
 
 
-def _warm_path_and_status(case) -> tuple[str, str | None]:
-    """("int64" or "object", the warm solve's status), the status None when
-    the start rhs has no optimum to start from."""
-    _, rows, rhs, cost, warm_rhs = case
-    prog = program(rows, rhs, cost)
-    path = "int64" if lp._prepare_program(prog).int_mode else "object"
-    if solve(prog).status != "optimal":
-        return path, None
-    return path, warm_solve(rows, rhs, warm_rhs, cost)[1].status
-
-
 def _has_inert_row(case) -> bool:
-    _, rows, rhs, cost, _ = case
+    _, rows, rhs, cost = case
     prog = program(rows, rhs, cost)
     engine = lp._Engine(lp._prepare_program(prog), *lp._integer_rhs(prog.rhs))
     engine.run_two_phase()
@@ -298,14 +282,13 @@ def _has_inert_row(case) -> bool:
 
 
 class TestAgainstReference:
-    """lp.solve (two-phase) and the warm solve against the dense-tableau
-    oracle, on both arithmetic paths."""
+    """lp.solve against the dense-tableau oracle, on both arithmetic paths."""
 
     @settings(max_examples=300)
     @given(st.one_of(_general_programs(), _zero_one_programs()))
     @_with_seeded_examples
-    def test_two_phase_and_warm_solves_match_reference(self, case):
-        kind, rows, rhs, cost, warm_rhs = case
+    def test_two_phase_solve_matches_reference(self, case):
+        kind, rows, rhs, cost = case
         prog = program(rows, rhs, cost)
         if kind == "zero_one":
             assert lp._prepare_program(prog).int_mode
@@ -318,15 +301,6 @@ class TestAgainstReference:
         assert got.value == ref_value
         assert all(x >= 0 for x in got.point)
         assert all(r == 0 for r in residual(prog, got.point))
-        # the optimal basis of rhs starts a dual simplex on warm_rhs
-        warm_prog, warm = warm_solve(rows, rhs, warm_rhs, cost)
-        ref_status, ref_value, _ = solve_reference(rows, warm_rhs, cost)
-        # a dual-feasible start rules out an unbounded program
-        assert warm.status == ref_status
-        if warm.status == "optimal":
-            assert warm.value == ref_value
-            assert warm.point == ()
-        check_warm_certificate(warm_prog, warm)
 
     @pytest.mark.parametrize("kind,path", [("general", "object"), ("zero_one", "int64")])
     @pytest.mark.parametrize("status", ["optimal", "infeasible", "unbounded"])
@@ -334,15 +308,6 @@ class TestAgainstReference:
         find(
             _PROGRAMS[kind],
             lambda case: _path_and_status(case) == (path, status),
-            settings=_FIRST_EXAMPLE,
-        )
-
-    @pytest.mark.parametrize("kind,path", [("general", "object"), ("zero_one", "int64")])
-    @pytest.mark.parametrize("status", ["optimal", "infeasible"])
-    def test_warm_solve_reaches_every_status_on_both_paths(self, kind, path, status):
-        find(
-            _PROGRAMS[kind],
-            lambda case: _warm_path_and_status(case) == (path, status),
             settings=_FIRST_EXAMPLE,
         )
 
@@ -448,35 +413,6 @@ class TestAlternativeVertex:
         assert find_alternative_vertex(prog, first) is None
 
 
-def check_warm_certificate(prog: LinearProgram, got: LpSolution) -> None:
-    """Farkas vector when infeasible; dual vector of the same value when optimal."""
-    y = got.certificate
-    assert y is not None
-    m = len(prog.rhs)
-    columns = [
-        sum(y[i] * prog.constraint_matrix[i][j] for i in range(m))
-        for j in range(len(prog.objective))
-    ]
-    y_rhs = sum(y[i] * prog.rhs[i] for i in range(m))
-    if got.status == "infeasible":
-        assert all(v <= 0 for v in columns)
-        assert y_rhs > 0
-    else:
-        assert all(v <= c for v, c in zip(columns, prog.objective))
-        assert y_rhs == got.value
-
-
-def warm_solve(rows, start_rhs, rhs, cost) -> tuple[LinearProgram, LpSolution]:
-    """Solve (rows, rhs, cost) by dual simplex from the optimal basis of
-    (rows, start_rhs, cost)."""
-    start_prog = program(rows, start_rhs, cost)
-    prep = lp._prepare_program(start_prog)
-    start = lp._start_state(prep, *lp._integer_rhs(start_prog.rhs))
-    prog = program(rows, rhs, cost)
-    got, _ = lp._solve_prepared(prep, *lp._integer_rhs(prog.rhs), start)
-    return prog, got
-
-
 class TestTwoPhaseDualCheck:
     def test_corrupted_reduced_costs_are_caught(self, monkeypatch):
         # Phase 2 reads all-zero reduced costs, so it stops at once on the
@@ -513,22 +449,6 @@ class TestFailureCertificates:
         with pytest.raises(RuntimeError, match="Farkas certificate"):
             solve(program([[1, 1]], [1], [3, 1]))
 
-    def test_false_warm_infeasibility_is_caught(self, monkeypatch):
-        prep = lp._prepare_program(program([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 2, 1]))
-        start = lp._start_state(prep, [1, 1], 1)
-        monkeypatch.setattr(lp._Engine, "run_dual", lambda engine, reduced: 0)
-        with pytest.raises(RuntimeError, match="Farkas certificate"):
-            lp._solve_prepared(prep, [2, 1], 1, start)
-
-    def test_false_chained_infeasibility_is_caught(self, monkeypatch):
-        # A start made from a warm solve's optimum, as a warm path chains them.
-        prep = lp._prepare_program(program([[1, 1, 0], [0, 1, 1]], [1, 1], [1, 2, 1]))
-        _, engine = lp._solve_prepared(prep, [2, 1], 1, lp._start_state(prep, [1, 1], 1))
-        chained = lp._start_from(engine)
-        monkeypatch.setattr(lp._Engine, "run_dual", lambda engine, reduced: 0)
-        with pytest.raises(RuntimeError, match="Farkas certificate"):
-            lp._solve_prepared(prep, [1, 3], 1, chained)
-
     def test_false_unboundedness_is_caught(self, monkeypatch):
         # Phase 2 finds no leaving row for column 1, which beats the phase-1
         # basis (column 0): the ray (-1, 1) is not nonnegative.
@@ -546,71 +466,6 @@ class TestFailureCertificates:
         monkeypatch.setattr(lp._Engine, "_loop", no_leaving_row_in_phase_two)
         with pytest.raises(RuntimeError, match="unbounded ray"):
             solve(program([[1, 1]], [1], [3, 1]))
-
-
-class TestWarmStart:
-    @pytest.mark.parametrize("cost,value", [([0, 1, 2], 1), ([0, 0, 0], 0)], ids=["at_1", "at_0"])
-    def test_ratio_tie_enters_the_largest_pivot(self, monkeypatch, cost, value):
-        # From the start basis (0,) the rhs -1 makes row 0 leave, and columns
-        # 1 and 2 tie at the least ratio (1/1 = 2/2, or 0/1 = 0/2) with pivot
-        # elements -1 and -2: the larger |M_r a_j| enters, and under Bland's
-        # rule the smaller index.
-        rows = [[1, -1, -2]]
-        _, got = warm_solve(rows, [1], [-1], cost)
-        assert (got.status, got.value, got.basis) == ("optimal", value, (2,))
-        monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
-        _, bland = warm_solve(rows, [1], [-1], cost)
-        assert (bland.status, bland.value, bland.basis) == ("optimal", value, (1,))
-
-    @given(
-        data=st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)), min_size=1, max_size=12),
-        scale=st.sampled_from([1, 10**30]),
-        bland=st.booleans(),
-    )
-    def test_ratio_test_matches_a_fraction_reference(self, data, scale, bland):
-        # Small entries make many ties; the scale of 10**30 takes the object path.
-        reduced = [d * scale for d, _ in data]
-        row = [a for _, a in data]
-        candidates = [j for j, a in enumerate(row) if a < 0]
-        expected = None
-        if candidates:
-            ratio = {j: F(reduced[j], -row[j]) for j in candidates}
-            tied = [j for j in candidates if ratio[j] == min(ratio.values())]
-            expected = tied[0] if bland else min(tied, key=lambda j: (row[j], j))
-        dtype = np.int64 if scale == 1 else object
-        engine = SimpleNamespace(reduced=np.array(reduced, dtype=dtype))
-        got = lp._Engine._dual_ratio_column(engine, np.array(row, dtype=dtype), bland)
-        assert got == expected
-
-    def test_inert_row_proves_infeasibility(self):
-        prog, got = warm_solve([[1, 1], [1, 1]], [1, 1], [1, 2], [2, 3])
-        assert got.status == "infeasible"
-        check_warm_certificate(prog, got)
-
-    def test_negative_values_pivot_out(self):
-        prog, got = warm_solve(
-            [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], [1, 1, 1], [3, 1, 2], [3, 1, 4, 1]
-        )
-        ref_status, ref_value, _ = solve_reference(
-            [list(r) for r in prog.constraint_matrix], list(prog.rhs), list(prog.objective)
-        )
-        assert got.status == ref_status == "optimal"
-        assert got.value == ref_value
-        check_warm_certificate(prog, got)
-
-    def test_start_needs_an_optimum(self):
-        prep = lp._prepare_program(program([[1, -1]], [0], [-1, 0]))
-        with pytest.raises(ValueError):
-            lp._start_state(prep, [0], 1)
-
-    def test_start_that_is_not_dual_feasible_is_caught(self):
-        # The optimal basis for costs (1, 3, 2) is column 0, which column 1
-        # beats under costs (3, 1, 2): the final integer check must refuse it.
-        other = lp._prepare_program(program([[1, 1, 1]], [1], [1, 3, 2]))
-        start = lp._start_state(other, [1], 1)
-        prep = lp._prepare_program(program([[1, 1, 1]], [1], [3, 1, 2]))
-        with pytest.raises(RuntimeError, match="not dual-feasible"):
-            lp._solve_prepared(prep, [1], 1, start)
 
 
 def fixed_columns(prog: LinearProgram) -> list[int]:

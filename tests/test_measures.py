@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrbox.boxes import Box, enumerate_deterministic, mix
-from corrbox.cost import facet_bound
 from corrbox.generators import (
     FAMILY_KINDS,
     FamilySpec,
@@ -104,7 +103,6 @@ class TestIntegerKernelsMatchTheFractionFormulas:
         expected_chsh = oracle_chsh(box)
         assert chsh(box) == expected_chsh
         assert chsh(box).facet_bound == oracle_facet_bound(box)
-        assert facet_bound(box) == oracle_facet_bound(box)
         assert signal(box) == oracle_signal(box)
         for variant in ("formula", "per_party"):
             assert unpredictability(box, variant) == oracle_unpredictability(box, variant)

@@ -21,7 +21,7 @@ from corrbox.boxes import (
     relabeling_group,
 )
 from corrbox.cli import main
-from corrbox.cost import facet_bound, optimal_cost
+from corrbox.cost import optimal_cost
 from corrbox.generators import (
     FAMILY_KINDS,
     FamilySpec,
@@ -161,7 +161,7 @@ class TestFacetShortcut:
     @pytest.mark.parametrize("family", ("chsh16_mixture", "oneway_slice"))
     def test_facet_bound_is_the_cost_on_mixtures(self, family):
         for box in sample(FamilySpec(family, 8), 30):
-            assert facet_bound(box) == optimal_cost(box)
+            assert chsh(box).facet_bound == optimal_cost(box) == optimal_cost(box, "chsh16")
 
 
 class TestCheckBox:
@@ -416,11 +416,24 @@ class TestFuzz:
         assert keys <= failing
 
     def test_facet_bound_cross_check_runs(self, monkeypatch):
-        # _LP_EVERY = 1 re-solves the program on every sample; a facet bound
-        # that missed the program value would raise
+        # _LP_EVERY = 1 proves C on every sample: by the chsh16 program on a
+        # hull box, whose C is the form (F - 2) / 2, and by the full256
+        # program on a general one
         monkeypatch.setattr(verify, "_LP_EVERY", 1)
-        report = fuzz(FamilySpec("chsh16_mixture", 6), 8)
-        assert not report.aborted
+        bases = []
+        solve = verify._solve_cost
+        monkeypatch.setattr(verify, "_solve_cost", lambda *a: bases.append(a[1]) or solve(*a))
+        assert not fuzz(FamilySpec("chsh16_mixture", 6), 8).aborted
+        assert bases == ["chsh16"] * 8
+        assert not fuzz(FamilySpec("general", 6), 3).aborted
+        assert bases[8:] == ["full256"] * 3
+
+    def test_cross_check_catches_a_wrong_table_value(self, monkeypatch):
+        numerator = verify._cost_numerator
+        monkeypatch.setattr(verify, "_cost_numerator", lambda box: numerator(box) + 1)
+        for family in ("chsh16_mixture", "general"):
+            with pytest.raises(RuntimeError, match="dual-vertex table"):
+                fuzz(FamilySpec(family, 6), 1)
 
     def test_aborting_run_draws_only_the_boxes_it_checked(self, monkeypatch):
         drawn = []
