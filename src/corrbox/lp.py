@@ -14,26 +14,32 @@ every basis matrix of such a system is 0/1 (structural or artificial
 columns).  By Hadamard's bound, (k + 1)**((k + 1) / 2) / 2**k for a k x k
 0/1 matrix, each adjugate entry (a 15 x 15 minor) is at most 2**17, and
 delta, each w_i and each M_r a_j (16 x 16 determinants, by Cramer's rule)
-are at most 438870 < 2**18.75.  A delta-scaled reduced cost (a 17 x 17
-determinant with one row of costs) is then below 17 * 2**20 * 2**18.75 <
-2**43.  So each kernel product stays below 2**18.75 * 2**43 < 2**62: both
-products w_p D_k and D_j T_pk of the reduced-cost update below, whose
-difference stays below 2**63.
+are at most 438870 < 2**18.75.  So each product of the pivot kernel below,
+delta' M_i and w_i M_p, is below 2**18.75 * 2**17 < 2**36.  Pricing sums at
+most 16 terms per entry: |yhat| <= 16 * 2**20 * 2**17 = 2**41 for
+yhat = c_B M, and |D| < 16 * 2**41 + 2**20 * 2**18.75 < 2**46 for
+D = c delta - A^T yhat, partial sums included; each final D_k, a 17 x 17
+determinant with one row of costs, is below 17 * 2**20 * 2**18.75 < 2**43.
+Every kernel value stays far below 2**63.
 
-Update rule per pivot (entering column j, pivot row p, w = M a_j, tableau
-row T_p = M_p A, s the sign of w_p):
+Update rule per pivot (entering column j, pivot row p, w = M a_j, s the sign
+of w_p):
     delta' = |w_p|,  M'_p = s M_p,    M'_i = (|w_p| M_i - s w_i M_p) / delta
                      xi'_p = s xi_p,  xi'_i = (|w_p| xi_i - s w_i xi_p) / delta
-                     D' = (|w_p| D - s D_j T_p) / delta
-D is the row of delta-scaled reduced costs, c delta - c_B M A, of the
-running loop's objective.  Each loop computes it from scratch once, then
-carries it through its pivots as one more tableau row, so no pivot rebuilds
-c_B M A.  The sign s keeps delta positive: negating M, delta, xi and D
-together changes no ratio, so every sign test reads the integers directly.
-Each division is exact (Sylvester's identity: the entries of M, xi and D are
-minors of the basis matrix bordered by a column or the cost row); the solver
-asserts zero remainders on all three, which doubles as an overflow
-trip-wire.  The ratio test and the xi update read w as a Python list.
+The sign s keeps delta positive: negating M, delta and xi together changes
+no ratio, so every sign test reads the integers directly.  Each division is
+exact (Sylvester's identity: the entries of M and xi are minors of the basis
+matrix bordered by a column); the solver asserts zero remainders on both,
+which doubles as an overflow trip-wire.  At delta = 1 the divisions are
+skipped, since dividing by 1 changes nothing and leaves no remainder to
+test: that is every pivot of the chsh16 program measured on hull boxes, and
+about a sixth of the full256 program's on general boxes.  An xi row with
+w_i = 0 is unchanged when |w_p| = delta, and is skipped.
+
+Pricing.  No reduced-cost row is carried between pivots: each iteration
+prices from the basis, yhat = c_B M and D = c delta - A^T yhat for the
+running loop's objective, whose basic costs c_B _pivot updates one entry at
+a time.  No division enters, and D depends on the basis alone.
 
 The engine reads the right-hand side b as integer numerators over one
 positive denominator (a box's own form; solve converts a LinearProgram's
@@ -251,9 +257,10 @@ class _Engine:
         self.b_num = [v if k == 1 else v * k for v, k in zip(rhs_num, prep.row_scale)]
         if any(v < 0 for v in self.b_num):
             raise ValueError("rhs negative after row scaling")
-        # delta-scaled reduced costs of the running loop's objective, or None
-        # between loops; _pivot carries them as a tableau row.
-        self.reduced: np.ndarray | None = None
+        # The running objective (None: phase 1) and its basic costs c_B,
+        # which _pivot keeps one entry at a time.
+        self.objective: Sequence[int] | None = None
+        self.cost_b = np.ones(prep.m, dtype=prep.dtype)
         # Set by presolve when it fixes columns: the columns that may enter
         # and the indicator 1_Z of the zero rows.  None: every column may.
         self.free: np.ndarray | None = None
@@ -271,7 +278,7 @@ class _Engine:
 
     def _pivot(self, j: int, p: int, w: np.ndarray) -> None:
         """Pivot column j into row p, where w = M a_j.  A negative w_p negates
-        the new M, xi and reduced costs together, which keeps delta positive."""
+        the new M and xi together, which keeps delta positive."""
         w_list = w.tolist()
         wp = w_list[p]
         if wp == 0:
@@ -279,31 +286,29 @@ class _Engine:
         sign = 1 if wp > 0 else -1
         new_delta = sign * wp
         delta = self.delta
-        if self.reduced is not None:
-            row = self.mat[p] @ self.a
-            numer = new_delta * self.reduced - (sign * int(self.reduced[j])) * row
-            if np.count_nonzero(numer % delta):
-                raise RuntimeError("inexact division in reduced-cost update")
-            self.reduced = numer // delta
         mat_p = self.mat[p] if sign > 0 else -self.mat[p]
         numer = new_delta * self.mat - w[:, None] * mat_p
-        if np.count_nonzero(numer % delta):
-            raise RuntimeError("inexact division in basis update")
-        new_mat = numer // delta
-        new_mat[p] = mat_p
-        self.mat = new_mat
+        if delta != 1:
+            if np.count_nonzero(numer % delta):
+                raise RuntimeError("inexact division in basis update")
+            numer //= delta
+        numer[p] = mat_p
+        self.mat = numer
         xi = self.xi
         xi_p = sign * xi[p]
         for i, w_i in enumerate(w_list):
-            if i == p:
+            if i == p or (w_i == 0 and new_delta == delta):
                 continue
-            q, r = divmod(new_delta * xi[i] - w_i * xi_p, delta)
-            if r != 0:
-                raise RuntimeError("inexact division in rhs update")
+            q = new_delta * xi[i] - w_i * xi_p
+            if delta != 1:
+                q, r = divmod(q, delta)
+                if r != 0:
+                    raise RuntimeError("inexact division in rhs update")
             xi[i] = q
         xi[p] = xi_p
         self.delta = new_delta
         self.basis[p] = j
+        self.cost_b[p] = 0 if self.objective is None else self.objective[j]
 
     def _cost_basis(self, col_cost: Sequence[int] | None) -> np.ndarray:
         # col_cost None means phase 1: artificials cost 1, columns cost 0.
@@ -318,11 +323,13 @@ class _Engine:
     def _reduced(
         self, col_cost: Sequence[int] | None, yhat: np.ndarray | None = None
     ) -> np.ndarray:
-        """delta-scaled reduced costs of the structural columns, from scratch,
-        against yhat = c_B M or the given delta-scaled dual vector."""
+        """delta-scaled reduced costs of the structural columns, from the
+        basis: c delta - A^T yhat with yhat = c_B M (c_B as carried for the
+        running objective), or against a given delta-scaled dual vector."""
         if yhat is None:
-            yhat = self._cost_basis(col_cost) @ self.mat
-        ata = self.a.T @ yhat
+            c_b = self.cost_b if col_cost is self.objective else self._cost_basis(col_cost)
+            yhat = c_b @ self.mat
+        ata = yhat @ self.a
         if col_cost is None:
             return -ata
         if col_cost is self.prep.col_cost:
@@ -353,34 +360,31 @@ class _Engine:
     def _loop(
         self, col_cost: Sequence[int] | None, allowed: np.ndarray | None = None
     ) -> tuple[str, int | None, np.ndarray | None]:
-        """Pivot to optimality or unboundedness for one objective.  The reduced
-        costs are computed once, then carried through every pivot."""
+        """Pivot to optimality or unboundedness for one objective, pricing
+        every iteration from the basis."""
         if self.free is not None:
             allowed = self.free if allowed is None else allowed & self.free
-        self.reduced = self._reduced(col_cost)
-        try:
-            for iteration in range(_ITERATION_CAP):
-                reduced = self.reduced
-                if allowed is not None:
-                    reduced = np.where(allowed, reduced, 0)
-                if iteration < _BLAND_AFTER:
-                    # argmin takes the first minimum, so ties stay deterministic
-                    j = int(reduced.argmin())
-                    entering = reduced[j] < 0
-                else:
-                    negative = reduced < 0
-                    j = int(negative.argmax())
-                    entering = negative[j]
-                if not entering:
-                    return "optimal", None, None
-                w = self._entering_w(j)
-                p = self._ratio_row(w)
-                if p is None:
-                    return "unbounded", j, w
-                self._pivot(j, p, w)
-            raise RuntimeError("simplex iteration cap exceeded")
-        finally:
-            self.reduced = None
+        self.objective, self.cost_b = col_cost, self._cost_basis(col_cost)
+        for iteration in range(_ITERATION_CAP):
+            reduced = self._reduced(col_cost)
+            if allowed is not None:
+                reduced = np.where(allowed, reduced, 0)
+            if iteration < _BLAND_AFTER:
+                # argmin takes the first minimum, so ties stay deterministic
+                j = int(reduced.argmin())
+                entering = reduced[j] < 0
+            else:
+                negative = reduced < 0
+                j = int(negative.argmax())
+                entering = negative[j]
+            if not entering:
+                return "optimal", None, None
+            w = self._entering_w(j)
+            p = self._ratio_row(w)
+            if p is None:
+                return "unbounded", j, w
+            self._pivot(j, p, w)
+        raise RuntimeError("simplex iteration cap exceeded")
 
     def _drive_out_artificials(self) -> None:
         for p in range(self.m):
@@ -442,10 +446,12 @@ class _Engine:
 
     def pivoted(self, j: int, p: int, w: np.ndarray) -> _Engine:
         """A copy of this state after one pivot; this state is unchanged,
-        since _pivot replaces mat rather than writing into it."""
+        since _pivot replaces mat and the copy takes its own basis, xi and
+        c_B."""
         other = copy.copy(self)
         other.basis = list(self.basis)
         other.xi = list(self.xi)
+        other.cost_b = self.cost_b.copy()
         other._pivot(j, p, w)
         return other
 
@@ -500,15 +506,6 @@ class _Engine:
         col_cost = self.prep.col_cost
         if np.count_nonzero(self._reduced(col_cost, self._certificate_dual(col_cost)) < 0):
             raise RuntimeError("optimal basis is not dual-feasible")
-
-    def dual_vector(self) -> tuple[Fraction, ...]:
-        """y = c_B B^-1 in the program's own rows, lifted after a presolve;
-        at an optimum, y.A <= objective and y.rhs = value."""
-        yhat = self._certificate_dual(self.prep.col_cost)
-        den = self.delta * self.prep.cost_den
-        return tuple(
-            Fraction(v * k, den) for v, k in zip(yhat.tolist(), self.prep.row_scale)
-        )
 
     def farkas_certificate(self) -> tuple[Fraction, ...]:
         """A Farkas vector y in the program's own rows: the phase-1 duals at

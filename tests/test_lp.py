@@ -9,6 +9,8 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import corrbox.lp as lp
+from corrbox.cost import _system_for
+from corrbox.generators import FamilySpec, draw
 from corrbox.lp import (
     DimensionMismatch,
     LinearProgram,
@@ -468,6 +470,123 @@ class TestFailureCertificates:
             solve(program([[1, 1]], [1], [3, 1]))
 
 
+# Costs scaled past the int64 rule's 2**20 put a 0/1 system on the object
+# path; a positive scale keeps every pivot choice.
+_OBJECT_SCALE = 2**21
+
+
+def check_kernel_state(engine: lp._Engine) -> None:
+    """The kernel's invariants, recomputed in Python integers: M B = delta I
+    over the basic columns (artificials included), xi = M b_num, and the
+    pricing row equal to c delta - c_B M A for the running objective."""
+    m, n, delta = engine.m, engine.n, engine.delta
+    assert delta > 0
+    a = engine.a.tolist()
+    mat = engine.mat.tolist()
+    for col, jb in enumerate(engine.basis):
+        column = [a[r][jb] for r in range(m)] if jb < n else [int(r == jb - n) for r in range(m)]
+        for i in range(m):
+            assert sum(x * y for x, y in zip(mat[i], column)) == delta * (i == col)
+    assert engine.xi == [sum(x * y for x, y in zip(row, engine.b_num)) for row in mat]
+    objective = engine.objective
+    cost = [0] * n if objective is None else list(objective)
+    c_b = [int(objective is None) if jb >= n else cost[jb] for jb in engine.basis]
+    yhat = [sum(c_b[i] * mat[i][r] for i in range(m)) for r in range(m)]
+    want = [cost[k] * delta - sum(yhat[r] * a[r][k] for r in range(m)) for k in range(n)]
+    assert engine._reduced(objective).tolist() == want
+
+
+class TestKernelInvariants:
+    """Every pivot of two-phase solves and optimal-face searches, on both
+    arithmetic paths, leaves a state whose invariants hold exactly."""
+
+    @pytest.fixture
+    def divisors(self, monkeypatch):
+        """Check the state after every pivot; collect (int_mode, delta) of
+        the delta each pivot divided by."""
+        seen = set()
+        pivot = lp._Engine._pivot
+
+        def checked(engine, j, p, w):
+            seen.add((engine.prep.int_mode, engine.delta))
+            pivot(engine, j, p, w)
+            check_kernel_state(engine)
+
+        monkeypatch.setattr(lp._Engine, "_pivot", checked)
+        return seen
+
+    @staticmethod
+    def assert_both_divisions(divisors) -> None:
+        """Each path pivoted from delta = 1, where the divisions are skipped,
+        and from delta > 1, where they run."""
+        for int_mode in (True, False):
+            assert (int_mode, 1) in divisors
+            assert any(d > 1 for mode, d in divisors if mode == int_mode)
+
+    def test_zero_one_programs(self, divisors):
+        rng = random.Random(6161)
+        for _ in range(30):
+            m, n = rng.randint(4, 8), rng.randint(6, 16)
+            rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+            rhs = [rng.randint(0, 4) for _ in range(m)]
+            cost = [rng.randint(-1, 3) for _ in range(n)]
+            for scale in (1, _OBJECT_SCALE):
+                prog = program(rows, rhs, [c * scale for c in cost])
+                assert lp._prepare_program(prog).int_mode == (scale == 1)
+                got = solve(prog)
+                if got.status == "optimal":
+                    find_alternative_vertex(prog, got)
+        self.assert_both_divisions(divisors)
+
+    def test_chsh16_system(self, divisors):
+        base = _system_for("chsh16").prep
+        preps = (base, lp._prepare_int01(base.a_int, [c * _OBJECT_SCALE for c in base.col_cost]))
+        assert [prep.int_mode for prep in preps] == [True, False]
+        for family in ("chsh16_mixture", "no_signaling"):
+            for box in draw(FamilySpec(family, 17), 12):
+                for prep in preps:
+                    _, engine = lp._solve_prepared(prep, box.num, box.den)
+                    if engine is not None:
+                        lp._alternative_from_engine(engine, engine.support())
+        self.assert_both_divisions(divisors)
+
+
+class TestRemainderTripWires:
+    """At delta = 2 a corrupted M or xi entry makes an inexact division,
+    which the pivot refuses, on both arithmetic paths."""
+
+    # B = columns 0..2 has determinant 2; column 3 then enters at row 0
+    # with w = (1, 1, 1), so delta' = 1 and each numerator must stay even.
+    ROWS = [[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]]
+
+    def engine_at_delta_two(self, scale: int) -> lp._Engine:
+        prep = lp._prepare_int01(np.array(self.ROWS), [scale] * 4)
+        assert prep.int_mode == (scale == 1)
+        engine = lp._Engine(prep, [2, 2, 2], 1)
+        for j in range(3):
+            engine._pivot(j, j, engine._entering_w(j))
+        assert engine.delta == 2
+        return engine
+
+    @pytest.mark.parametrize("scale", [1, _OBJECT_SCALE])
+    def test_corrupted_basis_entry(self, scale):
+        engine = self.engine_at_delta_two(scale)
+        w = engine._entering_w(3)
+        assert w.tolist() == [1, 1, 1]
+        assert engine.pivoted(3, 0, w).delta == 1  # uncorrupted, it pivots
+        engine.mat[1, 0] += 1
+        with pytest.raises(RuntimeError, match="inexact division in basis update"):
+            engine._pivot(3, 0, w)
+
+    @pytest.mark.parametrize("scale", [1, _OBJECT_SCALE])
+    def test_corrupted_rhs_entry(self, scale):
+        engine = self.engine_at_delta_two(scale)
+        w = engine._entering_w(3)
+        engine.xi[1] += 1
+        with pytest.raises(RuntimeError, match="inexact division in rhs update"):
+            engine._pivot(3, 0, w)
+
+
 def fixed_columns(prog: LinearProgram) -> list[int]:
     """The columns the forcing-row presolve fixes at zero on prog."""
     engine = lp._Engine(lp._prepare_program(prog), *lp._integer_rhs(prog.rhs))
@@ -501,7 +620,11 @@ class TestForcingRowPresolve:
         got, engine = lp._solve_prepared(lp._prepare_program(prog), *lp._integer_rhs(prog.rhs))
         assert engine._reduced(engine.prep.col_cost)[2] < 0
         assert (got.status, got.value) == solve_reference(rows, rhs, cost)[:2]
-        y = engine.dual_vector()
+        # the lifted yhat = delta y in the row-scaled integers, read back
+        # into the program's own rows
+        yhat = engine._certificate_dual(engine.prep.col_cost).tolist()
+        den = engine.delta * engine.prep.cost_den
+        y = [F(v * k, den) for v, k in zip(yhat, engine.prep.row_scale)]
         for j in range(3):
             assert sum(y[i] * rows[i][j] for i in range(3)) <= cost[j], j
         assert sum(y[i] * rhs[i] for i in range(3)) == got.value
