@@ -53,6 +53,13 @@ from .verify import analyze, fuzz, reproduce_paper
 _PARAMETRIC_KINDS = ("isotropic", "quantum")
 # Each source option and the one parametric kind that reads it.
 _SOURCE_OPTIONS = (("v", "isotropic"), ("angles", "quantum"), ("denom", "quantum"))
+_QUANTITY_NAMES = ("lambda_max", "s", "C", "eta", "I", "U_A", "U_B")
+
+
+def _quantities(a: Analysis) -> tuple[Fraction, ...]:
+    """The values of _QUANTITY_NAMES on a, as analyze --text and sweep print them."""
+    unc = a.uncertainty
+    return (a.chsh.lambda_max, a.s, a.c, a.eta, a.i_formula, unc.u_a, unc.u_b)
 
 
 @contextmanager
@@ -128,6 +135,10 @@ def _add_source_options(sub: argparse.ArgumentParser) -> None:
         "source",
         help="box file, - for stdin, a canonical name, isotropic, or quantum",
     )
+    _add_parametric_options(sub)
+
+
+def _add_parametric_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--v", help="isotropic weight, e.g. 7/10 or 0.7")
     sub.add_argument(
         "--angles",
@@ -184,7 +195,7 @@ def _analyze_report(box: Box, args: argparse.Namespace, handle: IO[str]) -> None
         },
         "flags": {
             "no_signaling": a.s == 0,
-            "lhv_admissible": a.s == 0 and a.chsh.lambda_max <= 2,
+            "lhv_admissible": a.lhv_admissible,
             "weakly_nonclassical": a.i_formula > 0,
             "strongly_nonclassical": a.eta > 0,
         },
@@ -197,16 +208,10 @@ def _analyze_report(box: Box, args: argparse.Namespace, handle: IO[str]) -> None
         }
     if args.text:
         lines = [
-            f"lambda_max = {format_fraction(a.chsh.lambda_max)}",
-            f"s = {format_fraction(a.s)}",
-            f"C = {format_fraction(a.c)}",
-            f"eta = {format_fraction(a.eta)}",
-            f"I = {format_fraction(a.i_formula)}",
-            f"U_A = {format_fraction(unc.u_a)}",
-            f"U_B = {format_fraction(unc.u_b)}",
-            "flags: "
-            + ", ".join(k for k, v in obj["flags"].items() if v),
+            f"{name} = {format_fraction(value)}"
+            for name, value in zip(_QUANTITY_NAMES, _quantities(a))
         ]
+        lines.append("flags: " + ", ".join(k for k, v in obj["flags"].items() if v))
         if args.dim is not None:
             lines.append(f"eta_star(d={args.dim}) ~ {obj['eta_star']['value']}")
         handle.write("\n".join(lines) + "\n")
@@ -222,10 +227,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind is not None:
         if args.count != 1:
             raise ValueError("--count above 1 needs --family")
+        if args.seed is not None:
+            raise ValueError("--seed applies only to --family")
         boxes = [_named_box(args.kind, args)]
     else:
         _check_source_options(args, None)
-        boxes = draw(FamilySpec(args.family, args.seed), args.count)
+        boxes = draw(FamilySpec(args.family, args.seed or 0), args.count)
     if args.out is None:
         if args.count != 1:
             raise ValueError("--count above 1 needs --out DIRECTORY")
@@ -246,8 +253,7 @@ def _decomposition_obj(box: Box, args: argparse.Namespace) -> dict:
                 "first": decomposition_to_json_obj(first),
                 "second": None if second is None else decomposition_to_json_obj(second),
             }
-        report = communication_cost(box, args.basis)
-        return decomposition_to_json_obj(report.decomposition)
+        return decomposition_to_json_obj(communication_cost(box, args.basis).decomposition)
     except NotInHull:
         return {"basis": args.basis, "status": "not-in-hull"}
 
@@ -281,7 +287,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown sweep kind {args.kind!r}")
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
-    columns = ("param", "lambda_max", "s", "C", "eta", "I", "U_A", "U_B")
+    columns = ("param",) + _QUANTITY_NAMES
     header = list(columns) + [f"{name}_exact" for name in columns]
     with _output(args.csv, newline="") as handle:
         weights = [Fraction(k, args.steps) for k in range(args.steps + 1)]
@@ -293,8 +299,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _sweep_row(v: Fraction, a: Analysis) -> list[str]:
-    unc = a.uncertainty
-    exact = (v, a.chsh.lambda_max, a.s, a.c, a.eta, a.i_formula, unc.u_a, unc.u_b)
+    exact = (v, *_quantities(a))
     return ["%.12g" % float(x) for x in exact] + [format_fraction(x) for x in exact]
 
 
@@ -338,13 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="emit canonical, parametric, or sampled boxes")
     gen.add_argument("--kind", help="canonical name, isotropic, or quantum")
-    gen.add_argument("--v", help="isotropic weight")
-    gen.add_argument("--angles", nargs="+", metavar="RAD")
-    gen.add_argument(
-        "--denom", type=int, help="quantum rationalization bound (default 10**6)"
-    )
+    _add_parametric_options(gen)
     gen.add_argument("--family", choices=FAMILY_KINDS, help="sampling family")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, help="sampling seed (default 0)")
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--out", help="output directory (box-NNNN.json per box)")
     gen.set_defaults(func=_cmd_gen)

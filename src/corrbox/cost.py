@@ -6,17 +6,16 @@ supported: the full set of 256 deterministic boxes (every valid box is a
 mixture of these, so the program is always feasible) and the 16-element
 canonical basis, where membership can genuinely fail.
 
-Two paths give C.  communication_cost wants a decomposition to print, so it
-runs the two-phase simplex from the artificial basis, whose vertex is fixed
-by its pivot rules; the box enters the program as its own integer numerators
-and denominator.  optimal_cost wants only C, which by LP duality is the
-largest y.p over the vertices y of the dual polytope
+Two paths give C.  optimal_cost reads C alone from a table: by LP duality
+C is the largest y.p over the vertices y of the dual polytope
 {y : y.d_j <= cost_j for all 256 strategies d_j}, taken modulo its
 lineality (a constant added to one setting's cells and taken from
 another's).  It has 408 vertices in 8 orbits of the 128 relabelings
-(_DUAL_ORBITS; tests/test_cost.py proves the list valid and complete), so
-optimal_cost reads C as an exact integer maximum over that table, and
-communication_cost checks its value against the table on every box.
+(_DUAL_ORBITS; tests/test_cost.py proves the list valid and complete), and
+C is an exact integer maximum over them.  For a decomposition, _solve_cost
+runs the two-phase simplex from the artificial basis, whose pivot rules fix
+its vertex, on the box's integer numerators and denominator, and checks
+every solve, on either basis, against the table.
 
 On the canonical basis every decomposition costs (F - 2) / 2, with F the
 signed correlator sum of measures._signed_pattern.  That form is a table
@@ -170,34 +169,56 @@ def _system_for(basis: str) -> _CostSystem:
     return _CostSystem(prep=lp._prepare_int01(columns, costs), ids=ids)
 
 
-def _decomposition(
-    solution: lp.LpSolution, ids: tuple[int, ...], basis: str
-) -> Decomposition:
+def _decomposition(solution: lp.LpSolution, basis: str) -> Decomposition:
     """The decomposition at an optimal vertex: the nonzero weights of its
     basic columns, in ascending column order."""
     assert solution.basis is not None
-    point = solution.point
+    ids, point = _system_for(basis).ids, solution.point
     weights = {ids[j]: point[j] for j in solution.basis if point[j] != 0}
     dets = enumerate_deterministic()
+    # One exact sum over the common denominator, a quarter of Fraction adds' time.
+    common = math.lcm(*(w.denominator for w in weights.values()))
     cost = sum(
-        (w * dets[i].cost_bits for i, w in weights.items()), Fraction(0)
+        w.numerator * (common // w.denominator) * dets[i].cost_bits
+        for i, w in weights.items()
     )
-    return Decomposition(weights=weights, basis_kind=basis, cost=cost)
+    return Decomposition(weights=weights, basis_kind=basis, cost=Fraction(cost, common))
+
+
+def _table_cost(box: Box, basis: str) -> Fraction | None:
+    """C on the basis from the dual-vertex table, or None outside the chsh16 hull."""
+    top = _cost_numerator(box)
+    if basis == "chsh16" and _hull_numerator(box) != top:
+        return None
+    return Fraction(top, 2 * box.den)
 
 
 def _solve_cost(
-    box: Box, basis: str
-) -> tuple[lp.LpSolution, lp._Engine | None, _CostSystem]:
-    """The two-phase solve of the cost program on box."""
-    system = _system_for(basis)
-    solution, engine = lp._solve_prepared(system.prep, box.num, box.den)
-    if solution.status == "infeasible":
-        if basis == "full256":
-            raise RuntimeError("a valid box left the full deterministic hull")
+    box: Box, basis: str, c: Fraction | None = None, where: str = ""
+) -> tuple[Decomposition, lp._Engine]:
+    """The two-phase solve of the cost program on box, checked against the
+    table's cost c on the basis (read here unless given): the program must be
+    feasible exactly when c exists, and its value and the cost of the
+    decomposition at its vertex must equal c, else RuntimeError, its message
+    ending in where.  Raises NotInHull when the table and program agree that
+    the box lies outside the chsh16 hull."""
+    if c is None:
+        c = _table_cost(box, basis)
+    solution, engine = lp._solve_prepared(_system_for(basis).prep, box.num, box.den)
+    value = solution.value
+    if value != c:
+        program = f"{solution.status} {basis} program"
+        got = program if value is None else f"program value {value}"
+        want = c if c is not None else "not-in-hull"
+        raise RuntimeError(f"{got} disagrees with the dual-vertex table's {want}{where}")
+    if engine is None:
         raise NotInHull(_OUTSIDE_HULL)
-    if solution.status != "optimal":
-        raise RuntimeError(f"cost program ended {solution.status}")
-    return solution, engine, system
+    decomposition = _decomposition(solution, basis)
+    # The decomposition's cost is summed from the point's Fractions, the
+    # value in integers from the basic state: two independent computations.
+    if decomposition.cost != value:
+        raise RuntimeError(f"decomposition cost disagrees with program value{where}")
+    return decomposition, engine
 
 
 def optimal_cost(box: Box, basis: str = "full256") -> Fraction:
@@ -207,10 +228,10 @@ def optimal_cost(box: Box, basis: str = "full256") -> Fraction:
 
     Raises NotInHull when basis="chsh16" and the box lies outside that hull."""
     _check_basis(basis)
-    top = _cost_numerator(box)
-    if basis == "chsh16" and _hull_numerator(box) != top:
+    c = _table_cost(box, basis)
+    if c is None:
         raise NotInHull(_OUTSIDE_HULL)
-    return Fraction(top, 2 * box.den)
+    return c
 
 
 def communication_cost(box: Box, basis: str = "full256") -> CostReport:
@@ -218,18 +239,8 @@ def communication_cost(box: Box, basis: str = "full256") -> CostReport:
     as the box's Analysis with an optimal decomposition.
 
     Raises NotInHull when basis="chsh16" and the box lies outside that hull."""
-    solution, _, system = _solve_cost(box, basis)
-    assert solution.value is not None
-    if basis == "full256" and solution.value != (table := optimal_cost(box)):
-        raise RuntimeError(
-            f"program value {solution.value} disagrees with the dual-vertex table's {table}"
-        )
-    decomposition = _decomposition(solution, system.ids, basis)
-    # The decomposition's cost is summed in Fractions from the point, the
-    # value in integers from the basic state: two independent computations.
-    if decomposition.cost != solution.value:
-        raise RuntimeError("decomposition cost disagrees with program value")
-    return CostReport(box, solution.value, decomposition)
+    decomposition, _ = _solve_cost(box, basis)
+    return CostReport(box, decomposition.cost, decomposition)
 
 
 def check_dimension(d: int) -> None:
@@ -256,13 +267,9 @@ def optimal_decompositions(
     """The optimal decomposition communication_cost reports, and a second
     one with a different support, or None when the search over the optimal
     face finds none.  Raises NotInHull like communication_cost."""
-    solution, engine, system = _solve_cost(box, basis)
-    assert solution.value is not None and engine is not None
-    first = _decomposition(solution, system.ids, basis)
+    first, engine = _solve_cost(box, basis)
     other = lp._alternative_from_engine(engine, engine.support())
-    if other is None:
-        return first, None
-    return first, _decomposition(other, system.ids, basis)
+    return first, None if other is None else _decomposition(other, basis)
 
 
 def find_distinct_decompositions(

@@ -183,10 +183,14 @@ def uncertainty(box: Box) -> UncertaintyReport:
     return _uncertainty_report(_residuals(box), box.den)
 
 
-def lhv_admissible(box: Box) -> bool:
+def _lhv_admissible(signal: tuple[int, int], chsh: tuple[int, ...], den: int) -> bool:
     """True iff the box is explainable by shared randomness alone: no
     signaling and no correlator sum beyond 2."""
-    return max(_signal_values(box)) == 0 and max(_chsh_values(box)) <= 2 * box.den
+    return max(signal) == 0 and max(chsh) <= 2 * den
+
+
+def lhv_admissible(box: Box) -> bool:
+    return _lhv_admissible(_signal_values(box), _chsh_values(box), box.den)
 
 
 @dataclass(frozen=True)
@@ -231,6 +235,10 @@ class Analysis:
     @cached_property
     def eta(self) -> Fraction:
         return self.c - self.s
+
+    @property
+    def lhv_admissible(self) -> bool:
+        return _lhv_admissible(self._signal, self._chsh, self.box.den)
 
     @property
     def lower_bound(self) -> Fraction:

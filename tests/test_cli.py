@@ -321,20 +321,22 @@ class TestInternalError:
         assert code == 3 and out == ""
         assert err.startswith("error: internal: ") and err.count("\n") == 1
 
-    def test_incomplete_vertex_table_in_analyze(self, capsys, monkeypatch, tmp_path):
-        # Without the orbit of 128 the table reads 15/26 on this box, and the
-        # two-phase program's 8/13 refutes it.
+    @staticmethod
+    def run_without_last_orbit(capsys, monkeypatch, tmp_path, command, *options):
+        """Run command on a box file, which must pass with the full table, with
+        the orbit of 128 dropped: the table then reads 15/26 on this box, and
+        the two-phase program's 8/13 refutes it."""
         import corrbox.cost as cost
         from corrbox.boxes import Box
 
         box = Box.from_numerators((10, 1, 1, 1, 1, 6, 5, 1, 1, 2, 7, 3, 1, 6, 5, 1), 13)
         path = tmp_path / "box.json"
         path.write_text(json.dumps(box_to_json_obj(box)), encoding="utf-8")
-        assert run(capsys, "analyze", str(path))[0] == 0
+        assert run(capsys, command, str(path), *options)[0] == 0
         monkeypatch.setattr(cost, "_DUAL_ORBITS", cost._DUAL_ORBITS[:-1])
         cost._dual_vertices.cache_clear()
         try:
-            code, out, err = run(capsys, "analyze", str(path))
+            code, out, err = run(capsys, command, str(path), *options)
         finally:
             cost._dual_vertices.cache_clear()
         assert code == 3 and out == ""
@@ -342,6 +344,48 @@ class TestInternalError:
             "error: internal: program value 8/13 disagrees with the dual-vertex "
             "table's 15/26\n"
         )
+
+    def test_incomplete_vertex_table_in_analyze(self, capsys, monkeypatch, tmp_path):
+        self.run_without_last_orbit(capsys, monkeypatch, tmp_path, "analyze")
+
+    @pytest.mark.parametrize("alt", [(), ("--alt",)])
+    def test_incomplete_vertex_table_in_decompose(self, capsys, monkeypatch, tmp_path, alt):
+        # The first decomposition, with or without the optimal-face search,
+        # is checked against the table like analyze's C.
+        self.run_without_last_orbit(capsys, monkeypatch, tmp_path, "decompose", *alt)
+
+    @pytest.mark.parametrize("alt", [(), ("--alt",)])
+    @pytest.mark.parametrize(
+        "source,falsified,message",
+        [
+            # pr is in the hull: a hull form that never attains the maximum
+            # puts it outside, and the feasible program refutes that.
+            pytest.param(
+                ("pr",), lambda form, top: form + 1,
+                "program value 1 disagrees with the dual-vertex table's not-in-hull",
+                id="pr-put-outside",
+            ),
+            # isotropic 1/4 is outside: a hull form that always attains the
+            # maximum puts it inside, and the infeasible program refutes that.
+            pytest.param(
+                ("isotropic", "--v", "1/4"), lambda form, top: top,
+                "infeasible chsh16 program disagrees with the dual-vertex table's 0",
+                id="isotropic-put-inside",
+            ),
+        ],
+    )
+    def test_wrong_hull_test_in_decompose(
+        self, capsys, monkeypatch, source, falsified, message, alt
+    ):
+        import corrbox.cost as cost
+
+        real = cost._hull_numerator
+        monkeypatch.setattr(
+            cost, "_hull_numerator", lambda box: falsified(real(box), cost._cost_numerator(box))
+        )
+        code, out, err = run(capsys, "decompose", *source, "--basis", "chsh16", *alt)
+        assert code == 3 and out == ""
+        assert err == f"error: internal: {message}\n"
 
     def test_usage_error_keeps_code_two(self, capsys):
         code, _, err = run(capsys, "analyze", "pr", "--dim", "1")
@@ -372,6 +416,11 @@ class TestGen:
         for name in names:
             obj = json.loads((out_dir / name).read_text(encoding="utf-8"))
             box_from_json_obj(obj)  # validates
+
+    def test_family_seed_defaults_to_zero(self, capsys):
+        default = run(capsys, "gen", "--family", "general")
+        assert default == run(capsys, "gen", "--family", "general", "--seed", "0")
+        assert default[0] == 0
 
     def test_seeded_output_is_stable(self, capsys, tmp_path):
         first = tmp_path / "a"
@@ -742,8 +791,8 @@ class TestDestinationOpenedFirst:
 
 
 class TestSourceOptions:
-    """--v, --angles and --denom are refused where the source does not read
-    them, instead of being dropped."""
+    """--v, --angles and --denom, and gen's --seed, are refused where the
+    source does not read them, instead of being dropped."""
 
     @staticmethod
     def box_file(tmp_path):
@@ -786,6 +835,9 @@ class TestSourceOptions:
             (("--family", "general", "--angles", "tsirelson"),
              "--angles applies only to quantum"),
             (("--family", "oneway_slice", "--v", "1/2"), "--v applies only to isotropic"),
+            (("--kind", "noise", "--seed", "3"), "--seed applies only to --family"),
+            (("--kind", "isotropic", "--v", "1/2", "--seed", "0"),
+             "--seed applies only to --family"),
         ],
     )
     def test_gen_refuses_unread_options(self, capsys, argv, message):

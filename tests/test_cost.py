@@ -199,7 +199,7 @@ def _active_row(box: Box) -> tuple[int, ...]:
 
 def _hull_program_cost(box: Box) -> Fraction | None:
     try:
-        return cost._solve_cost(box, "chsh16")[0].value
+        return cost._solve_cost(box, "chsh16")[0].cost
     except NotInHull:
         return None
 
@@ -310,7 +310,7 @@ class TestWarmPath:
         got = [_single_cost(box, basis) for box in path]
         if basis == "full256":
             assert [analyze(box).c for box in path] == got
-            expected = [cost._solve_cost(box, basis)[0].value for box in path]
+            expected = [cost._solve_cost(box, basis)[0].cost for box in path]
         else:
             expected = [_hull_program_cost(box) for box in path]
         assert got == expected
