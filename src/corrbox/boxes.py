@@ -73,10 +73,6 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    return exact_fraction(text)
-
-
 @dataclass(frozen=True, init=False)
 class Box:
     """An exact correlation box: cell i is num[i] / den.  Invariants checked

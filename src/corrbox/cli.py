@@ -26,8 +26,8 @@ from .boxes import (
     Box,
     box_from_json_obj,
     box_to_json_obj,
+    exact_fraction,
     format_fraction,
-    parse_fraction,
 )
 from .cost import (
     NotInHull,
@@ -99,7 +99,7 @@ def _named_box(name: str, args: argparse.Namespace) -> Box:
     if name == "isotropic":
         if args.v is None:
             raise ValueError("isotropic needs --v")
-        return isotropic(parse_fraction(args.v))
+        return isotropic(exact_fraction(args.v))
     if name != "quantum":
         return canonical(name)
     raw = args.angles
@@ -339,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--json", action="store_true", help="JSON report (the default)")
     fmt.add_argument("--text", action="store_true", help="plain text instead of JSON")
     analyze.add_argument("--out", help="write the report here instead of stdout")
-    analyze.set_defaults(func=_cmd_analyze)
 
     gen = sub.add_parser("gen", help="emit canonical, parametric, or sampled boxes")
     gen.add_argument("--kind", help="canonical name, isotropic, or quantum")
@@ -348,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, help="sampling seed (default 0)")
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--out", help="output directory (box-NNNN.json per box)")
-    gen.set_defaults(func=_cmd_gen)
 
     decompose = sub.add_parser("decompose", help="optimal decomposition of a box")
     _add_source_options(decompose)
@@ -357,24 +355,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--alt", action="store_true", help="also search for a second optimal support"
     )
     decompose.add_argument("--out", help="write JSON here instead of stdout")
-    decompose.set_defaults(func=_cmd_decompose)
 
     fuzz_cmd = sub.add_parser("fuzz", help="seeded sweep of the tracked inequalities")
     fuzz_cmd.add_argument("--family", choices=FAMILY_KINDS, default="general")
     fuzz_cmd.add_argument("--seed", type=int, default=0)
     fuzz_cmd.add_argument("--count", type=int, default=100)
     fuzz_cmd.add_argument("--out", help="write JSON here instead of stdout")
-    fuzz_cmd.set_defaults(func=_cmd_fuzz)
 
     repro = sub.add_parser("repro", help="recompute the reference scenario")
     repro.add_argument("--out", help="write JSON here instead of stdout")
-    repro.set_defaults(func=_cmd_repro)
 
     sweep = sub.add_parser("sweep", help="parameter sweep as CSV")
     sweep.add_argument("--kind", default="isotropic")
     sweep.add_argument("--steps", type=int, default=10)
     sweep.add_argument("--csv", help="write CSV here instead of stdout")
-    sweep.set_defaults(func=_cmd_sweep)
 
     return parser
 
@@ -389,7 +383,8 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        # Looked up at each call, so a handler can be replaced after import.
+        return globals()[f"_cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

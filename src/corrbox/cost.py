@@ -6,21 +6,24 @@ supported: the full set of 256 deterministic boxes (every valid box is a
 mixture of these, so the program is always feasible) and the 16-element
 canonical basis, where membership can genuinely fail.
 
-Two paths give C.  optimal_cost reads C alone from a table: by LP duality
-C is the largest y.p over the vertices y of the dual polytope
-{y : y.d_j <= cost_j for all 256 strategies d_j}, taken modulo its
-lineality (a constant added to one setting's cells and taken from
-another's).  It has 408 vertices in 8 orbits of the 128 relabelings
-(_DUAL_ORBITS; tests/test_cost.py proves the list valid and complete), and
-C is an exact integer maximum over them.  For a decomposition, _solve_cost
-runs the two-phase simplex from the artificial basis, whose pivot rules fix
-its vertex, on the box's integer numerators and denominator, and checks
-every solve, on either basis, against the table.
+This module decides and checks everything about C, by two paths.
+optimal_cost reads C alone from a table: by LP duality C is the largest y.p
+over the vertices y of the dual polytope {y : y.d_j <= cost_j for all 256
+strategies d_j}, taken modulo its lineality (a constant added to one
+setting's cells and taken from another's).  It has 408 vertices in 8 orbits
+of the 128 relabelings (_DUAL_ORBITS; tests/test_cost.py proves the list
+valid and complete), and C is an exact integer maximum over them.  For a
+decomposition, _solve_cost (also fuzz's cross-check, _prove_cost) runs the
+two-phase simplex from the artificial basis, whose pivot rules fix its
+vertex, on the box's integer numerators and denominator, and checks every
+solve against the table; _decomposition checks every decomposition it
+returns, the optimal-face search's included, against the program value.
 
 On the canonical basis every decomposition costs (F - 2) / 2, with F the
 signed correlator sum of measures._signed_pattern.  That form is a table
 row, tight on exactly the 16 canonical strategies, so by complementary
-slackness a box is in their hull exactly when the row attains the maximum.
+slackness a box is in their hull exactly when the row attains the maximum:
+_hull_cost, the one hull rule, reads C on chsh16 from C on full256.
 
 communication_cost returns a CostReport: the box's measures.Analysis with
 the decomposition it solved for.
@@ -103,8 +106,16 @@ def _dual_vertices() -> np.ndarray:
 
 
 def _hull_numerator(box: Box) -> int:
-    """2 den (F - 2) / 2: the numerator over 2 den of C on the 16-box hull."""
+    """2 den (F - 2) / 2: the numerator over 2 den of the form (F - 2) / 2."""
     return _signed_pattern(box) - 2 * box.den
+
+
+def _hull_cost(box: Box, c: Fraction) -> Fraction | None:
+    """C on chsh16 of a box whose C on full256 is c: c itself when the form
+    (F - 2) / 2 equals it, which is membership of the 16-box hull, else None.
+    The one place the hull rule is written."""
+    inside = _hull_numerator(box) * c.denominator == 2 * box.den * c.numerator
+    return c if inside else None
 
 
 def _cost_numerator(box: Box) -> int:
@@ -169,28 +180,31 @@ def _system_for(basis: str) -> _CostSystem:
     return _CostSystem(prep=lp._prepare_int01(columns, costs), ids=ids)
 
 
-def _decomposition(solution: lp.LpSolution, basis: str) -> Decomposition:
+def _decomposition(solution: lp.LpSolution, basis: str, where: str = "") -> Decomposition:
     """The decomposition at an optimal vertex: the nonzero weights of its
-    basic columns, in ascending column order."""
+    basic columns, in ascending column order.  Its cost, summed from the
+    point's Fractions, must equal the program value, computed in integers
+    from the basic state, else RuntimeError, its message ending in where."""
     assert solution.basis is not None
     ids, point = _system_for(basis).ids, solution.point
     weights = {ids[j]: point[j] for j in solution.basis if point[j] != 0}
     dets = enumerate_deterministic()
     # One exact sum over the common denominator, a quarter of Fraction adds' time.
     common = math.lcm(*(w.denominator for w in weights.values()))
-    cost = sum(
+    bits = sum(
         w.numerator * (common // w.denominator) * dets[i].cost_bits
         for i, w in weights.items()
     )
-    return Decomposition(weights=weights, basis_kind=basis, cost=Fraction(cost, common))
+    cost = Fraction(bits, common)
+    if cost != solution.value:
+        raise RuntimeError(f"decomposition cost disagrees with program value{where}")
+    return Decomposition(weights=weights, basis_kind=basis, cost=cost)
 
 
 def _table_cost(box: Box, basis: str) -> Fraction | None:
     """C on the basis from the dual-vertex table, or None outside the chsh16 hull."""
-    top = _cost_numerator(box)
-    if basis == "chsh16" and _hull_numerator(box) != top:
-        return None
-    return Fraction(top, 2 * box.den)
+    c = Fraction(_cost_numerator(box), 2 * box.den)
+    return c if basis == "full256" else _hull_cost(box, c)
 
 
 def _solve_cost(
@@ -198,10 +212,10 @@ def _solve_cost(
 ) -> tuple[Decomposition, lp._Engine]:
     """The two-phase solve of the cost program on box, checked against the
     table's cost c on the basis (read here unless given): the program must be
-    feasible exactly when c exists, and its value and the cost of the
-    decomposition at its vertex must equal c, else RuntimeError, its message
-    ending in where.  Raises NotInHull when the table and program agree that
-    the box lies outside the chsh16 hull."""
+    feasible exactly when c exists, and its value must equal c, else
+    RuntimeError, its message ending in where; _decomposition checks the
+    decomposition at its vertex against that value.  Raises NotInHull when
+    the table and program agree that the box lies outside the chsh16 hull."""
     if c is None:
         c = _table_cost(box, basis)
     solution, engine = lp._solve_prepared(_system_for(basis).prep, box.num, box.den)
@@ -213,12 +227,16 @@ def _solve_cost(
         raise RuntimeError(f"{got} disagrees with the dual-vertex table's {want}{where}")
     if engine is None:
         raise NotInHull(_OUTSIDE_HULL)
-    decomposition = _decomposition(solution, basis)
-    # The decomposition's cost is summed from the point's Fractions, the
-    # value in integers from the basic state: two independent computations.
-    if decomposition.cost != value:
-        raise RuntimeError(f"decomposition cost disagrees with program value{where}")
-    return decomposition, engine
+    return _decomposition(solution, basis, where), engine
+
+
+def _prove_cost(box: Box, c: Fraction, label: str) -> None:
+    """Prove the table's C = c on box with a checked solve: of the chsh16
+    program when c is the form (F - 2) / 2, whose feasibility and value
+    prove both C and hull membership, else of the full256 one.  A
+    disagreement's message ends in " on <label>"."""
+    basis = "full256" if _hull_cost(box, c) is None else "chsh16"
+    _solve_cost(box, basis, c, f" on {label}")
 
 
 def optimal_cost(box: Box, basis: str = "full256") -> Fraction:
@@ -266,7 +284,8 @@ def optimal_decompositions(
 ) -> tuple[Decomposition, Decomposition | None]:
     """The optimal decomposition communication_cost reports, and a second
     one with a different support, or None when the search over the optimal
-    face finds none.  Raises NotInHull like communication_cost."""
+    face finds none.  The cost of each is checked against the program value.
+    Raises NotInHull like communication_cost."""
     first, engine = _solve_cost(box, basis)
     other = lp._alternative_from_engine(engine, engine.support())
     return first, None if other is None else _decomposition(other, basis)

@@ -3,8 +3,9 @@
 Minimize c.x subject to A x = b, x >= 0, with every coefficient a Fraction.
 The solver is a revised simplex with Bland's rule, run fraction-free: the
 basis inverse is carried as an integer adjugate matrix M with determinant
-delta, so every tableau quantity is an exact integer and every status comes
-with a checkable certificate.
+delta, so every tableau quantity is an exact integer.  Every result is checked
+in integers (below); a failed one carries its Farkas vector or ray as its
+certificate, an optimal one certificate=None.
 
 Arithmetic path, fixed at prepare time.  A system with 0/1 matrix entries, at
 most 16 rows and integer costs of at most 2**20 (the deterministic-strategy

@@ -20,6 +20,11 @@ inequality is claimed on the box's domain, so a violation is a genuine
 finding that aborts a fuzz run with a witness; it is "observed" when the
 inequality is only being measured outside its domain.
 
+Every decision about C is cost's.  The reference scenario takes a box's
+chsh16 answer from the C analyze read (cost._hull_cost), one table read per
+box, and a box outside the hull where it expects one inside is a failed
+expectation; fuzz's cross-check is cost._prove_cost.
+
 Domains: "general" is any valid box; "oneway_slice" restricts to mixtures of
 the eight zero-bit named boxes and d0_1 .. d3_1; "chsh16" to mixtures of all
 sixteen named boxes.  On both, C equals the facet bound
@@ -47,9 +52,8 @@ from .boxes import (
 )
 from .cost import (
     _cost_numerator,
-    _hull_numerator,
-    _solve_cost,
-    _table_cost,
+    _hull_cost,
+    _prove_cost,
     decomposition_to_json_obj,
     find_distinct_decompositions,
     optimal_cost,
@@ -229,14 +233,6 @@ _DOMAIN_OF_FAMILY = {
 _LP_EVERY = 100
 
 
-def _prove_cost(box: Box, c_num: int, label: str) -> None:
-    """Prove the table's C = c_num / (2 den) on box with a checked solve: of
-    the chsh16 program when C is the form (F - 2) / 2, whose feasibility and
-    value prove both C and hull membership, else of the full256 one."""
-    basis = "chsh16" if _hull_numerator(box) == c_num else "full256"
-    _solve_cost(box, basis, Fraction(c_num, 2 * box.den), f" on {label}")
-
-
 def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
     """Check every inequality on the first count boxes of the family spec,
     drawn one at a time, and abort on the first asserted violation.
@@ -245,10 +241,10 @@ def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
     over 2 den, the measures' kernels, and the signs of _slack_numerators,
     which are all the tallies need.  An Analysis and its PropertyResults are
     built only for a box with a failing row.  C is proven on the first five
-    boxes and every _LP_EVERY-th by a two-phase solve (_prove_cost).  Setting
-    CORRBOX_FUZZ_CORRUPT=1 replaces the first box with a two-bit exchange box
-    and tightens the domain, which must trip an asserted violation; it exists
-    to prove the harness can fail."""
+    boxes and every _LP_EVERY-th by a two-phase solve (cost._prove_cost).
+    Setting CORRBOX_FUZZ_CORRUPT=1 replaces the first box with a two-bit
+    exchange box and tightens the domain, which must trip an asserted
+    violation; it exists to prove the harness can fail."""
     kind = spec.kind
     domain = _DOMAIN_OF_FAMILY[kind]
     corrupted = os.environ.get("CORRBOX_FUZZ_CORRUPT") == "1"
@@ -263,7 +259,7 @@ def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
             box = _exchange_box()
         c_num, c_den = _cost_numerator(box), 2 * box.den
         if index < 5 or index % _LP_EVERY == 0:
-            _prove_cost(box, c_num, f"{kind} sample {index}")
+            _prove_cost(box, Fraction(c_num, c_den), f"{kind} sample {index}")
         x = _numerators(_signal_values(box), _residuals(box))
         slacks = _slack_numerators(x, box.den, c_num, c_den)
         checked += 1
@@ -368,7 +364,7 @@ def _vertex_section(failures: list[str]) -> dict:
 
 def _pr_panel(failures: list[str]) -> dict:
     a = analyze(canonical("pr"))
-    c_16 = optimal_cost(a.box, "chsh16")
+    c_16 = _hull_cost(a.box, a.c)
     unc = a.uncertainty
     results = _property_results(a, "chsh16")
     half = Fraction(1, 2)
@@ -395,7 +391,7 @@ def _pr_panel(failures: list[str]) -> dict:
     return {
         "s": format_fraction(a.s),
         "c_full256": format_fraction(a.c),
-        "c_chsh16": format_fraction(c_16),
+        "c_chsh16": "not-in-hull" if c_16 is None else format_fraction(c_16),
         "eta": format_fraction(a.eta),
         "i_formula": format_fraction(a.i_formula),
         "i_per_party": format_fraction(a.i_per_party),
@@ -405,33 +401,29 @@ def _pr_panel(failures: list[str]) -> dict:
     }
 
 
+def _at_most(property_id: str, value: Fraction, bound: int) -> PropertyResult:
+    """The asserted inequality value <= bound, with slack bound - value."""
+    return PropertyResult(
+        property_id, holds=value <= bound, slack=bound - value, strictness="asserted"
+    )
+
+
 def _mixture_grid(failures: list[str]) -> dict:
     pairs = (("d0_1", "d2_1"), ("d0_1", "d3_1"))
     boxes: list[Box] = []
     for left_name, right_name in pairs:
         table = MixingTable([canonical(left_name), canonical(right_name)])
         boxes += [mix_ints((k, 10 - k), table) for k in range(11)]
-    points = ((analyze(box), _table_cost(box, "chsh16")) for box in boxes)
+    analyses = map(analyze, boxes)
     grids = {}
     for left_name, right_name in pairs:
         rows = []
-        for k, (a, c_16) in zip(range(11), points):
+        for k, a in zip(range(11), analyses):
             p = Fraction(k, 10)
-            c_full, s = a.c, a.s
-            weighted_cost = Fraction(1)  # both parts cost exactly one bit
-            weighted_signal = Fraction(1)  # both parts signal at full strength
-            mix_cost = PropertyResult(
-                "MIX_COST",
-                holds=c_full <= weighted_cost,
-                slack=weighted_cost - c_full,
-                strictness="asserted",
-            )
-            mix_signal = PropertyResult(
-                "MIX_SIGNAL",
-                holds=s <= weighted_signal,
-                slack=weighted_signal - s,
-                strictness="asserted",
-            )
+            c_full, s, c_16 = a.c, a.s, _hull_cost(a.box, a.c)
+            # both parts cost exactly one bit and signal at full strength
+            mix_cost = _at_most("MIX_COST", c_full, 1)
+            mix_signal = _at_most("MIX_SIGNAL", s, 1)
             if c_full != 1 or c_16 != 1:
                 failures.append(
                     f"mixture_grid {left_name}/{right_name} p={p}: cost "
@@ -483,12 +475,7 @@ def _noise_decompositions(failures: list[str]) -> dict:
     first, second = pair
     disjoint = not (set(first.weights) & set(second.weights))
     holds = first.cost == 0 and second.cost == 0 and set(first.weights) != set(second.weights)
-    result = PropertyResult(
-        "NONUNIQUE_DECOMP",
-        holds=holds,
-        slack=Fraction(0),
-        strictness="asserted",
-    )
+    result = PropertyResult("NONUNIQUE_DECOMP", holds, Fraction(0), "asserted")
     if not holds:
         failures.append("noise_decompositions: decompositions not distinct at cost 0")
     if not disjoint:
@@ -529,7 +516,8 @@ def _isotropic_sweep(failures: list[str]) -> list[dict]:
     rows = []
     for v in (Fraction(k, 10) for k in range(11)):
         box = isotropic(v)
-        a, hull_cost = analyze(box), _table_cost(box, "chsh16")
+        a = analyze(box)
+        hull_cost = _hull_cost(box, a.c)
         expected = max(Fraction(0), 2 * v - 1)
         if a.c != expected:
             failures.append(f"isotropic_sweep v={v}: cost {a.c} != {expected}")
@@ -539,15 +527,14 @@ def _isotropic_sweep(failures: list[str]) -> list[dict]:
             failures.append(f"isotropic_sweep v={v}: hull cost {hull_cost}")
         if v < Fraction(1, 2) and hull_cost is not None:
             failures.append(f"isotropic_sweep v={v}: unexpectedly in hull")
-        chsh16: str | dict = "not-in-hull"
-        if hull_cost is not None:
-            chsh16 = {"c": format_fraction(hull_cost)}
         rows.append(
             {
                 "v": format_fraction(v),
                 "c": format_fraction(a.c),
                 "lower_bound": format_fraction(a.lower_bound),
-                "chsh16": chsh16,
+                "chsh16": (
+                    "not-in-hull" if hull_cost is None else {"c": format_fraction(hull_cost)}
+                ),
             }
         )
     return rows
@@ -562,7 +549,7 @@ def _tsirelson(failures: list[str]) -> dict:
         failures.append(f"tsirelson: lambda_max off by {lam_err}")
     if cost_err > 3e-6:
         failures.append(f"tsirelson: cost off by {cost_err}")
-    in_hull = _table_cost(a.box, "chsh16") is not None
+    in_hull = _hull_cost(a.box, a.c) is not None
     if in_hull:
         failures.append("tsirelson: box unexpectedly in the 16-box hull")
     return {

@@ -20,7 +20,15 @@ import corrbox
 from corrbox.boxes import box_from_json_obj, box_to_json_obj, format_fraction
 from corrbox.cli import main
 from corrbox.cost import communication_cost
-from corrbox.generators import FAMILY_KINDS, FamilySpec, canonical, isotropic, sample
+from corrbox.generators import (
+    FAMILY_KINDS,
+    TSIRELSON_ANGLES,
+    FamilySpec,
+    canonical,
+    isotropic,
+    quantum_box,
+    sample,
+)
 from corrbox.verify import fuzz
 
 EXPECTED_SWEEP_HEADER = (
@@ -387,6 +395,37 @@ class TestInternalError:
         assert code == 3 and out == ""
         assert err == f"error: internal: {message}\n"
 
+    def test_shifted_second_vertex_in_decompose_alt(self, capsys, monkeypatch):
+        # The second decomposition is checked like the first: one weight of
+        # the second vertex shifted by 1/7 makes it cost 8/7, not 1.
+        import dataclasses
+
+        import corrbox.lp as lp
+
+        search = lp._alternative_from_engine
+
+        def shifted(engine, known_support):
+            vertex = search(engine, known_support)
+            point = list(vertex.point)
+            point[next(j for j in vertex.basis if point[j] != 0)] += Fraction(1, 7)
+            return dataclasses.replace(vertex, point=tuple(point))
+
+        monkeypatch.setattr(lp, "_alternative_from_engine", shifted)
+        code, out, err = run(capsys, "decompose", "pr", "--alt")
+        assert code == 3 and out == ""
+        assert err == "error: internal: decomposition cost disagrees with program value\n"
+
+    def test_wrong_hull_test_in_fuzz(self, capsys, monkeypatch):
+        # fuzz's cross-check asks cost's hull rule: one that puts every box
+        # inside sends a general box to the chsh16 program, which refutes it.
+        import corrbox.cost as cost
+
+        monkeypatch.setattr(cost, "_hull_numerator", cost._cost_numerator)
+        code, out, err = run(capsys, "fuzz", "--family", "general", "--seed", "3", "--count", "5")
+        assert code == 3 and out == ""
+        assert err.startswith("error: internal: infeasible chsh16 program disagrees")
+        assert err.endswith(" on general sample 0\n") and err.count("\n") == 1
+
     def test_usage_error_keeps_code_two(self, capsys):
         code, _, err = run(capsys, "analyze", "pr", "--dim", "1")
         assert code == 2 and err.startswith("error: ")
@@ -507,18 +546,52 @@ class TestGen:
 
 
 class TestDecompose:
-    def test_pr_decomposition_mixes_back(self, capsys):
-        code, out, _ = run(capsys, "decompose", "pr")
+    @pytest.mark.parametrize(
+        "argv,box,basis,cost",
+        [
+            pytest.param(("pr",), lambda: canonical("pr"), "full256", "1/1", id="pr"),
+            pytest.param(
+                ("pr", "--alt"), lambda: canonical("pr"), "full256", "1/1", id="pr-alt"
+            ),
+            pytest.param(
+                ("noise", "--alt"), lambda: canonical("noise"), "full256", "0/1",
+                id="noise-alt",
+            ),
+            pytest.param(
+                ("d3_1", "--alt"), lambda: canonical("d3_1"), "full256", "1/1",
+                id="d3_1-alt",
+            ),
+            pytest.param(
+                ("isotropic", "--v", "7/10", "--basis", "chsh16", "--alt"),
+                lambda: isotropic(Fraction(7, 10)), "chsh16", "2/5",
+                id="isotropic-chsh16-alt",
+            ),
+            pytest.param(
+                ("quantum", "--angles", "tsirelson", "--alt"),
+                lambda: quantum_box(TSIRELSON_ANGLES, 10**6), "full256",
+                "173145015233/418009044032", id="quantum-alt",
+            ),
+        ],
+    )
+    def test_every_printed_decomposition_mixes_back(self, capsys, argv, box, basis, cost):
+        # Each printed decomposition, the second wherever it is not null, is
+        # checked from the strategy table alone: weights summing to 1 that
+        # mix back to the box, at the printed cost.
+        from corrbox.boxes import enumerate_deterministic, exact_fraction, mix
+
+        code, out, _ = run(capsys, "decompose", *argv)
         assert code == 0
         obj = json.loads(out)
-        assert obj["basis"] == "full256" and obj["cost"] == "1/1"
-        from corrbox.boxes import enumerate_deterministic, mix, parse_fraction
-
+        printed = [obj["first"], obj["second"]] if "--alt" in argv else [obj]
+        printed = [d for d in printed if d is not None]
         dets = enumerate_deterministic()
-        parts = [
-            (parse_fraction(w), dets[int(i)].as_box()) for i, w in obj["weights"].items()
-        ]
-        assert mix(parts) == canonical("pr")
+        for decomposition in printed:
+            assert decomposition["basis"] == basis and decomposition["cost"] == cost
+            weights = {int(i): exact_fraction(w) for i, w in decomposition["weights"].items()}
+            assert sum(weights.values()) == 1
+            assert mix([(w, dets[i].as_box()) for i, w in weights.items()]) == box()
+            bits = sum(w * dets[i].cost_bits for i, w in weights.items())
+            assert format_fraction(bits) == cost
 
     def test_noise_outside_chsh16_hull(self, capsys):
         code, out, _ = run(capsys, "decompose", "noise", "--basis", "chsh16")
@@ -670,6 +743,19 @@ class TestRepro:
         obj = json.loads(out)
         assert obj["format"] == "repro-v1"
         assert obj["failures"] == []
+
+    def test_wrong_hull_test_is_a_failed_expectation(self, capsys, monkeypatch):
+        # A hull rule that puts every box outside is a finding of the
+        # scenario (exit 1), not a usage error (2) or an internal one (3).
+        import corrbox.cost as cost
+
+        real = cost._hull_numerator
+        monkeypatch.setattr(cost, "_hull_numerator", lambda box: real(box) + 1)
+        code, out, err = run(capsys, "repro")
+        assert code == 1 and err == ""
+        obj = json.loads(out)
+        assert obj["pr_panel"]["c_chsh16"] == "not-in-hull"
+        assert "pr_panel: chsh16 cost 1 failed" in obj["failures"]
 
 
 class TestSweep:
@@ -858,6 +944,13 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_handler_is_looked_up_at_dispatch(self, capsys, monkeypatch):
+        import corrbox.cli as cli
+
+        monkeypatch.setattr(cli, "_cmd_repro", lambda args: 7)
+        assert main(["repro"]) == 7
+        assert capsys.readouterr().out == ""
 
     def test_one_parser_serves_every_command(self, capsys):
         import corrbox.cli as cli

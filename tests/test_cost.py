@@ -609,6 +609,15 @@ class TestSolverPathPins:
         capsys.readouterr()
         assert solved == ["full256"]
 
+    def test_repro_reads_the_table_once_per_box(self, monkeypatch):
+        # 51 reported boxes and the noise box's solve: a box's chsh16 answer
+        # comes from the C its analysis read.
+        reads = []
+        numerator = cost._cost_numerator
+        monkeypatch.setattr(cost, "_cost_numerator", lambda box: reads.append(1) or numerator(box))
+        assert reproduce_paper()["failures"] == []
+        assert len(reads) == 52
+
     def test_deterministic_boxes_take_one_pivot_each(self, monkeypatch):
         # Every other column has an entry on one of a deterministic box's 12
         # zero cells, so the forcing-row presolve leaves one free column.

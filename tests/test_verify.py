@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corrbox.cost as cost
 import corrbox.generators as generators
 import corrbox.measures as measures
 import corrbox.verify as verify
@@ -421,8 +422,8 @@ class TestFuzz:
         # program on a general one
         monkeypatch.setattr(verify, "_LP_EVERY", 1)
         bases = []
-        solve = verify._solve_cost
-        monkeypatch.setattr(verify, "_solve_cost", lambda *a: bases.append(a[1]) or solve(*a))
+        solve = cost._solve_cost
+        monkeypatch.setattr(cost, "_solve_cost", lambda *a: bases.append(a[1]) or solve(*a))
         assert not fuzz(FamilySpec("chsh16_mixture", 6), 8).aborted
         assert bases == ["chsh16"] * 8
         assert not fuzz(FamilySpec("general", 6), 3).aborted
