@@ -10,15 +10,13 @@ lowest terms across all 16 cells, so equal boxes have equal numerators and
 denominators, and it is validated in integers.  p is the same box as 16
 Fractions, built on first read.
 
-mix_ints is the one mixing kernel.  It mixes through a MixingTable, which
-holds the parts scaled to their common denominator and stored sparsely: for
-each of the 16 cells, the parts whose scaled numerator there is nonzero and,
-unless they are all 1, those numerators.  A cell of a mixture is then the sum
-of the few weights that touch it, or their dot product with the
-coefficients; Box.from_numerators reduces and validates the result.  The
-samplers and the constant mixtures in generators build their tables once and
-hand them integer weights; mix passes its boxes, and mix_ints builds their
-table for the weights mix has validated.
+mix_ints is the one mixing kernel.  It mixes through a MixingTable, a
+matrix whose row i holds part i's numerators scaled to the parts' common
+denominator, so a mixture's numerators are one product of the integer
+weights with that matrix; Box.from_numerators reduces and validates the
+result.  The samplers and the constant mixtures in generators build their
+tables once and hand them integer weights; mix passes its boxes, and
+mix_ints builds their table for the weights mix has validated.
 """
 
 from __future__ import annotations
@@ -26,12 +24,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import itemgetter, mul
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class NegativeEntry(ValueError):
@@ -156,77 +156,57 @@ def box_from_table(entries: Sequence[object]) -> Box:
     return Box(tuple(exact_fraction(e) for e in entries))
 
 
-# The pick of a cell that every part touches: the whole weight list.
-_EVERY_PART = itemgetter(slice(None))
-
-
-@lru_cache(maxsize=256)
-def _sparse_cell(column: tuple[int, ...]) -> tuple[itemgetter, tuple[int, ...] | None]:
-    """The (pick, coefficients) entry of a cell from the parts' scaled
-    numerators there, some of them 0.  A single touching part is picked by a
-    slice, since itemgetter of one index returns a scalar, and no touching
-    part by an empty one."""
-    touching = tuple(itertools.compress(range(len(column)), column))
-    if len(touching) > 1:
-        pick = itemgetter(*touching)
-    else:
-        pick = itemgetter(slice(touching[0], touching[0] + 1) if touching else slice(0))
-    coefficients = tuple(filter(None, column))
-    return pick, None if max(coefficients, default=1) == 1 else coefficients
+# Integers below this bound are int64 numpy entries, larger ones Python ints.
+_INT64_LIMIT = 2**63
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class MixingTable:
-    """Boxes made ready to mix, stored sparsely: every part's numerators are
-    scaled to the parts' common denominator den, and cells[i] is the pair
-    (pick, coefficients) for cell i.  pick(weights) is the sequence of the
-    weights of the parts whose scaled numerator there is nonzero, and
-    coefficients are those numerators, or None when some part leaves the
-    cell at 0 and each of the others has 1 there, so the cell is a plain
-    sum.  A cell that every part touches picks the whole weight list.  Equal sparse cells share one
-    entry, across tables too.  count is the number of parts.  A table
-    equals only itself, as its itemgetters do."""
+    """Boxes made ready to mix: matrix[i] holds part i's 16 numerators
+    scaled to the parts' common denominator den.  The matrix is read-only,
+    since tables are cached and shared, and int64 unless den is 2**63 or
+    more, when it holds Python integers.  A table equals only itself."""
 
-    cells: tuple[tuple[itemgetter, tuple[int, ...] | None], ...]
+    matrix: np.ndarray
     den: int
-    count: int
 
     def __init__(self, parts: Sequence[Box]) -> None:
         if not parts:
             raise BadWeights("empty mixture")
         den = math.lcm(*(part.den for part in parts))
-        scaled = [
-            part.num if part.den == den else [n * (den // part.den) for n in part.num]
-            for part in parts
-        ]
-        cells = tuple(
-            (_EVERY_PART, column) if all(column) else _sparse_cell(column)
-            for column in zip(*scaled)
+        matrix = np.array(
+            [[n * (den // part.den) for n in part.num] for part in parts],
+            dtype=np.int64 if den < _INT64_LIMIT else object,
         )
-        object.__setattr__(self, "cells", cells)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "count", len(parts))
 
     def __len__(self) -> int:
         """The number of parts."""
-        return self.count
+        return len(self.matrix)
 
 
 def mix_ints(weights: Sequence[int], parts: Sequence[Box] | MixingTable) -> Box:
     """The mixture sum_i weights[i] * parts[i] / sum(weights), for
     nonnegative integer weights with a positive sum, computed in integers.
-    Parts mixed many times can be passed as their MixingTable."""
+    Parts mixed many times can be passed as their MixingTable.
+
+    The product runs in int64 when the mixture's denominator,
+    table.den * sum(weights), is below 2**63, else in Python integers.  int64
+    cannot overflow: weights are nonnegative and every matrix entry is at
+    most table.den, so every cell and every partial sum is at most the
+    mixture's denominator."""
     table = parts if isinstance(parts, MixingTable) else MixingTable(parts)
     if len(weights) != len(table):
         raise BadWeights(f"{len(weights)} weights for {len(table)} parts")
-    return Box.from_numerators(
-        [
-            sum(pick(weights)) if coefficients is None
-            else sum(map(mul, pick(weights), coefficients))
-            for pick, coefficients in table.cells
-        ],
-        table.den * sum(weights),
-    )
+    if min(weights) < 0:
+        raise BadWeights(f"negative weight {min(weights)}")
+    # A float or Fraction weight makes the sum one, which index refuses.
+    den = operator.index(table.den * sum(weights))
+    dtype = np.int64 if den < _INT64_LIMIT else object
+    cells = np.array(weights, dtype=dtype) @ table.matrix
+    return Box.from_numerators(cells.tolist(), den)
 
 
 def mix(terms: Iterable[tuple[object, Box]]) -> Box:

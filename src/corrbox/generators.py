@@ -8,7 +8,7 @@ integer boxes from them, so a family spec plus a count pins the exact boxes;
 shorter runs are prefixes of longer ones.  The canonical boxes, and the
 boxes.MixingTable of each mixture family and of the isotropic line, are built
 once, on first use, and cached; a mixture is boxes.mix_ints of integer
-weights over its table, which adds only the few parts that touch each cell.
+weights over its table, one product of the weights with the table's matrix.
 Each weight is read straight from the generator's bits: 17 bits at a time,
 drawn again above 65536.  Those are exactly the calls rng.randint(0, 65536)
 makes, so the stream, and every sampled box, is the one randint gives.

@@ -83,7 +83,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -160,13 +160,6 @@ class _Prepared:
         return self.dtype is np.int64
 
 
-def _lcm_of(denominators: Iterable[int]) -> int:
-    out = 1
-    for d in denominators:
-        out = math.lcm(out, d)
-    return out
-
-
 def _prepared(
     a: np.ndarray, col_cost: list[int], cost_den: int, row_scale: Sequence[int]
 ) -> _Prepared:
@@ -199,11 +192,11 @@ def _prepare_program(program: LinearProgram) -> _Prepared:
     rows = []
     scales = []
     for i, row in enumerate(program.constraint_matrix):
-        k = _lcm_of(x.denominator for x in row)
+        k = math.lcm(*(x.denominator for x in row))
         sign = -1 if program.rhs[i] < 0 else 1
         scales.append(sign * k)
         rows.append([sign * int(x * k) for x in row])
-    cost_den = _lcm_of(x.denominator for x in program.objective)
+    cost_den = math.lcm(*(x.denominator for x in program.objective))
     col_cost = [int(x * cost_den) for x in program.objective]
     return _prepared(np.array(rows, dtype=object), col_cost, cost_den, scales)
 
@@ -237,7 +230,7 @@ def _independent(vectors: list[list[int]]) -> bool:
 def _integer_rhs(rhs: Sequence[Fraction]) -> tuple[list[int], int]:
     """A rational right-hand side as integer numerators over one positive
     denominator, the form _Engine reads."""
-    den = _lcm_of(v.denominator for v in rhs)
+    den = math.lcm(*(v.denominator for v in rhs))
     return [v.numerator * (den // v.denominator) for v in rhs], den
 
 

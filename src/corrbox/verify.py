@@ -427,7 +427,7 @@ def _mixture_grid(failures: list[str]) -> dict:
             if c_full != 1 or c_16 != 1:
                 failures.append(
                     f"mixture_grid {left_name}/{right_name} p={p}: cost "
-                    f"{c_full}/{c_16} != 1"
+                    f"{c_full}/{'not-in-hull' if c_16 is None else c_16} != 1"
                 )
             expected_s = max(p, 1 - p) if right_name == "d2_1" else abs(2 * p - 1)
             if s != expected_s:
@@ -524,7 +524,8 @@ def _isotropic_sweep(failures: list[str]) -> list[dict]:
         if a.lower_bound != expected:
             failures.append(f"isotropic_sweep v={v}: facet bound not tight")
         if v >= Fraction(1, 2) and hull_cost != expected:
-            failures.append(f"isotropic_sweep v={v}: hull cost {hull_cost}")
+            label = "not-in-hull" if hull_cost is None else hull_cost
+            failures.append(f"isotropic_sweep v={v}: hull cost {label}")
         if v < Fraction(1, 2) and hull_cost is not None:
             failures.append(f"isotropic_sweep v={v}: unexpectedly in hull")
         rows.append(

@@ -239,7 +239,8 @@ def fraction_mixture(weights, parts) -> Box:
 
 
 class TestSparseMixingTable:
-    """A MixingTable keeps, per cell, only the parts that touch it."""
+    """Mixtures of sparse parts, which leave most cells at 0 and may share
+    none, through fresh and cached tables."""
 
     def test_disjoint_supports(self):
         # d0_0 and d7_0 never share a cell: every cell is touched by exactly
@@ -255,7 +256,7 @@ class TestSparseMixingTable:
         parts = no_signaling_vertices()
         table = _mixture_table("no_signaling")
         assert table.den == 2 and len(table) == 24
-        assert any(c is not None and 2 in c for _, c in table.cells)
+        assert (table.matrix == 2).any()
         rng = random.Random(14)
         for _ in range(20):
             weights = [rng.randint(0, 9) for _ in parts]
@@ -287,6 +288,51 @@ class TestSparseMixingTable:
             mix_ints([1] * 11, table)
         with pytest.raises(BadWeights, match="13 weights for 12 parts"):
             mix_ints([1] * 13, table)
+
+
+class TestMixingMatrix:
+    """mix_ints is one product of the weights with the table's matrix, in
+    int64 below a mixture denominator of 2**63 and in Python integers from
+    there."""
+
+    def test_python_integers_from_a_denominator_of_2_63(self):
+        part = canonical("d0_0")
+        assert mix_ints((2**62, 2**62), [part, part]) == part
+
+    def test_int64_just_below_2_63(self):
+        parts = [canonical("d0_0"), canonical("d7_0")]
+        weights = (2**62, 2**62 - 1)
+        assert mix_ints(weights, parts) == fraction_mixture(weights, parts)
+
+    def test_table_of_a_large_denominator_holds_python_integers(self):
+        part = Box.from_numerators([2**64 - 1, 1, 0, 0] * 4, 2**64)
+        parts = [part, canonical("noise")]
+        table = MixingTable(parts)
+        assert table.den == 2**64 and table.matrix.dtype == object
+        for weights in ((1, 0), (3, 5)):
+            assert mix_ints(weights, table) == fraction_mixture(weights, parts)
+
+    def test_negative_weight(self):
+        pr, noise = canonical("pr"), canonical("noise")
+        with pytest.raises(BadWeights, match="negative weight -1"):
+            mix_ints((2, -1), [pr, noise])
+        # Equal parts would hide the negative weight in a valid box.
+        with pytest.raises(BadWeights, match="negative weight -1"):
+            mix_ints((2, -1), [pr, pr])
+
+    @pytest.mark.parametrize(
+        "weights", ((0.5, 0.5), (1.0, 1.0), (1, 0.5), (Fraction(1, 2), Fraction(1, 2)))
+    )
+    def test_inexact_or_fractional_weights(self, weights):
+        with pytest.raises(TypeError):
+            mix_ints(weights, [canonical("pr"), canonical("noise")])
+
+    @pytest.mark.parametrize("kind", ("chsh16_mixture", "oneway_slice", "no_signaling"))
+    def test_cached_tables_are_read_only(self, kind):
+        matrix = _mixture_table(kind).matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 5
 
 
 class TestDeterministic:

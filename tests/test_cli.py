@@ -757,6 +757,18 @@ class TestRepro:
         assert obj["pr_panel"]["c_chsh16"] == "not-in-hull"
         assert "pr_panel: chsh16 cost 1 failed" in obj["failures"]
 
+    def test_failures_name_not_in_hull(self, capsys, monkeypatch):
+        # With every box outside the hull, the failure strings say so as the
+        # JSON rows do, never as None.
+        import corrbox.cost as cost
+
+        monkeypatch.setattr(cost, "_hull_numerator", lambda box: -1)
+        code, out, _ = run(capsys, "repro")
+        failures = json.loads(out)["failures"]
+        assert code == 1 and not any("None" in f for f in failures)
+        assert "mixture_grid d0_1/d2_1 p=0: cost 1/not-in-hull != 1" in failures
+        assert "isotropic_sweep v=1/2: hull cost not-in-hull" in failures
+
 
 class TestSweep:
     def test_header_and_shape(self, capsys):
