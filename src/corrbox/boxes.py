@@ -204,6 +204,8 @@ def mix_ints(weights: Sequence[int], parts: Sequence[Box] | MixingTable) -> Box:
         raise BadWeights(f"negative weight {min(weights)}")
     # A float or Fraction weight makes the sum one, which index refuses.
     den = operator.index(table.den * sum(weights))
+    if den == 0:
+        raise BadWeights("weights sum to 0")
     dtype = np.int64 if den < _INT64_LIMIT else object
     cells = np.array(weights, dtype=dtype) @ table.matrix
     return Box.from_numerators(cells.tolist(), den)

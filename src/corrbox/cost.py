@@ -283,12 +283,27 @@ def optimal_decompositions(
     box: Box, basis: str = "full256"
 ) -> tuple[Decomposition, Decomposition | None]:
     """The optimal decomposition communication_cost reports, and a second
-    one with a different support, or None when the search over the optimal
-    face finds none.  The cost of each is checked against the program value.
-    Raises NotInHull like communication_cost."""
+    one with a different support, or None when the first is the only
+    optimal point.  The cost of each is checked against the program value.
+    Raises NotInHull like communication_cost.
+
+    The second is one reoptimization from the first vertex v, with support
+    S: minimize the weight on S, entering only columns of zero reduced cost.
+    Entering such a column leaves every reduced cost of the cost objective
+    unchanged, so the search stays on the optimal face.  It is complete on
+    both bases.  Every column, and the box, sums to 4 over the 16 cells, so
+    every feasible x has sum(x) = 1.  The columns of S are independent,
+    since v is a vertex, so any other optimal vertex u has weight outside S
+    (else A_S u_S = A_S v_S would force u = v), and puts less than 1 on S
+    where v puts 1.  So the search ends off S whenever a second optimal
+    vertex exists, and when it ends on S the optimal face is v alone."""
     first, engine = _solve_cost(box, basis)
-    other = lp._alternative_from_engine(engine, engine.support())
-    return first, None if other is None else _decomposition(other, basis)
+    known = engine.support()
+    engine.reoptimize([int(j in known) for j in range(engine.n)], engine.zero_reduced_mask())
+    other = lp._optimal(engine, value=first.cost)
+    if engine.support() == known:
+        return first, None
+    return first, _decomposition(other, basis)
 
 
 def find_distinct_decompositions(

@@ -46,7 +46,8 @@ The engine reads the right-hand side b as integer numerators over one
 positive denominator (a box's own form; solve converts a LinearProgram's
 Fractions once).  Every result leaves through _optimal or _failed, checked
 in integers before a Fraction is built.  _optimal, the exit of the two-phase
-solve and of each optimal-face vertex, re-substitutes xi into A x = b over
+solve and of the reoptimization over its optimal face (cost.py's search for
+a second decomposition), re-substitutes xi into A x = b over
 each basic column's nonzero entries (a table built with the prepared
 system), recomputes every reduced cost and requires it nonnegative, and
 reads value() as the integer costs of the basic columns over one
@@ -60,8 +61,8 @@ column with an entry on such a row is zero at every feasible point.  When the
 columns left free are linearly independent (an exact integer rank: at most m
 of them), the program has at most one feasible point, so no pivot order can
 change the vertex's point or its support, and the optimal-face search finds
-no second support either way; phase 1, the drive-out, phase 2 and both
-stages of that search then enter free columns only.  A deterministic box,
+no second support either way; phase 1, the drive-out, phase 2 and that
+search's reoptimization then enter free columns only.  A deterministic box,
 whose 12 zero cells fix all but its own strategy, takes one pivot.  When the
 free columns are dependent the presolve fixes nothing: the pivot order
 decides the printed decomposition there, and fixing columns could change it.
@@ -78,7 +79,6 @@ lifted reduced cost stays below 17 * 2**43 < 2**48.
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
 from dataclasses import dataclass
@@ -88,8 +88,9 @@ from typing import Sequence
 import numpy as np
 
 _ITERATION_CAP = 50000
-# Steepest-descent pricing for this many pivots, then Bland's rule, whose
-# first-index selection provably terminates from any basis.
+# Dantzig's rule (the most negative reduced cost, the first index on ties)
+# for this many pivots, then Bland's rule, whose first-index selection
+# provably terminates from any basis.
 _BLAND_AFTER = 200
 
 
@@ -438,17 +439,6 @@ class _Engine:
         if status != "optimal":
             raise RuntimeError("restricted reoptimization became unbounded")
 
-    def pivoted(self, j: int, p: int, w: np.ndarray) -> _Engine:
-        """A copy of this state after one pivot; this state is unchanged,
-        since _pivot replaces mat and the copy takes its own basis, xi and
-        c_B."""
-        other = copy.copy(self)
-        other.basis = list(self.basis)
-        other.xi = list(self.xi)
-        other.cost_b = self.cost_b.copy()
-        other._pivot(j, p, w)
-        return other
-
     # -- extraction --------------------------------------------------------
 
     def point(self) -> list[Fraction]:
@@ -544,12 +534,10 @@ class _Engine:
         return face if self.free is None else face & self.free
 
 
-def _optimal(
-    engine: _Engine, *, point: bool = False, value: Fraction | None = None
-) -> LpSolution:
+def _optimal(engine: _Engine, *, value: Fraction | None = None) -> LpSolution:
     """The one exit of an optimal solve: the basic state re-substituted and
     every reduced cost checked nonnegative, in integers, and the value equal
-    to value when one is given.  The point is read out when asked for."""
+    to value when one is given."""
     engine.check_basic_state()
     engine.check_dual_feasible()
     got = engine.value()
@@ -558,7 +546,7 @@ def _optimal(
     return LpSolution(
         status="optimal",
         value=got,
-        point=tuple(engine.point()) if point else (),
+        point=tuple(engine.point()),
         basis=engine.structural_basis(),
     )
 
@@ -579,7 +567,7 @@ def _solve_prepared(
         return _failed(status, engine.farkas_certificate()), None
     if status == "unbounded":
         return _failed(status, engine.ray_certificate(j, w)), None
-    return _optimal(engine, point=True), engine
+    return _optimal(engine), engine
 
 
 def solve(program: LinearProgram) -> LpSolution:
@@ -587,52 +575,3 @@ def solve(program: LinearProgram) -> LpSolution:
     prep = _prepare_program(program)
     solution, _ = _solve_prepared(prep, *_integer_rhs(program.rhs))
     return solution
-
-
-def _alternative_from_engine(
-    engine: _Engine, known_support: frozenset[int]
-) -> LpSolution | None:
-    """Search the optimal face of an optimal engine for a basic solution with
-    different support.
-
-    Stage 1: minimize the total weight on the known support, entering only
-    through zero-reduced-cost columns (they span the optimal face).  Stage 2:
-    single pivots along zero-reduced-cost columns from the resulting vertex,
-    each on a copy of the engine.  Both stages leave through _optimal at the
-    optimal value; entering only zero-reduced-cost columns keeps every
-    reduced cost of the objective as it was, so the dual check holds.
-    """
-    opt_value = engine.value()
-    face = engine.zero_reduced_mask()
-    overlap_cost = [1 if j in known_support else 0 for j in range(engine.n)]
-    engine.reoptimize(overlap_cost, face)
-    moved_off = engine.support() != known_support
-    vertex = _optimal(engine, point=moved_off, value=opt_value)
-    if moved_off:
-        return vertex
-    face = engine.zero_reduced_mask()
-    basic = set(engine.basis)
-    for j in face.nonzero()[0].tolist():
-        if j in basic:
-            continue
-        w = engine._entering_w(j)
-        p = engine._ratio_row(w)
-        if p is None or engine.xi[p] == 0:
-            continue  # an unbounded edge, or a degenerate pivot to the same point
-        moved = engine.pivoted(j, p, w)
-        if moved.support() == known_support:
-            continue
-        return _optimal(moved, point=True, value=opt_value)
-    return None
-
-
-def find_alternative_vertex(program: LinearProgram, known: LpSolution) -> LpSolution | None:
-    """A second optimal basic solution whose support differs from known's,
-    or None when the search over the optimal face finds none."""
-    if known.status != "optimal":
-        return None
-    _, engine = _solve_prepared(_prepare_program(program), *_integer_rhs(program.rhs))
-    if engine is None:
-        return None
-    known_support = frozenset(j for j, v in enumerate(known.point) if v != 0)
-    return _alternative_from_engine(engine, known_support)

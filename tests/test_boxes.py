@@ -192,6 +192,10 @@ class TestMix:
         with pytest.raises(BadWeights):
             mix([(Fraction(3, 2), box), (Fraction(-1, 2), box)])
 
+    def test_all_zero_weights_rejected(self):
+        with pytest.raises(BadWeights, match="weights sum to 0"):
+            mix_ints((0, 0), [canonical("pr"), canonical("noise")])
+
     def test_wrong_total_rejected(self):
         box = enumerate_deterministic()[0].as_box()
         with pytest.raises(BadWeights):

@@ -402,15 +402,17 @@ class TestInternalError:
 
         import corrbox.lp as lp
 
-        search = lp._alternative_from_engine
+        optimal = lp._optimal
 
-        def shifted(engine, known_support):
-            vertex = search(engine, known_support)
+        def shifted(engine, **kwargs):
+            vertex = optimal(engine, **kwargs)
+            if "value" not in kwargs:
+                return vertex  # the two-phase exit: the first vertex
             point = list(vertex.point)
             point[next(j for j in vertex.basis if point[j] != 0)] += Fraction(1, 7)
             return dataclasses.replace(vertex, point=tuple(point))
 
-        monkeypatch.setattr(lp, "_alternative_from_engine", shifted)
+        monkeypatch.setattr(lp, "_optimal", shifted)
         code, out, err = run(capsys, "decompose", "pr", "--alt")
         assert code == 3 and out == ""
         assert err == "error: internal: decomposition cost disagrees with program value\n"

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrbox.cost as cost
+import corrbox.lp as lp
 from corrbox.boxes import Box, enumerate_deterministic, mix, mix_ints
 from corrbox.cost import (
     BadDimension,
@@ -30,6 +31,7 @@ from corrbox.generators import (
     FamilySpec,
     canonical,
     canonical_det_ids,
+    canonical_names,
     isotropic,
     quantum_box,
     sample,
@@ -182,6 +184,50 @@ class TestDistinctDecompositions:
     def test_small_hull_raises_outside(self):
         with pytest.raises(NotInHull):
             find_distinct_decompositions(canonical("noise"), "chsh16")
+
+    @pytest.mark.parametrize("name,moves", [("noise", True), ("d3_1", False)])
+    def test_both_states_leave_through_the_dual_check(self, monkeypatch, name, moves):
+        # The first vertex and the reoptimized state are each checked, the
+        # latter even when it stays on the first support and returns nothing.
+        check = lp._Engine.check_dual_feasible
+        bases = []
+
+        def counted(engine):
+            bases.append(engine.structural_basis())
+            return check(engine)
+
+        monkeypatch.setattr(lp._Engine, "check_dual_feasible", counted)
+        _, second = optimal_decompositions(canonical(name))
+        assert (second is not None) == moves
+        assert len(bases) == 2 and (bases[0] != bases[1]) == moves
+
+    @pytest.mark.parametrize("basis", cost.BASIS_KINDS)
+    def test_every_column_sums_to_four(self, basis):
+        # The premise of optimal_decompositions' completeness argument: every
+        # feasible point of the cost program has weights summing to 1.
+        assert (cost._system_for(basis).prep.a_int.sum(axis=0) == 4).all()
+
+    def test_second_support_exactly_when_the_oracle_finds_one(self):
+        # The independent oracle maximizes the weight outside the first
+        # support over the optimal face {A x = p, cost.x = C, x >= 0}: the
+        # search must find a second support exactly when that is positive.
+        ids = canonical_det_ids()
+        dets = enumerate_deterministic()
+        rows = [[dets[i].as_box().p[cell] for i in ids] for cell in range(16)]
+        rows.append([dets[i].cost_bits for i in ids])
+        names = [name for name in canonical_names() if name != "noise"]
+        rng = random.Random(1)
+        found = []
+        for _ in range(30):
+            parts = [canonical(name) for name in rng.sample(names, rng.randint(2, 8))]
+            box = mix_ints([rng.randint(1, 9) for _ in parts], parts)
+            first, second = optimal_decompositions(box, "chsh16")
+            outside = [-int(i not in first.weights) for i in ids]
+            status, value, _ = solve_reference(rows, [*box.p, first.cost], outside)
+            assert status == "optimal"
+            assert (second is not None) == (value < 0)
+            found.append(second is not None)
+        assert found.count(True) == 16 and found.count(False) == 14
 
 
 def _dot(a, b) -> int:

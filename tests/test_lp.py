@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -11,13 +12,7 @@ from hypothesis import strategies as st
 import corrbox.lp as lp
 from corrbox.cost import _system_for
 from corrbox.generators import FamilySpec, draw
-from corrbox.lp import (
-    DimensionMismatch,
-    LinearProgram,
-    LpSolution,
-    find_alternative_vertex,
-    solve,
-)
+from corrbox.lp import DimensionMismatch, LinearProgram, LpSolution, solve
 
 from _reference_lp import solve_reference
 
@@ -362,59 +357,6 @@ class TestEscalation:
         assert pure_bland.value == baseline.value
 
 
-class TestAlternativeVertex:
-    def test_finds_second_support(self):
-        prog = program([[1, 1]], [1], [5, 5])
-        first = solve(prog)
-        second = find_alternative_vertex(prog, first)
-        assert second is not None
-        assert second.value == first.value
-        assert {j for j, v in enumerate(second.point) if v != 0} != {
-            j for j, v in enumerate(first.point) if v != 0
-        }
-        assert all(r == 0 for r in residual(prog, second.point))
-
-    def test_unique_optimum_returns_none(self):
-        prog = program([[1, 1]], [1], [1, 2])
-        first = solve(prog)
-        assert find_alternative_vertex(prog, first) is None
-
-    def test_single_pivot_from_the_face_vertex(self):
-        # Stage 1 ends on the known support; the second support is one
-        # zero-reduced-cost pivot away from it.
-        prog = program([[2, 0, 0, 2], [0, 1, 0, 1]], [3, 1], [2, 0, 2, 2])
-        first = solve(prog)
-        assert first.point == (F(1, 2), F(0), F(0), F(1))
-        second = find_alternative_vertex(prog, first)
-        assert second is not None
-        assert second.point == (F(3, 2), F(1), F(0), F(0))
-        assert second.basis == (0, 1)
-        assert second.value == first.value == 3
-        assert all(r == 0 for r in residual(prog, second.point))
-
-    def test_every_vertex_leaves_through_the_dual_check(self, monkeypatch):
-        # The two-phase vertex, the stage-1 vertex (on the known support)
-        # and the stage-2 vertex each pass the integer dual check.
-        prog = program([[2, 0, 0, 2], [0, 1, 0, 1]], [3, 1], [2, 0, 2, 2])
-        first = solve(prog)
-        check = lp._Engine.check_dual_feasible
-        calls = []
-
-        def counted(engine):
-            calls.append(engine.structural_basis())
-            return check(engine)
-
-        monkeypatch.setattr(lp._Engine, "check_dual_feasible", counted)
-        assert find_alternative_vertex(prog, first).basis == (0, 1)
-        assert calls == [first.basis, first.basis, (0, 1)]
-
-    def test_non_optimal_input_returns_none(self):
-        prog = program([[1]], [-1], [1])
-        first = solve(prog)
-        assert first.status == "infeasible"
-        assert find_alternative_vertex(prog, first) is None
-
-
 class TestTwoPhaseDualCheck:
     def test_corrupted_reduced_costs_are_caught(self, monkeypatch):
         # Phase 2 reads all-zero reduced costs, so it stops at once on the
@@ -496,9 +438,17 @@ def check_kernel_state(engine: lp._Engine) -> None:
     assert engine._reduced(objective).tolist() == want
 
 
+def reoptimize_on_face(engine: lp._Engine) -> None:
+    """The reoptimization of cost.optimal_decompositions: minimize the
+    weight on the support, entering only zero-reduced-cost columns."""
+    known = engine.support()
+    engine.reoptimize([int(j in known) for j in range(engine.n)], engine.zero_reduced_mask())
+
+
 class TestKernelInvariants:
-    """Every pivot of two-phase solves and optimal-face searches, on both
-    arithmetic paths, leaves a state whose invariants hold exactly."""
+    """Every pivot of two-phase solves and of the reoptimization over their
+    optimal faces, on both arithmetic paths, leaves a state whose invariants
+    hold exactly."""
 
     @pytest.fixture
     def divisors(self, monkeypatch):
@@ -533,9 +483,11 @@ class TestKernelInvariants:
             for scale in (1, _OBJECT_SCALE):
                 prog = program(rows, rhs, [c * scale for c in cost])
                 assert lp._prepare_program(prog).int_mode == (scale == 1)
-                got = solve(prog)
-                if got.status == "optimal":
-                    find_alternative_vertex(prog, got)
+                _, engine = lp._solve_prepared(
+                    lp._prepare_program(prog), *lp._integer_rhs(prog.rhs)
+                )
+                if engine is not None:
+                    reoptimize_on_face(engine)
         self.assert_both_divisions(divisors)
 
     def test_chsh16_system(self, divisors):
@@ -547,7 +499,7 @@ class TestKernelInvariants:
                 for prep in preps:
                     _, engine = lp._solve_prepared(prep, box.num, box.den)
                     if engine is not None:
-                        lp._alternative_from_engine(engine, engine.support())
+                        reoptimize_on_face(engine)
         self.assert_both_divisions(divisors)
 
 
@@ -573,7 +525,9 @@ class TestRemainderTripWires:
         engine = self.engine_at_delta_two(scale)
         w = engine._entering_w(3)
         assert w.tolist() == [1, 1, 1]
-        assert engine.pivoted(3, 0, w).delta == 1  # uncorrupted, it pivots
+        uncorrupted = copy.deepcopy(engine)
+        uncorrupted._pivot(3, 0, w)
+        assert uncorrupted.delta == 1
         engine.mat[1, 0] += 1
         with pytest.raises(RuntimeError, match="inexact division in basis update"):
             engine._pivot(3, 0, w)
