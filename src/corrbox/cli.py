@@ -31,6 +31,7 @@ from .boxes import (
 )
 from .cost import (
     NotInHull,
+    _prove_cost,
     check_dimension,
     communication_cost,
     decomposition_to_json_obj,
@@ -156,11 +157,46 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.dim is not None:
         check_dimension(args.dim)
     with _output(args.out) as handle:
-        _analyze_report(box, args, handle)
+        if args.text:
+            handle.write(_text_report(box, args.dim))
+        else:
+            _emit(_analysis_obj(box, args.dim), handle)
     return 0
 
 
-def _analyze_report(box: Box, args: argparse.Namespace, handle: IO[str]) -> None:
+def _flags(a: Analysis) -> dict[str, bool]:
+    """The report's flags in printed order."""
+    return {
+        "no_signaling": a.s == 0,
+        "lhv_admissible": a.lhv_admissible,
+        "weakly_nonclassical": a.i_formula > 0,
+        "strongly_nonclassical": a.eta > 0,
+    }
+
+
+def _eta_star_text(c: Fraction, d: int) -> str:
+    return "%.12g" % eta_star_of_cost(c, d)
+
+
+def _text_report(box: Box, dim: int | None) -> str:
+    """The text report: C read from the table and proved by one checked
+    solve, which takes the 16-column program on a box in the 16-box hull.
+    It prints no decomposition, so it builds none of the JSON report."""
+    a = analyze(box)
+    _prove_cost(box, a.c)
+    lines = [
+        f"{name} = {format_fraction(value)}"
+        for name, value in zip(_QUANTITY_NAMES, _quantities(a))
+    ]
+    lines.append("flags: " + ", ".join(k for k, v in _flags(a).items() if v))
+    if dim is not None:
+        lines.append(f"eta_star(d={dim}) ~ {_eta_star_text(a.c, dim)}")
+    return "\n".join(lines) + "\n"
+
+
+def _analysis_obj(box: Box, dim: int | None) -> dict:
+    """The JSON report, with the optimal decomposition communication_cost
+    solved for."""
     a = communication_cost(box, "full256")
     unc = a.uncertainty
     obj = {
@@ -193,30 +229,11 @@ def _analyze_report(box: Box, args: argparse.Namespace, handle: IO[str]) -> None
             "lower_bound": format_fraction(a.lower_bound),
             "decomposition": decomposition_to_json_obj(a.decomposition),
         },
-        "flags": {
-            "no_signaling": a.s == 0,
-            "lhv_admissible": a.lhv_admissible,
-            "weakly_nonclassical": a.i_formula > 0,
-            "strongly_nonclassical": a.eta > 0,
-        },
+        "flags": _flags(a),
     }
-    if args.dim is not None:
-        obj["eta_star"] = {
-            "d": args.dim,
-            "value": "%.12g" % eta_star_of_cost(a.c, args.dim),
-            "approximate": True,
-        }
-    if args.text:
-        lines = [
-            f"{name} = {format_fraction(value)}"
-            for name, value in zip(_QUANTITY_NAMES, _quantities(a))
-        ]
-        lines.append("flags: " + ", ".join(k for k, v in obj["flags"].items() if v))
-        if args.dim is not None:
-            lines.append(f"eta_star(d={args.dim}) ~ {obj['eta_star']['value']}")
-        handle.write("\n".join(lines) + "\n")
-    else:
-        _emit(obj, handle)
+    if dim is not None:
+        obj["eta_star"] = {"d": dim, "value": _eta_star_text(a.c, dim), "approximate": True}
+    return obj
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

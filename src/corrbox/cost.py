@@ -12,12 +12,16 @@ over the vertices y of the dual polytope {y : y.d_j <= cost_j for all 256
 strategies d_j}, taken modulo its lineality (a constant added to one
 setting's cells and taken from another's).  It has 408 vertices in 8 orbits
 of the 128 relabelings (_DUAL_ORBITS; tests/test_cost.py proves the list
-valid and complete), and C is an exact integer maximum over them.  For a
-decomposition, _solve_cost (also fuzz's cross-check, _prove_cost) runs the
-two-phase simplex from the artificial basis, whose pivot rules fix its
-vertex, on the box's integer numerators and denominator, and checks every
-solve against the table; _decomposition checks every decomposition it
-returns, the optimal-face search's included, against the program value.
+valid and complete), and C is an exact integer maximum over them.
+_dual_vertices checks every row dual-feasible where it builds the table, so
+a row above the polytope is an internal error before any C is read.  For a
+decomposition, _solve_cost runs the two-phase simplex from the artificial
+basis, whose pivot rules fix its vertex, on the box's integer numerators
+and denominator, and checks every solve against the table; _decomposition
+checks every decomposition it returns, the optimal-face search's included,
+against the program value.  _prove_cost, fuzz's cross-check and the proof
+behind analyze --text, proves a table value with one such solve, on the 16
+canonical columns when the box is in their hull.
 
 On the canonical basis every decomposition costs (F - 2) / 2, with F the
 signed correlator sum of measures._signed_pattern.  That form is a table
@@ -89,9 +93,21 @@ def _normalized(rows: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
+def _strategies() -> tuple[np.ndarray, np.ndarray]:
+    """The 256 deterministic boxes as int64 rows of numerators over 1, by id,
+    and their costs in bits."""
+    dets = enumerate_deterministic()
+    nums = np.array([d.as_box().num for d in dets], dtype=np.int64)
+    return nums, np.array([d.cost_bits for d in dets], dtype=np.int64)
+
+
+@lru_cache(maxsize=1)
 def _dual_vertices() -> np.ndarray:
     """The dual vertices as rows 2y: each orbit of _DUAL_ORBITS expanded under
-    the relabelings, each row normalized; int64 and read-only."""
+    the relabelings, each row normalized; int64 and read-only.  Every row is
+    checked dual-feasible, 2y.d_j <= 2 cost_j on all 256 strategies in one
+    int64 product, else RuntimeError: a row above the polytope would read C
+    too high on every box where it is the maximum."""
     perms = np.array([r.permutation() for r in relabeling_group()])
     rows: list[tuple[int, ...]] = []
     for size, rep in _DUAL_ORBITS:
@@ -101,6 +117,11 @@ def _dual_vertices() -> np.ndarray:
             raise RuntimeError(f"dual orbit has {len(distinct)} rows, expected {size}")
         rows += distinct
     table = np.array(rows, dtype=np.int64)
+    nums, bits = _strategies()
+    over = table @ nums.T > 2 * bits
+    if over.any():
+        row, j = np.argwhere(over)[0].tolist()
+        raise RuntimeError(f"dual-vertex table row {row} exceeds the cost of strategy {j}")
     table.setflags(write=False)
     return table
 
@@ -174,10 +195,9 @@ def _check_basis(basis: str) -> None:
 def _system_for(basis: str) -> _CostSystem:
     _check_basis(basis)
     ids = tuple(range(256)) if basis == "full256" else canonical_det_ids()
-    dets = enumerate_deterministic()
-    columns = np.array([dets[i].as_box().num for i in ids], dtype=np.int64).T.copy()
-    costs = [dets[i].cost_bits for i in ids]
-    return _CostSystem(prep=lp._prepare_int01(columns, costs), ids=ids)
+    nums, bits = _strategies()
+    rows = list(ids)
+    return _CostSystem(prep=lp._prepare_int01(nums[rows].T.copy(), bits[rows]), ids=ids)
 
 
 def _decomposition(solution: lp.LpSolution, basis: str, where: str = "") -> Decomposition:
@@ -230,13 +250,17 @@ def _solve_cost(
     return _decomposition(solution, basis, where), engine
 
 
-def _prove_cost(box: Box, c: Fraction, label: str) -> None:
+def _prove_cost(box: Box, c: Fraction, label: str | None = None) -> None:
     """Prove the table's C = c on box with a checked solve: of the chsh16
     program when c is the form (F - 2) / 2, whose feasibility and value
     prove both C and hull membership, else of the full256 one.  A
-    disagreement's message ends in " on <label>"."""
+    disagreement's message ends in " on <label>" when a label is given.
+
+    The proof is complete because _dual_vertices checks every row: the F
+    row is dual-feasible, so (F - 2) / 2 <= C, and a feasible chsh16 point
+    of that cost is a decomposition, so C <= (F - 2) / 2."""
     basis = "full256" if _hull_cost(box, c) is None else "chsh16"
-    _solve_cost(box, basis, c, f" on {label}")
+    _solve_cost(box, basis, c, "" if label is None else f" on {label}")
 
 
 def optimal_cost(box: Box, basis: str = "full256") -> Fraction:

@@ -255,6 +255,30 @@ class TestOneSolvePerBox:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "argv,basis",
+        [
+            # pr is in the 16-box hull: the table's C is the F form
+            (("analyze", "pr", "--text"), "chsh16"),
+            (("analyze", "noise", "--text"), "full256"),
+            (("analyze", "pr", "--text", "--dim", "2"), "chsh16"),
+        ],
+    )
+    def test_text_report_proves_c_with_one_program(self, capsys, monkeypatch, argv, basis):
+        import corrbox.cost as cost
+
+        solved = []
+        real = cost._solve_cost
+
+        def recorded(box, basis, *args, **kwargs):
+            solved.append(basis)
+            return real(box, basis, *args, **kwargs)
+
+        monkeypatch.setattr(cost, "_solve_cost", recorded)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert solved == [basis]
+
 
 class TestOneMeasurePerBox:
     def test_analyze_evaluates_chsh_and_signal_once(self, capsys, monkeypatch):
@@ -355,6 +379,37 @@ class TestInternalError:
 
     def test_incomplete_vertex_table_in_analyze(self, capsys, monkeypatch, tmp_path):
         self.run_without_last_orbit(capsys, monkeypatch, tmp_path, "analyze")
+
+    def test_incomplete_vertex_table_in_analyze_text(self, capsys, monkeypatch, tmp_path):
+        # The text report proves the table's C with the full256 program.
+        self.run_without_last_orbit(capsys, monkeypatch, tmp_path, "analyze", "--text")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("sweep", "--steps", "4"), id="sweep"),
+            pytest.param(("repro",), id="repro"),
+            pytest.param(("analyze", "pr", "--text"), id="analyze-text"),
+            pytest.param(("fuzz", "--family", "chsh16_mixture", "--count", "3"), id="fuzz"),
+        ],
+    )
+    def test_row_above_the_dual_polytope(self, capsys, monkeypatch, argv):
+        # The orbit of 8 with its representative doubled still has 8 rows,
+        # but they leave the dual polytope: read unchecked, sweep would print
+        # C = 1 at v = 3/4.  The table is checked where it is built.
+        import corrbox.cost as cost
+
+        (size, rep), *rest = cost._DUAL_ORBITS
+        doubled = ((size, tuple(2 * v for v in rep)), *rest)
+        monkeypatch.setattr(cost, "_DUAL_ORBITS", doubled)
+        cost._dual_vertices.cache_clear()
+        try:
+            code, out, err = run(capsys, *argv)
+        finally:
+            cost._dual_vertices.cache_clear()
+        assert code == 3 and out == ""
+        assert err.startswith("error: internal: dual-vertex table row ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("alt", [(), ("--alt",)])
     def test_incomplete_vertex_table_in_decompose(self, capsys, monkeypatch, tmp_path, alt):
@@ -848,7 +903,7 @@ class TestDestinationOpenedFirst:
         "argv,name",
         [
             (("analyze", "pr"), "communication_cost"),
-            (("analyze", "pr", "--text"), "communication_cost"),
+            (("analyze", "pr", "--text"), "analyze"),
             (("decompose", "pr"), "communication_cost"),
             (("decompose", "pr", "--alt"), "optimal_decompositions"),
             (("repro",), "reproduce_paper"),

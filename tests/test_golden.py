@@ -3,10 +3,11 @@
 A refactor or a faster solver path must leave every one of them unchanged:
 the named reports, the reference scenario, seeded fuzz findings for each
 family, the commands whose cost the value path or a reused solve now
-supplies, decompositions that are one of several optima, and the boxes the
-samplers and the parametric families build.  Every command in GOLDEN exits
-0; a fuzz run that the CORRBOX_FUZZ_CORRUPT harness check makes fail pins the
-witness bytes and the slack strings of a failing box.
+supplies, decompositions that are one of several optima, the boxes the
+samplers and the parametric families build, and text reports in and outside
+the 16-box hull, whose C different programs prove.  Every command in GOLDEN
+exits 0; a fuzz run that the CORRBOX_FUZZ_CORRUPT harness check makes fail
+pins the witness bytes and the slack strings of a failing box.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ GOLDEN = [
     ("gen --family no_signaling --seed 7", "92ec53932eb5c942e0881ef1f366502a5d4575c69560cf755e6f76c7b6a7b99f"),
     ("gen --kind isotropic --v 7/10", "9dfb005f23475ec85b1b3309fd09ae9138748f876a9eaf166f79a1e20ba485a0"),
     ("gen --kind quantum --angles tsirelson", "ed0a65e3b83005dacfae10a1cb42bd2a05d53f2c010c6d69eee1e306f5f81f06"),
+    ("analyze pr --text", "042c629eab5137ee3649906fe25bc6237ad3347e57ffcdcf399ed6341c34593d"),
+    ("analyze noise --text", "0cae12e8cb90e23e80750d0228dbb1cfc5a4d7b1e9e47167a113d01da3c55dee"),
+    ("analyze quantum --angles tsirelson --text", "bea99302db28604712aa07a6383c9474bd65a714cf6b1cd8655a3378457c4889"),
 ]
 
 
