@@ -180,7 +180,8 @@ def _eta_star_text(c: Fraction, d: int) -> str:
 
 def _text_report(box: Box, dim: int | None) -> str:
     """The text report: C read from the table and proved by one checked
-    solve, which takes the 16-column program on a box in the 16-box hull.
+    solve, a feasibility solve of the 16-column program on a box in the
+    16-box hull.
     It prints no decomposition, so it builds none of the JSON report."""
     a = analyze(box)
     _prove_cost(box, a.c)

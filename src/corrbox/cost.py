@@ -20,14 +20,19 @@ basis, whose pivot rules fix its vertex, on the box's integer numerators
 and denominator, and checks every solve against the table; _decomposition
 checks every decomposition it returns, the optimal-face search's included,
 against the program value.  _prove_cost, fuzz's cross-check and the proof
-behind analyze --text, proves a table value with one such solve, on the 16
-canonical columns when the box is in their hull.
+behind analyze --text, proves a table value with one checked solve: the
+full256 two-phase solve, or on a box in the 16-box hull a feasibility solve
+of the canonical columns (below).
 
 On the canonical basis every decomposition costs (F - 2) / 2, with F the
 signed correlator sum of measures._signed_pattern.  That form is a table
 row, tight on exactly the 16 canonical strategies, so by complementary
 slackness a box is in their hull exactly when the row attains the maximum:
-_hull_cost, the one hull rule, reads C on chsh16 from C on full256.
+_hull_cost, the one hull rule, reads C on chsh16 from C on full256.  Since
+every feasible point of the chsh16 program costs (F - 2) / 2, phase 1 alone
+proves a hull box's C: its point, checked in integers, is a decomposition
+of cost C, and the F row, checked with the table, is the dual certificate
+that no decomposition costs less.
 
 communication_cost returns a CostReport: the box's measures.Analysis with
 the decomposition it solved for.
@@ -201,7 +206,7 @@ def _system_for(basis: str) -> _CostSystem:
 
 
 def _decomposition(solution: lp.LpSolution, basis: str, where: str = "") -> Decomposition:
-    """The decomposition at an optimal vertex: the nonzero weights of its
+    """The decomposition at a solution's vertex: the nonzero weights of its
     basic columns, in ascending column order.  Its cost, summed from the
     point's Fractions, must equal the program value, computed in integers
     from the basic state, else RuntimeError, its message ending in where."""
@@ -230,37 +235,56 @@ def _table_cost(box: Box, basis: str) -> Fraction | None:
 def _solve_cost(
     box: Box, basis: str, c: Fraction | None = None, where: str = ""
 ) -> tuple[Decomposition, lp._Engine]:
-    """The two-phase solve of the cost program on box, checked against the
-    table's cost c on the basis (read here unless given): the program must be
-    feasible exactly when c exists, and its value must equal c, else
-    RuntimeError, its message ending in where; _decomposition checks the
-    decomposition at its vertex against that value.  Raises NotInHull when
-    the table and program agree that the box lies outside the chsh16 hull."""
+    """The two-phase solve of the cost program on box, with its optimal
+    decomposition checked by _checked against the table's cost c on the
+    basis (read here unless given), and the engine at that vertex."""
     if c is None:
         c = _table_cost(box, basis)
     solution, engine = lp._solve_prepared(_system_for(basis).prep, box.num, box.den)
+    return _checked(solution, basis, c, where), engine
+
+
+def _checked(
+    solution: lp.LpSolution, basis: str, c: Fraction | None, where: str
+) -> Decomposition:
+    """The decomposition at a solution of the cost program on the basis,
+    checked against the table's cost c: the program must be feasible exactly
+    when c exists, and its value must equal c, else RuntimeError, its
+    message ending in where.  Raises NotInHull when both say the box lies
+    outside the chsh16 hull."""
     value = solution.value
     if value != c:
         program = f"{solution.status} {basis} program"
         got = program if value is None else f"program value {value}"
         want = c if c is not None else "not-in-hull"
         raise RuntimeError(f"{got} disagrees with the dual-vertex table's {want}{where}")
-    if engine is None:
+    if value is None:
         raise NotInHull(_OUTSIDE_HULL)
-    return _decomposition(solution, basis, where), engine
+    return _decomposition(solution, basis, where)
 
 
 def _prove_cost(box: Box, c: Fraction, label: str | None = None) -> None:
-    """Prove the table's C = c on box with a checked solve: of the chsh16
-    program when c is the form (F - 2) / 2, whose feasibility and value
-    prove both C and hull membership, else of the full256 one.  A
-    disagreement's message ends in " on <label>" when a label is given.
+    """Prove the table's C = c on box.  When c is the form (F - 2) / 2, one
+    feasibility solve of the chsh16 program (lp._feasible, phase 1 alone)
+    proves both C and hull membership; otherwise _solve_cost runs the
+    full256 program to its checked optimum.  Either way the point is
+    re-substituted in integers, its value must equal c and its
+    decomposition is re-summed (_checked); an infeasible chsh16 program
+    fails after its Farkas vector is checked.  A disagreement's message
+    ends in " on <label>" when a label is given.
 
-    The proof is complete because _dual_vertices checks every row: the F
-    row is dual-feasible, so (F - 2) / 2 <= C, and a feasible chsh16 point
-    of that cost is a decomposition, so C <= (F - 2) / 2."""
-    basis = "full256" if _hull_cost(box, c) is None else "chsh16"
-    _solve_cost(box, basis, c, "" if label is None else f" on {label}")
+    The hull proof needs no phase 2 and no basis-dual check, which certify
+    the chsh16 program's own optimum.  Its dual side is the F row, which
+    _dual_vertices checks dual-feasible with every row, so (F - 2) / 2 <= C;
+    a feasible chsh16 point of cost c is a decomposition, so C <= c.  The F
+    row is tight on all 16 canonical strategies, so every feasible point
+    costs (F - 2) / 2, and the value check confirms it in integers."""
+    where = "" if label is None else f" on {label}"
+    if _hull_cost(box, c) is None:
+        _solve_cost(box, "full256", c, where)
+    else:
+        solution = lp._feasible(_system_for("chsh16").prep, box.num, box.den)
+        _checked(solution, "chsh16", c, where)
 
 
 def optimal_cost(box: Box, basis: str = "full256") -> Fraction:

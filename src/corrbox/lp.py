@@ -44,18 +44,20 @@ a time.  No division enters, and D depends on the basis alone.
 
 The engine reads the right-hand side b as integer numerators over one
 positive denominator (a box's own form; solve converts a LinearProgram's
-Fractions once).  Every result leaves through _optimal or _failed, checked
-in integers before a Fraction is built.  _optimal, the exit of the two-phase
-solve and of the reoptimization over its optimal face (cost.py's search for
-a second decomposition), re-substitutes xi into A x = b over
-each basic column's nonzero entries (a table built with the prepared
-system), recomputes every reduced cost and requires it nonnegative, and
-reads value() as the integer costs of the basic columns over one
-denominator.  _failed takes a Farkas vector y, checked as delta y.A <= 0 and
-delta y.b > 0 in the row-scaled integers, or an integer ray, checked for
-A ray = 0, ray >= 0 and objective.ray < 0.
+Fractions once).  Every result is checked in integers before a Fraction is
+built.  _optimal, the exit of the two-phase solve and of the reoptimization
+over its optimal face (cost.py's search for a second decomposition),
+re-substitutes xi into A x = b over each basic column's nonzero entries (a
+table built with the prepared system), recomputes every reduced cost and
+requires it nonnegative, and reads value() as the integer costs of the basic
+columns over one denominator.  _feasible, phase 1 alone, makes the same
+re-substitution and reads the same value at a feasible point, and certifies
+no optimum: it serves a caller that has proven every feasible point optimal
+by other means.  _failed takes a Farkas vector y, checked as delta y.A <= 0
+and delta y.b > 0 in the row-scaled integers, or an integer ray, checked
+for A ray = 0, ray >= 0 and objective.ray < 0.
 
-Forcing-row presolve.  A two-phase solve first looks at the zero rows Z:
+Forcing-row presolve.  Every solve first looks at the zero rows Z:
 rows with b_i = 0 whose row-scaled entries are all >= 0.  Since x >= 0, every
 column with an entry on such a row is zero at every feasible point.  When the
 columns left free are linearly independent (an exact integer rank: at most m
@@ -126,12 +128,13 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """status is one of optimal / infeasible / unbounded.
+    """status is one of optimal / infeasible / unbounded, or feasible from
+    _feasible: a checked point, optimal or not.
 
-    value and basis are present only when optimal.  certificate carries a
-    Farkas vector (infeasible: y.A <= 0 and y.rhs > 0) or a ray (unbounded:
-    A ray = 0, ray >= 0, objective.ray < 0), each checked in integers
-    before it is returned.
+    value and basis are present only when optimal or feasible.  certificate
+    carries a Farkas vector (infeasible: y.A <= 0 and y.rhs > 0) or a ray
+    (unbounded: A ray = 0, ray >= 0, objective.ray < 0), each checked in
+    integers before it is returned.
     """
 
     status: str
@@ -236,10 +239,10 @@ def _integer_rhs(rhs: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 class _Engine:
-    """One two-phase fraction-free simplex solve over a prepared system, from
-    the artificial basis.  The right-hand side is rhs_num / den: integer
-    numerators over one positive denominator.  delta stays positive, so every
-    sign test reads the integers directly."""
+    """One fraction-free simplex solve over a prepared system, from the
+    artificial basis: phase 1 alone, or both phases.  The right-hand side is
+    rhs_num / den: integer numerators over one positive denominator.  delta
+    stays positive, so every sign test reads the integers directly."""
 
     def __init__(self, prep: _Prepared, rhs_num: Sequence[int], den: int):
         if len(rhs_num) != prep.m:
@@ -420,14 +423,18 @@ class _Engine:
             return
         self.free, self.zero_rows = free, zero_rows
 
-    def run_two_phase(self) -> tuple[str, int | None, np.ndarray | None]:
-        """Phase 1 from the artificial basis, then phase 2 under the
-        program's objective: the status, with the entering column j and
-        w = M a_j of an unbounded end."""
+    def run_phase1(self) -> bool:
+        """Phase 1 from the artificial basis: whether it ends feasible, with
+        every artificial still basic at zero."""
         status, _, _ = self._loop(None)
         if status != "optimal":
             raise RuntimeError("phase 1 cannot be unbounded")
-        if any(self.xi[i] != 0 for i in range(self.m) if self.basis[i] >= self.n):
+        return not any(self.xi[i] for i in range(self.m) if self.basis[i] >= self.n)
+
+    def run_two_phase(self) -> tuple[str, int | None, np.ndarray | None]:
+        """Phase 1, then phase 2 under the program's objective: the status,
+        with the entering column j and w = M a_j of an unbounded end."""
+        if not self.run_phase1():
             return "infeasible", None, None
         self._drive_out_artificials()
         return self._loop(self.prep.col_cost)
@@ -568,6 +575,25 @@ def _solve_prepared(
     if status == "unbounded":
         return _failed(status, engine.ray_certificate(j, w)), None
     return _optimal(engine), engine
+
+
+def _feasible(prep: _Prepared, rhs_num: Sequence[int], den: int) -> LpSolution:
+    """Phase 1 alone, for the right-hand side rhs_num / den: a feasible end
+    leaves with its basic state re-substituted in integers, status
+    "feasible" and the objective's value at that point; an infeasible one
+    through _failed with its checked Farkas vector.  It certifies no
+    optimum: no drive-out, phase 2 or basis-dual check runs."""
+    engine = _Engine(prep, rhs_num, den)
+    engine.presolve()
+    if not engine.run_phase1():
+        return _failed("infeasible", engine.farkas_certificate())
+    engine.check_basic_state()
+    return LpSolution(
+        status="feasible",
+        value=engine.value(),
+        point=tuple(engine.point()),
+        basis=engine.structural_basis(),
+    )
 
 
 def solve(program: LinearProgram) -> LpSolution:

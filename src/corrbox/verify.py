@@ -229,7 +229,7 @@ _DOMAIN_OF_FAMILY = {
 }
 
 
-# fuzz proves C by a two-phase solve on boxes 0..4 and every _LP_EVERY-th.
+# fuzz proves C (cost._prove_cost) on boxes 0..4 and every _LP_EVERY-th.
 _LP_EVERY = 100
 
 
@@ -241,7 +241,7 @@ def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
     over 2 den, the measures' kernels, and the signs of _slack_numerators,
     which are all the tallies need.  An Analysis and its PropertyResults are
     built only for a box with a failing row.  C is proven on the first five
-    boxes and every _LP_EVERY-th by a two-phase solve (cost._prove_cost).
+    boxes and every _LP_EVERY-th by one checked solve (cost._prove_cost).
     Setting CORRBOX_FUZZ_CORRUPT=1 replaces the first box with a two-bit
     exchange box and tightens the domain, which must trip an asserted
     violation; it exists to prove the harness can fail."""

@@ -265,16 +265,24 @@ class TestOneSolvePerBox:
         ],
     )
     def test_text_report_proves_c_with_one_program(self, capsys, monkeypatch, argv, basis):
+        # The program each proof runs: the chsh16 feasibility solve, or
+        # _solve_cost's on its basis.
         import corrbox.cost as cost
+        import corrbox.lp as lp
 
         solved = []
-        real = cost._solve_cost
+        real_solve, real_feasible = cost._solve_cost, lp._feasible
 
         def recorded(box, basis, *args, **kwargs):
             solved.append(basis)
-            return real(box, basis, *args, **kwargs)
+            return real_solve(box, basis, *args, **kwargs)
+
+        def feasible(*args):
+            solved.append("chsh16")
+            return real_feasible(*args)
 
         monkeypatch.setattr(cost, "_solve_cost", recorded)
+        monkeypatch.setattr(lp, "_feasible", feasible)
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert solved == [basis]

@@ -584,6 +584,102 @@ class TestHullRule:
         assert 0 < inside < len(boxes)
 
 
+class TestHullProof:
+    """_prove_cost proves a hull box's C, the form (F - 2) / 2, with one
+    feasibility solve of the chsh16 program: phase 1, the point
+    re-substituted in integers, its value checked against C and its
+    decomposition re-summed.  Nothing certifies the chsh16 optimum itself;
+    the F row, checked with the table, is the dual side."""
+
+    @staticmethod
+    def hull_boxes() -> list[Box]:
+        boxes = [canonical("pr"), isotropic(F(3, 4))]
+        boxes += sample(FamilySpec("chsh16_mixture", 23), 20)
+        boxes += sample(FamilySpec("oneway_slice", 23), 20)
+        return boxes
+
+    @staticmethod
+    def record(monkeypatch, name: str, calls: list) -> None:
+        real = getattr(lp._Engine, name)
+
+        def recorded(self, *args, **kwargs):
+            calls.append(args[0] if name == "_loop" else name)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(lp._Engine, name, recorded)
+
+    def test_one_phase1_loop_and_no_optimality_checks(self, monkeypatch):
+        boxes = self.hull_boxes()
+        costs = [optimal_cost(box) for box in boxes]
+        assert all(cost._hull_cost(box, c) == c for box, c in zip(boxes, costs))
+        loops, skipped, resubstituted = [], [], []
+        self.record(monkeypatch, "_loop", loops)
+        self.record(monkeypatch, "_drive_out_artificials", skipped)
+        self.record(monkeypatch, "check_dual_feasible", skipped)
+        self.record(monkeypatch, "check_basic_state", resubstituted)
+        for box, c in zip(boxes, costs):
+            loops.clear()
+            cost._prove_cost(box, c)
+            assert loops == [None], box.num
+        assert skipped == []
+        assert len(resubstituted) == len(boxes)
+
+    def test_value_disagreement_is_an_internal_error(self, monkeypatch, capsys):
+        # Every chsh16 column one bit dearer: every feasible point costs
+        # C + 1, which the value check refutes.
+        from corrbox.cli import main
+
+        real = cost._system_for
+        chsh16 = real("chsh16")
+        nums, bits = cost._strategies()
+        rows = list(chsh16.ids)
+        prep = lp._prepare_int01(nums[rows].T.copy(), bits[rows] + 1)
+        dearer = cost._CostSystem(prep=prep, ids=chsh16.ids)
+        monkeypatch.setattr(cost, "_system_for", lambda b: dearer if b == "chsh16" else real(b))
+        message = "program value 2 disagrees with the dual-vertex table's 1"
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            cost._prove_cost(canonical("pr"), F(1))
+        assert main(["analyze", "pr", "--text"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: internal: {message}\n"
+
+    def test_decomposition_is_resummed(self, monkeypatch):
+        # A weight of the feasible point shifted by 1/7: the decomposition
+        # no longer costs the value read from the basic state.
+        import dataclasses
+
+        real = lp._feasible
+
+        def shifted(*args):
+            solution = real(*args)
+            point = list(solution.point)
+            point[next(j for j in solution.basis if point[j] != 0)] += F(1, 7)
+            return dataclasses.replace(solution, point=tuple(point))
+
+        monkeypatch.setattr(lp, "_feasible", shifted)
+        message = "decomposition cost disagrees with program value"
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            cost._prove_cost(canonical("pr"), F(1))
+
+    def test_box_outside_the_hull_fails_through_the_farkas_exit(self, monkeypatch):
+        # A hull rule that always attains the maximum reads noise, and every
+        # general box, as inside: the chsh16 program is infeasible, and its
+        # Farkas vector is checked before the proof fails.
+        from corrbox.verify import fuzz
+
+        monkeypatch.setattr(cost, "_hull_numerator", cost._cost_numerator)
+        farkas = []
+        self.record(monkeypatch, "farkas_certificate", farkas)
+        message = "infeasible chsh16 program disagrees with the dual-vertex table's 0"
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            cost._prove_cost(canonical("noise"), F(0))
+        assert farkas == ["farkas_certificate"]
+        pattern = "^infeasible chsh16 program disagrees .* on general sample 0$"
+        with pytest.raises(RuntimeError, match=pattern):
+            fuzz(FamilySpec("general", 3), 5)
+        assert len(farkas) == 2
+
+
 family_boxes = st.builds(
     lambda family, seed: sample(FamilySpec(family, seed), 1)[0],
     st.sampled_from(FAMILY_KINDS),

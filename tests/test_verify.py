@@ -417,13 +417,16 @@ class TestFuzz:
         assert keys <= failing
 
     def test_facet_bound_cross_check_runs(self, monkeypatch):
-        # _LP_EVERY = 1 proves C on every sample: by the chsh16 program on a
-        # hull box, whose C is the form (F - 2) / 2, and by the full256
-        # program on a general one
+        # _LP_EVERY = 1 proves C on every sample: by the chsh16 feasibility
+        # solve on a hull box, whose C is the form (F - 2) / 2, and by the
+        # full256 program on a general one
         monkeypatch.setattr(verify, "_LP_EVERY", 1)
         bases = []
-        solve = cost._solve_cost
+        solve, feasible = cost._solve_cost, cost.lp._feasible
         monkeypatch.setattr(cost, "_solve_cost", lambda *a: bases.append(a[1]) or solve(*a))
+        monkeypatch.setattr(
+            cost.lp, "_feasible", lambda *a: bases.append("chsh16") or feasible(*a)
+        )
         assert not fuzz(FamilySpec("chsh16_mixture", 6), 8).aborted
         assert bases == ["chsh16"] * 8
         assert not fuzz(FamilySpec("general", 6), 3).aborted
