@@ -347,7 +347,10 @@ def optimal_decompositions(
     vertex exists, and when it ends on S the optimal face is v alone."""
     first, engine = _solve_cost(box, basis)
     known = engine.support()
-    engine.reoptimize([int(j in known) for j in range(engine.n)], engine.zero_reduced_mask())
+    weight = [0] * engine.n
+    for j in known:
+        weight[j] = 1
+    engine.reoptimize(weight, engine.zero_reduced_mask())
     other = lp._optimal(engine, value=first.cost)
     if engine.support() == known:
         return first, None

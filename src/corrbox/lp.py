@@ -40,7 +40,15 @@ w_i = 0 is unchanged when |w_p| = delta, and is skipped.
 Pricing.  No reduced-cost row is carried between pivots: each iteration
 prices from the basis, yhat = c_B M and D = c delta - A^T yhat for the
 running loop's objective, whose basic costs c_B _pivot updates one entry at
-a time.  No division enters, and D depends on the basis alone.
+a time.  No division enters, and D depends on the basis alone.  A loop
+prices only the columns that may enter: the presolve's free columns (below),
+within the mask a reoptimization passes; partial pricing in the sense of
+Maros (Computational Techniques of the Simplex Method, 2003), with one
+candidate list per loop.  They are priced in ascending order, so the least
+index still wins every tie under Dantzig's rule and Bland's, and every pivot
+is the one that pricing all columns and zeroing the others would take.  The
+checks of a result (the basis-dual check, the lifted certificate below, the
+Farkas vector) still price every column.
 
 The engine reads the right-hand side b as integer numerators over one
 positive denominator (a box's own form; solve converts a LinearProgram's
@@ -64,12 +72,14 @@ columns left free are linearly independent (an exact integer rank: at most m
 of them), the program has at most one feasible point, so no pivot order can
 change the vertex's point or its support, and the optimal-face search finds
 no second support either way; phase 1, the drive-out, phase 2 and that
-search's reoptimization then enter free columns only.  A deterministic box,
-whose 12 zero cells fix all but its own strategy, takes one pivot.  When the
-free columns are dependent the presolve fixes nothing: the pivot order
-decides the printed decomposition there, and fixing columns could change it.
-The certificates still hold over every column.  At the restricted end a fixed
-column j may have D_j < 0; with s_j = sum over Z of a_ij >= 1 and
+search's reoptimization then price, search and enter free columns only.  A
+deterministic box, whose 12 zero cells fix all but its own strategy, takes
+one pivot, and its drive-out reads one column per artificial row, not 256.
+When the free columns are dependent the presolve fixes nothing: the pivot
+order decides the printed decomposition there, and fixing columns could
+change it.  The certificates still hold over every column, fixed ones
+included.  At the restricted end a fixed column j may have D_j < 0; with
+s_j = sum over Z of a_ij >= 1 (the column sums the presolve computed) and
 K = max ceil(-D_j / s_j), the dual vector yhat - K 1_Z keeps yhat.b (b
 vanishes on Z) and every free column's reduced cost (free columns vanish on
 Z), and makes D_j + K s_j >= 0 on every fixed one.  A phase-1 Farkas vector
@@ -259,10 +269,12 @@ class _Engine:
         # which _pivot keeps one entry at a time.
         self.objective: Sequence[int] | None = None
         self.cost_b = np.ones(prep.m, dtype=prep.dtype)
-        # Set by presolve when it fixes columns: the columns that may enter
-        # and the indicator 1_Z of the zero rows.  None: every column may.
+        # Set by presolve when it fixes columns: the ascending indices of the
+        # columns that may enter, the indicator 1_Z of the zero rows and each
+        # column's sum s_j over them.  None: every column may enter.
         self.free: np.ndarray | None = None
         self.zero_rows: np.ndarray | None = None
+        self.sums: np.ndarray | None = None
         self.basis = [prep.n + i for i in range(prep.m)]  # artificials first
         self.mat = np.eye(prep.m, dtype=prep.dtype)
         self.delta = 1
@@ -319,22 +331,26 @@ class _Engine:
         return np.array(out, dtype=self.prep.dtype)
 
     def _reduced(
-        self, col_cost: Sequence[int] | None, yhat: np.ndarray | None = None
+        self,
+        col_cost: Sequence[int] | None,
+        yhat: np.ndarray | None = None,
+        cols: np.ndarray | None = None,
     ) -> np.ndarray:
         """delta-scaled reduced costs of the structural columns, from the
         basis: c delta - A^T yhat with yhat = c_B M (c_B as carried for the
-        running objective), or against a given delta-scaled dual vector."""
+        running objective), or against a given delta-scaled dual vector.
+        Every column is priced, or only the columns cols, in their order."""
         if yhat is None:
             c_b = self.cost_b if col_cost is self.objective else self._cost_basis(col_cost)
             yhat = c_b @ self.mat
-        ata = yhat @ self.a
+        ata = yhat @ (self.a if cols is None else self.a[:, cols])
         if col_cost is None:
             return -ata
         if col_cost is self.prep.col_cost:
             cc = self.prep.cost_vec
         else:
             cc = np.array(col_cost, dtype=self.prep.dtype)
-        return cc * self.delta - ata
+        return (cc if cols is None else cc[cols]) * self.delta - ata
 
     # -- simplex loop ------------------------------------------------------
 
@@ -355,28 +371,41 @@ class _Engine:
                 best = i
         return None if best < 0 else best
 
+    def _entering(self, allowed: np.ndarray | None) -> np.ndarray | None:
+        """The ascending indices of the columns that may enter: the free
+        ones, within the mask allowed when one is given (None: every one)."""
+        if allowed is None:
+            return self.free
+        return allowed.nonzero()[0] if self.free is None else self.free[allowed[self.free]]
+
     def _loop(
         self, col_cost: Sequence[int] | None, allowed: np.ndarray | None = None
     ) -> tuple[str, int | None, np.ndarray | None]:
         """Pivot to optimality or unboundedness for one objective, pricing
-        every iteration from the basis."""
-        if self.free is not None:
-            allowed = self.free if allowed is None else allowed & self.free
+        every iteration from the basis, over the columns that may enter."""
+        cols = self._entering(allowed)
         self.objective, self.cost_b = col_cost, self._cost_basis(col_cost)
+        if cols is not None and not len(cols):
+            return "optimal", None, None
         for iteration in range(_ITERATION_CAP):
-            reduced = self._reduced(col_cost)
-            if allowed is not None:
-                reduced = np.where(allowed, reduced, 0)
+            # Unrestricted, the loop reads its prices through the
+            # one-argument form, which TestTwoPhaseDualCheck replaces.
+            if cols is None:
+                reduced = self._reduced(col_cost)
+            else:
+                reduced = self._reduced(col_cost, cols=cols)
             if iteration < _BLAND_AFTER:
-                # argmin takes the first minimum, so ties stay deterministic
-                j = int(reduced.argmin())
-                entering = reduced[j] < 0
+                # argmin takes the first minimum and cols ascend, so ties go
+                # to the least column index
+                k = int(reduced.argmin())
+                entering = reduced[k] < 0
             else:
                 negative = reduced < 0
-                j = int(negative.argmax())
-                entering = negative[j]
+                k = int(negative.argmax())
+                entering = negative[k]
             if not entering:
                 return "optimal", None, None
+            j = k if cols is None else int(cols[k])
             w = self._entering_w(j)
             p = self._ratio_row(w)
             if p is None:
@@ -385,22 +414,21 @@ class _Engine:
         raise RuntimeError("simplex iteration cap exceeded")
 
     def _drive_out_artificials(self) -> None:
+        cols = self.free
+        a = self.a if cols is None else self.a[:, cols]
         for p in range(self.m):
             if self.basis[p] < self.n:
                 continue
             if self.xi[p] != 0:
                 raise RuntimeError("artificial basic at nonzero value")
-            row = self.mat[p] @ self.a
-            if self.free is not None:
-                row = np.where(self.free, row, 0)
-            pivots = row.nonzero()[0]
+            pivots = (self.mat[p] @ a).nonzero()[0]
             if not len(pivots):
                 # Redundant constraint row: inert from here on.  Its M row
                 # only ever gets rescaled, so it stays orthogonal to every
                 # column that may enter and never blocks a pivot.
                 self.inert[p] = True
                 continue
-            j = int(pivots[0])
+            j = int(pivots[0] if cols is None else cols[pivots[0]])
             self._pivot(j, p, self._entering_w(j))
 
     # -- runs --------------------------------------------------------------
@@ -421,7 +449,7 @@ class _Engine:
             return
         if not _independent(self.a.T[free].tolist()):
             return
-        self.free, self.zero_rows = free, zero_rows
+        self.free, self.zero_rows, self.sums = free.nonzero()[0], zero_rows, sums
 
     def run_phase1(self) -> bool:
         """Phase 1 from the artificial basis: whether it ends feasible, with
@@ -487,8 +515,8 @@ class _Engine:
         yhat = self._cost_basis(col_cost) @ self.mat
         if self.free is None:
             return yhat
-        sums = np.maximum(self.zero_rows @ self.a, 1)  # s_j, at least 1 if fixed
-        short = np.where(self.free, 0, (sums - 1 - self._reduced(col_cost, yhat)) // sums)
+        sums = np.maximum(self.sums, 1)  # s_j, at least 1 if fixed
+        short = np.where(self.sums == 0, 0, (sums - 1 - self._reduced(col_cost, yhat)) // sums)
         return yhat - max(int(short.max()), 0) * self.zero_rows
 
     def check_dual_feasible(self) -> None:
@@ -537,8 +565,11 @@ class _Engine:
 
     def zero_reduced_mask(self) -> np.ndarray:
         """The columns that may enter at reduced cost zero."""
-        face = self._reduced(self.prep.col_cost) == 0
-        return face if self.free is None else face & self.free
+        if self.free is None:
+            return self._reduced(self.prep.col_cost) == 0
+        face = np.zeros(self.n, dtype=bool)
+        face[self.free] = self._reduced(self.prep.col_cost, cols=self.free) == 0
+        return face
 
 
 def _optimal(engine: _Engine, *, value: Fraction | None = None) -> LpSolution:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import corrbox
 from corrbox.boxes import box_from_json_obj, box_to_json_obj, format_fraction
-from corrbox.cli import main
+from corrbox.cli import _json_text, main
 from corrbox.cost import communication_cost
 from corrbox.generators import (
     FAMILY_KINDS,
@@ -30,6 +30,8 @@ from corrbox.generators import (
     sample,
 )
 from corrbox.verify import fuzz
+
+from test_golden import GOLDEN
 
 EXPECTED_SWEEP_HEADER = (
     "param,lambda_max,s,C,eta,I,U_A,U_B,"
@@ -105,9 +107,35 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err.startswith("error: --angles needs radians, got ['0', '1', '2', '-1/3']")
 
+    @pytest.mark.parametrize("token,decimal", [("-.5", "-0.5"), ("-0", "0")])
+    def test_single_dash_number_is_an_angle(self, capsys, token, decimal):
+        code, out, _ = run(capsys, "analyze", "quantum", "--angles", "0", "1", "2", token)
+        _, want, _ = run(capsys, "analyze", "quantum", "--angles", "0", "1", "2", decimal)
+        assert code == 0 and out == want
+
+    @pytest.mark.parametrize(
+        "token,message",
+        [
+            ("-inf", "error: Invalid literal for Fraction: '-inf'\n"),
+            ("-.5", "error: isotropic parameter must be in [0, 1], got -1/2\n"),
+        ],
+    )
+    def test_single_dash_number_is_a_weight(self, capsys, token, message):
+        # the weight reaches the isotropic family, which refuses it
+        assert run(capsys, "analyze", "isotropic", "--v", token) == (2, "", message)
+
+    def test_negative_zero_weight_is_zero(self, capsys):
+        code, out, _ = run(capsys, "analyze", "isotropic", "--v", "-0")
+        assert code == 0 and out == run(capsys, "analyze", "isotropic", "--v", "0")[1]
+
     def test_option_like_token_is_still_an_option(self, capsys):
         code, _, err = run(capsys, "analyze", "quantum", "--angles", "0", "1", "2", "-x")
         assert code == 2 and "-x" in err
+
+    def test_unknown_long_option_is_still_an_option(self, capsys):
+        code, out, err = run(capsys, "analyze", "pr", "--opt")
+        assert code == 2 and out == ""
+        assert err.endswith("error: unrecognized arguments: --opt\n")
 
     def test_json_flag_matches_default(self, capsys):
         _, default, _ = run(capsys, "analyze", "pr")
@@ -799,6 +827,69 @@ class TestReportJsonRoundTrip:
             ]
             assert _rational(got["slack"]) == r.slack
             assert box_from_json_obj(got["box"]) == r.witness
+
+
+# Strings with quotes, backslashes, control characters, DEL, non-ASCII,
+# astral and lone surrogate code points; ints past 2**64; the float edge cases.
+_JSON_STRINGS = st.text(
+    alphabet=st.sampled_from('"\\/\x00\x08\x1f\x7f\u00e9\u20ac\U0001f600\ud800 a') | st.characters(),
+    max_size=8,
+)
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**80), 2**80)
+    | st.sampled_from([2**64, -(2**64) - 1, 10**30])
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 2.0**-1030, 1e308, math.nan, math.inf, -math.inf])
+    | _JSON_STRINGS
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_STRINGS, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestJsonText:
+    """The CLI writes its JSON itself; json.dumps(obj, indent=2) is the
+    reference for every byte."""
+
+    @staticmethod
+    def assert_as_json(obj) -> None:
+        assert _json_text(obj) == json.dumps(obj, indent=2)
+
+    def test_every_golden_object(self, capsys, monkeypatch):
+        import corrbox.cli as cli
+
+        emitted = []
+        emit = cli._emit
+
+        def recorded(obj, handle):
+            emitted.append(obj)
+            emit(obj, handle)
+
+        monkeypatch.setattr(cli, "_emit", recorded)
+        for command, _ in GOLDEN:
+            main(command.split())
+        monkeypatch.setenv("CORRBOX_FUZZ_CORRUPT", "1")
+        main("fuzz --family oneway_slice --seed 7 --count 50".split())
+        capsys.readouterr()
+        json_commands = [c for c, _ in GOLDEN if "--text" not in c and c.split()[0] != "sweep"]
+        assert len(emitted) == len(json_commands) + 1
+        for obj in emitted:
+            self.assert_as_json(obj)
+
+    @given(obj=_JSON_VALUES)
+    def test_nested_values(self, obj):
+        self.assert_as_json(obj)
+
+    @pytest.mark.parametrize("obj", [{1: "a"}, [Fraction(1, 2)], {"a": {None: 1}}, b"x"])
+    def test_what_a_report_never_holds_is_refused(self, obj):
+        with pytest.raises(TypeError):
+            _json_text(obj)
 
 
 class TestRepro:

@@ -10,8 +10,9 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import corrbox.lp as lp
-from corrbox.cost import _system_for
-from corrbox.generators import FamilySpec, draw
+from corrbox.boxes import enumerate_deterministic, mix_ints
+from corrbox.cost import NotInHull, _system_for, optimal_decompositions
+from corrbox.generators import FamilySpec, canonical, draw, no_signaling_vertices
 from corrbox.lp import DimensionMismatch, LinearProgram, LpSolution, solve
 
 from _reference_lp import solve_reference
@@ -545,7 +546,7 @@ def fixed_columns(prog: LinearProgram) -> list[int]:
     """The columns the forcing-row presolve fixes at zero on prog."""
     engine = lp._Engine(lp._prepare_program(prog), *lp._integer_rhs(prog.rhs))
     engine.presolve()
-    return [] if engine.free is None else (~engine.free).nonzero()[0].tolist()
+    return [] if engine.sums is None else engine.sums.nonzero()[0].tolist()
 
 
 class TestForcingRowPresolve:
@@ -608,3 +609,155 @@ class TestForcingRowPresolve:
         monkeypatch.setattr(lp._Engine, "_loop", no_phase_two)
         with pytest.raises(RuntimeError, match="not dual-feasible"):
             solve(prog)
+
+
+def full_pricing_loop(engine, col_cost, allowed=None):
+    """The reference for _Engine._loop: price every column and zero the
+    price of each one that may not enter, then pick as _loop does."""
+    if engine.free is not None:
+        free = np.zeros(engine.n, dtype=bool)
+        free[engine.free] = True
+        allowed = free if allowed is None else allowed & free
+    engine.objective, engine.cost_b = col_cost, engine._cost_basis(col_cost)
+    for iteration in range(lp._ITERATION_CAP):
+        reduced = engine._reduced(col_cost)
+        if allowed is not None:
+            reduced = np.where(allowed, reduced, 0)
+        if iteration < lp._BLAND_AFTER:
+            j = int(reduced.argmin())
+            entering = reduced[j] < 0
+        else:
+            negative = reduced < 0
+            j = int(negative.argmax())
+            entering = negative[j]
+        if not entering:
+            return "optimal", None, None
+        w = engine._entering_w(j)
+        p = engine._ratio_row(w)
+        if p is None:
+            return "unbounded", j, w
+        engine._pivot(j, p, w)
+    raise RuntimeError("simplex iteration cap exceeded")
+
+
+def full_pricing_drive_out(engine):
+    """The reference for _Engine._drive_out_artificials: search every
+    column's entry on the artificial's row, zeroed where it may not enter."""
+    for p in range(engine.m):
+        if engine.basis[p] < engine.n:
+            continue
+        row = engine.mat[p] @ engine.a
+        if engine.free is not None:
+            row = np.where(np.isin(np.arange(engine.n), engine.free), row, 0)
+        pivots = row.nonzero()[0]
+        if not len(pivots):
+            engine.inert[p] = True
+            continue
+        j = int(pivots[0])
+        engine._pivot(j, p, engine._entering_w(j))
+
+
+def sparse_mixtures(seed: int, parts: list, count: int) -> list:
+    """Mixtures of 1 to 3 distinct parts with integer weights 1 to 64."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        chosen = rng.sample(parts, rng.randint(1, 3))
+        out.append(mix_ints([rng.randint(1, 64) for _ in chosen], chosen))
+    return out
+
+
+class TestPartialPricing:
+    """Pricing only the columns that may enter, in ascending order, takes
+    the pivots of pricing every column and masking the rest, (j, p) for
+    (j, p), on presolved solves of both bases and on the optimal-face
+    reoptimization."""
+
+    DETERMINISTIC = [d.as_box() for d in enumerate_deterministic()]
+    MIXTURES = sparse_mixtures(2424, DETERMINISTIC, 60) + sparse_mixtures(
+        4242, list(no_signaling_vertices()), 60
+    )
+
+    @staticmethod
+    def pivots(monkeypatch, run, reference: bool) -> list[tuple[int, int]]:
+        seen = []
+        pivot = lp._Engine._pivot
+
+        def recorded(engine, j, p, w):
+            seen.append((j, p))
+            pivot(engine, j, p, w)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lp._Engine, "_pivot", recorded)
+            if reference:
+                patch.setattr(lp._Engine, "_loop", full_pricing_loop)
+                patch.setattr(lp._Engine, "_drive_out_artificials", full_pricing_drive_out)
+            run()
+        return seen
+
+    def assert_same_pivots(self, monkeypatch, run) -> None:
+        got = self.pivots(monkeypatch, run, reference=False)
+        assert got == self.pivots(monkeypatch, run, reference=True)
+
+    def test_presolved_solves(self, monkeypatch):
+        presolved = pivoted = 0
+        for basis in ("full256", "chsh16"):
+            prep = _system_for(basis).prep
+            for box in self.DETERMINISTIC + self.MIXTURES:
+                engine = lp._Engine(prep, box.num, box.den)
+                engine.presolve()
+                if engine.free is None:
+                    continue
+                presolved += 1
+                pivoted += len(engine.free) > 1
+                self.assert_same_pivots(
+                    monkeypatch, lambda: lp._solve_prepared(prep, box.num, box.den)
+                )
+        # every deterministic box on both bases, and mixtures, some of them
+        # with a choice of columns to enter
+        assert presolved >= 2 * 256 + 100 and pivoted >= 30
+
+    def test_face_reoptimization(self, monkeypatch):
+        boxes = [canonical("noise"), canonical("d3_1")] + self.MIXTURES
+        for basis in ("full256", "chsh16"):
+            for box in boxes:
+
+                def run():
+                    try:
+                        optimal_decompositions(box, basis)
+                    except NotInHull:
+                        pass
+
+                self.assert_same_pivots(monkeypatch, run)
+
+    # Presolved 0/1 programs whose drive-out finds an artificial row with
+    # more than one free column to pivot in (4 of 3000 random draws).
+    DRIVE_OUT_CHOICES = [
+        (
+            [[1, 0, 0, 1, 1, 0, 1, 0], [0, 0, 1, 0, 0, 1, 1, 1], [0, 0, 1, 0, 1, 1, 0, 1],
+             [0, 1, 1, 0, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 0, 1]],
+            [2, 0, 2, 2, 2],
+        ),
+        ([[1, 1, 1, 1, 1, 1], [0, 1, 1, 0, 1, 1], [0, 0, 0, 1, 1, 0], [0, 0, 1, 1, 0, 1]],
+         [1, 1, 1, 0]),
+        (
+            [[1, 1, 0, 1, 0, 0, 0, 1], [0, 0, 0, 1, 0, 1, 1, 0], [0, 0, 0, 0, 1, 0, 0, 1],
+             [1, 0, 1, 0, 1, 1, 0, 1], [0, 0, 1, 1, 1, 0, 1, 0]],
+            [1, 0, 1, 1, 0],
+        ),
+    ]
+
+    def test_drive_out_with_a_choice(self, monkeypatch):
+        for rows, rhs in self.DRIVE_OUT_CHOICES:
+            for scale in (1, _OBJECT_SCALE):
+                prep = lp._prepare_int01(np.array(rows), [scale] * len(rows[0]))
+                engine = lp._Engine(prep, rhs, 1)
+                engine.presolve()
+                assert engine.run_phase1()
+                choices = [
+                    np.count_nonzero(engine.mat[p] @ engine.a[:, engine.free])
+                    for p in range(engine.m)
+                    if engine.basis[p] >= engine.n
+                ]
+                assert max(choices) >= 2
+                self.assert_same_pivots(monkeypatch, lambda: lp._solve_prepared(prep, rhs, 1))
