@@ -32,6 +32,7 @@ from .boxes import (
     format_fraction,
 )
 from .cost import (
+    BASIS_KINDS,
     NotInHull,
     _prove_cost,
     check_dimension,
@@ -222,10 +223,8 @@ def _eta_star_text(c: Fraction, d: int) -> str:
 
 
 def _text_report(box: Box, dim: int | None) -> str:
-    """The text report: C read from the table and proved by one checked
-    solve, a feasibility solve of the 16-column program on a box in the
-    16-box hull.
-    It prints no decomposition, so it builds none of the JSON report."""
+    """The text report, with C proved (cost._prove_cost).  It prints no
+    decomposition, so it builds none of the JSON report."""
     a = analyze(box)
     _prove_cost(box, a.c)
     lines = [
@@ -413,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     decompose = sub.add_parser("decompose", help="optimal decomposition of a box")
     _add_source_options(decompose)
-    decompose.add_argument("--basis", choices=("full256", "chsh16"), default="full256")
+    decompose.add_argument("--basis", choices=BASIS_KINDS, default="full256")
     decompose.add_argument(
         "--alt", action="store_true", help="also search for a second optimal support"
     )

@@ -205,11 +205,11 @@ def _system_for(basis: str) -> _CostSystem:
     return _CostSystem(prep=lp._prepare_int01(nums[rows].T.copy(), bits[rows]), ids=ids)
 
 
-def _decomposition(solution: lp.LpSolution, basis: str, where: str = "") -> Decomposition:
+def _decomposition(solution: lp.LpSolution, basis: str) -> Decomposition:
     """The decomposition at a solution's vertex: the nonzero weights of its
     basic columns, in ascending column order.  Its cost, summed from the
     point's Fractions, must equal the program value, computed in integers
-    from the basic state, else RuntimeError, its message ending in where."""
+    from the basic state, else RuntimeError."""
     assert solution.basis is not None
     ids, point = _system_for(basis).ids, solution.point
     weights = {ids[j]: point[j] for j in solution.basis if point[j] != 0}
@@ -222,7 +222,7 @@ def _decomposition(solution: lp.LpSolution, basis: str, where: str = "") -> Deco
     )
     cost = Fraction(bits, common)
     if cost != solution.value:
-        raise RuntimeError(f"decomposition cost disagrees with program value{where}")
+        raise RuntimeError("decomposition cost disagrees with program value")
     return Decomposition(weights=weights, basis_kind=basis, cost=cost)
 
 
@@ -233,7 +233,7 @@ def _table_cost(box: Box, basis: str) -> Fraction | None:
 
 
 def _solve_cost(
-    box: Box, basis: str, c: Fraction | None = None, where: str = ""
+    box: Box, basis: str, c: Fraction | None = None
 ) -> tuple[Decomposition, lp._Engine]:
     """The two-phase solve of the cost program on box, with its optimal
     decomposition checked by _checked against the table's cost c on the
@@ -241,50 +241,35 @@ def _solve_cost(
     if c is None:
         c = _table_cost(box, basis)
     solution, engine = lp._solve_prepared(_system_for(basis).prep, box.num, box.den)
-    return _checked(solution, basis, c, where), engine
+    return _checked(solution, basis, c), engine
 
 
-def _checked(
-    solution: lp.LpSolution, basis: str, c: Fraction | None, where: str
-) -> Decomposition:
+def _checked(solution: lp.LpSolution, basis: str, c: Fraction | None) -> Decomposition:
     """The decomposition at a solution of the cost program on the basis,
     checked against the table's cost c: the program must be feasible exactly
-    when c exists, and its value must equal c, else RuntimeError, its
-    message ending in where.  Raises NotInHull when both say the box lies
-    outside the chsh16 hull."""
+    when c exists, and its value must equal c, else RuntimeError.  Raises
+    NotInHull when both say the box lies outside the chsh16 hull."""
     value = solution.value
     if value != c:
         program = f"{solution.status} {basis} program"
         got = program if value is None else f"program value {value}"
         want = c if c is not None else "not-in-hull"
-        raise RuntimeError(f"{got} disagrees with the dual-vertex table's {want}{where}")
+        raise RuntimeError(f"{got} disagrees with the dual-vertex table's {want}")
     if value is None:
         raise NotInHull(_OUTSIDE_HULL)
-    return _decomposition(solution, basis, where)
+    return _decomposition(solution, basis)
 
 
-def _prove_cost(box: Box, c: Fraction, label: str | None = None) -> None:
-    """Prove the table's C = c on box.  When c is the form (F - 2) / 2, one
-    feasibility solve of the chsh16 program (lp._feasible, phase 1 alone)
-    proves both C and hull membership; otherwise _solve_cost runs the
-    full256 program to its checked optimum.  Either way the point is
-    re-substituted in integers, its value must equal c and its
-    decomposition is re-summed (_checked); an infeasible chsh16 program
-    fails after its Farkas vector is checked.  A disagreement's message
-    ends in " on <label>" when a label is given.
-
-    The hull proof needs no phase 2 and no basis-dual check, which certify
-    the chsh16 program's own optimum.  Its dual side is the F row, which
-    _dual_vertices checks dual-feasible with every row, so (F - 2) / 2 <= C;
-    a feasible chsh16 point of cost c is a decomposition, so C <= c.  The F
-    row is tight on all 16 canonical strategies, so every feasible point
-    costs (F - 2) / 2, and the value check confirms it in integers."""
-    where = "" if label is None else f" on {label}"
+def _prove_cost(box: Box, c: Fraction) -> None:
+    """Prove the table's C = c on box, else RuntimeError: by the chsh16
+    feasibility solve when c is the form (F - 2) / 2 (module docstring),
+    otherwise by the full256 program's checked optimum.  Either way the
+    solution is _checked against c."""
     if _hull_cost(box, c) is None:
-        _solve_cost(box, "full256", c, where)
+        _solve_cost(box, "full256", c)
     else:
         solution = lp._feasible(_system_for("chsh16").prep, box.num, box.den)
-        _checked(solution, "chsh16", c, where)
+        _checked(solution, "chsh16", c)
 
 
 def optimal_cost(box: Box, basis: str = "full256") -> Fraction:

@@ -53,17 +53,17 @@ Farkas vector) still price every column.
 The engine reads the right-hand side b as integer numerators over one
 positive denominator (a box's own form; solve converts a LinearProgram's
 Fractions once).  Every result is checked in integers before a Fraction is
-built.  _optimal, the exit of the two-phase solve and of the reoptimization
-over its optimal face (cost.py's search for a second decomposition),
-re-substitutes xi into A x = b over each basic column's nonzero entries (a
-table built with the prepared system), recomputes every reduced cost and
-requires it nonnegative, and reads value() as the integer costs of the basic
-columns over one denominator.  _feasible, phase 1 alone, makes the same
-re-substitution and reads the same value at a feasible point, and certifies
-no optimum: it serves a caller that has proven every feasible point optimal
-by other means.  _failed takes a Farkas vector y, checked as delta y.A <= 0
-and delta y.b > 0 in the row-scaled integers, or an integer ray, checked
-for A ray = 0, ray >= 0 and objective.ray < 0.
+built, and leaves through one of two exits.  _vertex re-substitutes xi into
+A x = b over each basic column's nonzero entries (a table built with the
+prepared system) and reads value() as the integer costs of the basic
+columns over one denominator.  _optimal, the end of the two-phase solve and
+of the reoptimization over its optimal face (cost.py's search for a second
+decomposition), first recomputes every reduced cost and requires it
+nonnegative; _feasible, phase 1 alone, certifies no optimum and serves a
+caller that has proven every feasible point optimal by other means.
+_failed takes a Farkas vector y, checked as delta y.A <= 0 and delta y.b > 0
+in the row-scaled integers, or an integer ray, checked for A ray = 0,
+ray >= 0 and objective.ray < 0.
 
 Forcing-row presolve.  Every solve first looks at the zero rows Z:
 rows with b_i = 0 whose row-scaled entries are all >= 0.  Since x >= 0, every
@@ -161,8 +161,8 @@ class _Prepared:
     m: int
     n: int
     a_int: np.ndarray  # (m, n); row i of the original matrix times row_scale[i]
-    col_cost: list[int]
-    cost_vec: np.ndarray  # col_cost as an array of the arithmetic path's dtype
+    col_cost: list[int]  # Python integers: value() multiplies them by unbounded xi
+    cost_vec: np.ndarray  # col_cost in the path's dtype, the objective the loops price
     cost_den: int
     row_scale: tuple[int, ...]
     dtype: type  # np.int64 on the int64 path, else object (Python integers)
@@ -267,7 +267,7 @@ class _Engine:
             raise ValueError("rhs negative after row scaling")
         # The running objective (None: phase 1) and its basic costs c_B,
         # which _pivot keeps one entry at a time.
-        self.objective: Sequence[int] | None = None
+        self.objective: np.ndarray | None = None
         self.cost_b = np.ones(prep.m, dtype=prep.dtype)
         # Set by presolve when it fixes columns: the ascending indices of the
         # columns that may enter, the indicator 1_Z of the zero rows and each
@@ -320,7 +320,7 @@ class _Engine:
         self.basis[p] = j
         self.cost_b[p] = 0 if self.objective is None else self.objective[j]
 
-    def _cost_basis(self, col_cost: Sequence[int] | None) -> np.ndarray:
+    def _cost_basis(self, col_cost: np.ndarray | None) -> np.ndarray:
         # col_cost None means phase 1: artificials cost 1, columns cost 0.
         out = []
         for jb in self.basis:
@@ -332,7 +332,7 @@ class _Engine:
 
     def _reduced(
         self,
-        col_cost: Sequence[int] | None,
+        col_cost: np.ndarray | None,
         yhat: np.ndarray | None = None,
         cols: np.ndarray | None = None,
     ) -> np.ndarray:
@@ -346,11 +346,7 @@ class _Engine:
         ata = yhat @ (self.a if cols is None else self.a[:, cols])
         if col_cost is None:
             return -ata
-        if col_cost is self.prep.col_cost:
-            cc = self.prep.cost_vec
-        else:
-            cc = np.array(col_cost, dtype=self.prep.dtype)
-        return (cc if cols is None else cc[cols]) * self.delta - ata
+        return (col_cost if cols is None else col_cost[cols]) * self.delta - ata
 
     # -- simplex loop ------------------------------------------------------
 
@@ -379,7 +375,7 @@ class _Engine:
         return allowed.nonzero()[0] if self.free is None else self.free[allowed[self.free]]
 
     def _loop(
-        self, col_cost: Sequence[int] | None, allowed: np.ndarray | None = None
+        self, col_cost: np.ndarray | None, allowed: np.ndarray | None = None
     ) -> tuple[str, int | None, np.ndarray | None]:
         """Pivot to optimality or unboundedness for one objective, pricing
         every iteration from the basis, over the columns that may enter."""
@@ -465,12 +461,12 @@ class _Engine:
         if not self.run_phase1():
             return "infeasible", None, None
         self._drive_out_artificials()
-        return self._loop(self.prep.col_cost)
+        return self._loop(self.prep.cost_vec)
 
     def reoptimize(self, col_cost: Sequence[int], allowed: np.ndarray) -> None:
         """Continue from an optimal state under a new objective, entering only
         through an allowed column set.  The caller guarantees boundedness."""
-        status, _, _ = self._loop(col_cost, allowed)
+        status, _, _ = self._loop(np.array(col_cost, dtype=self.prep.dtype), allowed)
         if status != "optimal":
             raise RuntimeError("restricted reoptimization became unbounded")
 
@@ -506,7 +502,7 @@ class _Engine:
         if any(t != b * self.delta for t, b in zip(total, self.b_num)):
             raise RuntimeError("solver state fails re-substitution")
 
-    def _certificate_dual(self, col_cost: Sequence[int] | None) -> np.ndarray:
+    def _certificate_dual(self, col_cost: np.ndarray | None) -> np.ndarray:
         """yhat = c_B M, the delta-scaled dual vector of the basis in the
         row-scaled integers (col_cost None: phase 1).  After a presolve that
         fixed columns, yhat - K 1_Z with the least K >= 0 that makes every
@@ -522,7 +518,7 @@ class _Engine:
     def check_dual_feasible(self) -> None:
         """Integer check that every reduced cost against the certificate's
         dual vector is nonnegative."""
-        col_cost = self.prep.col_cost
+        col_cost = self.prep.cost_vec
         if np.count_nonzero(self._reduced(col_cost, self._certificate_dual(col_cost)) < 0):
             raise RuntimeError("optimal basis is not dual-feasible")
 
@@ -566,27 +562,32 @@ class _Engine:
     def zero_reduced_mask(self) -> np.ndarray:
         """The columns that may enter at reduced cost zero."""
         if self.free is None:
-            return self._reduced(self.prep.col_cost) == 0
+            return self._reduced(self.prep.cost_vec) == 0
         face = np.zeros(self.n, dtype=bool)
-        face[self.free] = self._reduced(self.prep.col_cost, cols=self.free) == 0
+        face[self.free] = self._reduced(self.prep.cost_vec, cols=self.free) == 0
         return face
 
 
-def _optimal(engine: _Engine, *, value: Fraction | None = None) -> LpSolution:
-    """The one exit of an optimal solve: the basic state re-substituted and
-    every reduced cost checked nonnegative, in integers, and the value equal
-    to value when one is given."""
+def _vertex(engine: _Engine, status: str) -> LpSolution:
+    """The one exit at a vertex: its basic state re-substituted in integers,
+    then its value, point and basis."""
     engine.check_basic_state()
-    engine.check_dual_feasible()
-    got = engine.value()
-    if value is not None and got != value:
-        raise RuntimeError("optimal-face search left the optimal face")
     return LpSolution(
-        status="optimal",
-        value=got,
+        status=status,
+        value=engine.value(),
         point=tuple(engine.point()),
         basis=engine.structural_basis(),
     )
+
+
+def _optimal(engine: _Engine, *, value: Fraction | None = None) -> LpSolution:
+    """An optimal vertex: every reduced cost checked nonnegative in integers,
+    and the value equal to value when one is given."""
+    engine.check_dual_feasible()
+    solution = _vertex(engine, "optimal")
+    if value is not None and solution.value != value:
+        raise RuntimeError("optimal-face search left the optimal face")
+    return solution
 
 
 def _failed(status: str, certificate: tuple[Fraction, ...]) -> LpSolution:
@@ -610,21 +611,14 @@ def _solve_prepared(
 
 def _feasible(prep: _Prepared, rhs_num: Sequence[int], den: int) -> LpSolution:
     """Phase 1 alone, for the right-hand side rhs_num / den: a feasible end
-    leaves with its basic state re-substituted in integers, status
-    "feasible" and the objective's value at that point; an infeasible one
-    through _failed with its checked Farkas vector.  It certifies no
-    optimum: no drive-out, phase 2 or basis-dual check runs."""
+    leaves through _vertex with status "feasible", an infeasible one through
+    _failed.  It certifies no optimum: no drive-out, phase 2 or basis-dual
+    check runs."""
     engine = _Engine(prep, rhs_num, den)
     engine.presolve()
     if not engine.run_phase1():
         return _failed("infeasible", engine.farkas_certificate())
-    engine.check_basic_state()
-    return LpSolution(
-        status="feasible",
-        value=engine.value(),
-        point=tuple(engine.point()),
-        basis=engine.structural_basis(),
-    )
+    return _vertex(engine, "feasible")
 
 
 def solve(program: LinearProgram) -> LpSolution:

@@ -241,7 +241,8 @@ def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
     over 2 den, the measures' kernels, and the signs of _slack_numerators,
     which are all the tallies need.  An Analysis and its PropertyResults are
     built only for a box with a failing row.  C is proven on the first five
-    boxes and every _LP_EVERY-th by one checked solve (cost._prove_cost).
+    boxes and every _LP_EVERY-th by one checked solve (cost._prove_cost); a
+    failed proof's RuntimeError names its sample, "... on general sample 2".
     Setting CORRBOX_FUZZ_CORRUPT=1 replaces the first box with a two-bit
     exchange box and tightens the domain, which must trip an asserted
     violation; it exists to prove the harness can fail."""
@@ -259,7 +260,10 @@ def fuzz(spec: FamilySpec, count: int) -> FindingsReport:
             box = _exchange_box()
         c_num, c_den = _cost_numerator(box), 2 * box.den
         if index < 5 or index % _LP_EVERY == 0:
-            _prove_cost(box, Fraction(c_num, c_den), f"{kind} sample {index}")
+            try:
+                _prove_cost(box, Fraction(c_num, c_den))
+            except RuntimeError as exc:
+                raise RuntimeError(f"{exc} on {kind} sample {index}") from exc
         x = _numerators(_signal_values(box), _residuals(box))
         slacks = _slack_numerators(x, box.den, c_num, c_den)
         checked += 1

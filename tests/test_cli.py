@@ -376,7 +376,50 @@ class TestInternalError:
         monkeypatch.setattr(lp._Engine, "check_dual_feasible", broken)
         code, out, err = run(capsys, "fuzz", "--family", "general", "--count", "3")
         assert code == 3 and out == ""
-        assert err == "error: internal: optimal basis is not dual-feasible\n"
+        assert err == "error: internal: optimal basis is not dual-feasible on general sample 0\n"
+
+    def test_failed_proof_names_its_sample(self, capsys, monkeypatch):
+        # Each general box's proof makes one basis-dual check: the third
+        # fails on sample 2.
+        import corrbox.lp as lp
+
+        check, calls = lp._Engine.check_dual_feasible, []
+
+        def third_fails(self):
+            calls.append(None)
+            if len(calls) >= 3:
+                raise RuntimeError("optimal basis is not dual-feasible")
+            check(self)
+
+        monkeypatch.setattr(lp._Engine, "check_dual_feasible", third_fails)
+        code, out, err = run(capsys, "fuzz", "--family", "general", "--count", "5")
+        assert code == 3 and out == ""
+        assert err.endswith(" on general sample 2\n") and err.count("\n") == 1
+
+    @staticmethod
+    def fail_resubstitution(monkeypatch):
+        import corrbox.lp as lp
+
+        def broken(self):
+            raise RuntimeError("solver state fails re-substitution")
+
+        monkeypatch.setattr(lp._Engine, "check_basic_state", broken)
+
+    def test_failed_hull_proof_names_its_sample(self, capsys, monkeypatch):
+        # A hull box's proof is the chsh16 feasibility solve, whose vertex
+        # is re-substituted on its way out.
+        self.fail_resubstitution(monkeypatch)
+        code, out, err = run(capsys, "fuzz", "--family", "chsh16_mixture", "--count", "5")
+        assert code == 3 and out == ""
+        assert err == (
+            "error: internal: solver state fails re-substitution on chsh16_mixture sample 0\n"
+        )
+
+    def test_failed_proof_in_text_report_has_no_sample(self, capsys, monkeypatch):
+        self.fail_resubstitution(monkeypatch)
+        code, out, err = run(capsys, "analyze", "pr", "--text")
+        assert code == 3 and out == ""
+        assert err == "error: internal: solver state fails re-substitution\n"
 
     def test_failed_solve_in_analyze(self, capsys, monkeypatch):
         import corrbox.lp as lp

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -10,7 +13,8 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import corrbox.lp as lp
-from corrbox.boxes import enumerate_deterministic, mix_ints
+from corrbox.boxes import box_to_json_obj, enumerate_deterministic, mix_ints
+from corrbox.cli import main
 from corrbox.cost import NotInHull, _system_for, optimal_decompositions
 from corrbox.generators import FamilySpec, canonical, draw, no_signaling_vertices
 from corrbox.lp import DimensionMismatch, LinearProgram, LpSolution, solve
@@ -761,3 +765,34 @@ class TestPartialPricing:
                 ]
                 assert max(choices) >= 2
                 self.assert_same_pivots(monkeypatch, lambda: lp._solve_prepared(prep, rhs, 1))
+
+
+class TestObjectiveForm:
+    """Every objective a loop prices is an array of its path's dtype, built
+    once per solve or reoptimization, never per pricing call."""
+
+    def test_priced_objectives_are_arrays(self, monkeypatch, tmp_path):
+        box = next(draw(FamilySpec("general", 7), 1))
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(box_to_json_obj(box)), encoding="utf-8")
+        reduced, seen = lp._Engine._reduced, []
+
+        def recorded(engine, col_cost, *args, **kwargs):
+            seen.append((col_cost, engine.prep.dtype))
+            return reduced(engine, col_cost, *args, **kwargs)
+
+        monkeypatch.setattr(lp._Engine, "_reduced", recorded)
+        for argv in (
+            ("decompose", "noise", "--alt"),
+            ("decompose", "d3_1", "--alt"),
+            ("decompose", "isotropic", "--v", "7/10", "--basis", "chsh16", "--alt"),
+            ("analyze", str(path)),
+            ("fuzz", "--family", "chsh16_mixture", "--count", "5"),
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0, argv
+        assert any(col_cost is not None for col_cost, _ in seen)
+        for col_cost, dtype in seen:
+            assert col_cost is None or (
+                isinstance(col_cost, np.ndarray) and col_cost.dtype == dtype
+            )
