@@ -6,9 +6,12 @@ scenario run), sweep (parameter sweep as CSV).  Exit codes: 0 success, 1 an
 asserted property failed, 2 usage or input error, 3 internal error (a solver
 self-check or any other fault of the program, reported as one
 "error: internal: ..." line on stderr).  Output is deterministic: identical
-invocations print identical bytes.  A command checks its arguments, then
-opens its output file (gen creates its output directory) before any work, as
-shell redirection would, so an unwritable destination fails at once.
+invocations print identical bytes.  A command line is parsed once: when its
+first token names a subcommand, that subcommand's own parser reads the rest
+(_parse_args), with the messages and exit codes the whole parser would give.
+A command checks its arguments, then opens its output file (gen creates its
+output directory) before any work, as shell redirection would, so an
+unwritable destination fails at once.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from gettext import gettext
 from json.encoder import encode_basestring_ascii
 from typing import IO, Iterator
 
@@ -122,10 +126,27 @@ def _json_text(obj: object, indent: str = "") -> str:
 
 
 def _load_box_file(path: str) -> Box:
+    """The box in the JSON file at path, or on stdin for "-".  JSON nested
+    past Python's recursion limit, or an integer past its digit limit, is an
+    input error that names where the box came from."""
     if path == "-":
-        return box_from_json_obj(json.loads(sys.stdin.read()))
-    with open(path, "r", encoding="utf-8") as handle:
-        return box_from_json_obj(json.load(handle))
+        name, text = "the box on stdin", sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            name, text = f"box file {path!r}", handle.read()
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{name} nests too deeply to read") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # json reads an integer with int(), which refuses a number of more
+        # than sys.get_int_max_str_digits() digits.
+        raise ValueError(
+            f"{name} holds an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    return box_from_json_obj(obj)
 
 
 def _check_source_options(args: argparse.Namespace, source: str | None) -> None:
@@ -379,6 +400,9 @@ class _Parser(argparse.ArgumentParser):
     looks like a number, and argparse alone takes only plain negative
     decimals for values."""
 
+    # The top-level parser's subcommand parsers by name (_build_parser).
+    commands: dict[str, argparse.ArgumentParser]
+
     def _parse_optional(self, arg_string):
         # Only a token with one leading dash can read as an option and as a
         # number: no number starts with two.
@@ -387,14 +411,19 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parser:
     parser = _Parser(
         prog="corrbox",
         description="Exact analysis of two-input two-output correlation boxes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    analyze = sub.add_parser("analyze", help="full report for one box")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        parser.commands[name] = sub.add_parser(name, help=help)
+        return parser.commands[name]
+
+    analyze = command("analyze", "full report for one box")
     _add_source_options(analyze)
     analyze.add_argument("--dim", type=int, help="channel size for eta_star")
     fmt = analyze.add_mutually_exclusive_group()
@@ -402,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--text", action="store_true", help="plain text instead of JSON")
     analyze.add_argument("--out", help="write the report here instead of stdout")
 
-    gen = sub.add_parser("gen", help="emit canonical, parametric, or sampled boxes")
+    gen = command("gen", "emit canonical, parametric, or sampled boxes")
     gen.add_argument("--kind", help="canonical name, isotropic, or quantum")
     _add_parametric_options(gen)
     gen.add_argument("--family", choices=FAMILY_KINDS, help="sampling family")
@@ -410,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--out", help="output directory (box-NNNN.json per box)")
 
-    decompose = sub.add_parser("decompose", help="optimal decomposition of a box")
+    decompose = command("decompose", "optimal decomposition of a box")
     _add_source_options(decompose)
     decompose.add_argument("--basis", choices=BASIS_KINDS, default="full256")
     decompose.add_argument(
@@ -418,16 +447,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     decompose.add_argument("--out", help="write JSON here instead of stdout")
 
-    fuzz_cmd = sub.add_parser("fuzz", help="seeded sweep of the tracked inequalities")
+    fuzz_cmd = command("fuzz", "seeded sweep of the tracked inequalities")
     fuzz_cmd.add_argument("--family", choices=FAMILY_KINDS, default="general")
     fuzz_cmd.add_argument("--seed", type=int, default=0)
     fuzz_cmd.add_argument("--count", type=int, default=100)
     fuzz_cmd.add_argument("--out", help="write JSON here instead of stdout")
 
-    repro = sub.add_parser("repro", help="recompute the reference scenario")
+    repro = command("repro", "recompute the reference scenario")
     repro.add_argument("--out", help="write JSON here instead of stdout")
 
-    sweep = sub.add_parser("sweep", help="parameter sweep as CSV")
+    sweep = command("sweep", "parameter sweep as CSV")
     sweep.add_argument("--kind", default="isotropic")
     sweep.add_argument("--steps", type=int, default=10)
     sweep.add_argument("--csv", help="write CSV here instead of stdout")
@@ -438,9 +467,29 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """_PARSER.parse_args(argv), with one parse of a subcommand's arguments.
+
+    argparse's subparsers action hands every token after the subcommand's
+    name to that subcommand's parser (parse_known_args), and the top-level
+    parser reports what is left over as unrecognized.  That is done here
+    directly, which skips the top-level parse of the whole command line.
+    Any other first token (none, an option, an unknown word) goes to
+    _PARSER.parse_args, which reports it as argparse does."""
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = _PARSER.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        _PARSER.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -545,15 +545,20 @@ def _isotropic_sweep(failures: list[str]) -> list[dict]:
     return rows
 
 
+def _near_root(x: Fraction, tol: Fraction, n: int) -> bool:
+    """|x - sqrt(n)| <= tol, decided exactly: x - tol <= sqrt(n) <= x + tol,
+    each side by squaring where it is nonnegative."""
+    low, high = x - tol, x + tol
+    return (low <= 0 or low * low <= n) and high >= 0 and high * high >= n
+
+
 def _tsirelson(failures: list[str]) -> dict:
     a = analyze(quantum_box(TSIRELSON_ANGLES, 10**6))
     lam, c = a.chsh.lambda_max, a.c
-    lam_err = abs(float(lam) - 2 * math.sqrt(2))
-    cost_err = abs(float(c) - (math.sqrt(2) - 1))
-    if lam_err > 4e-6:
-        failures.append(f"tsirelson: lambda_max off by {lam_err}")
-    if cost_err > 3e-6:
-        failures.append(f"tsirelson: cost off by {cost_err}")
+    if not _near_root(lam, Fraction(4, 10**6), 8):
+        failures.append(f"tsirelson: lambda_max off by {abs(float(lam) - 2 * math.sqrt(2))}")
+    if not _near_root(c + 1, Fraction(3, 10**6), 2):
+        failures.append(f"tsirelson: cost off by {abs(float(c) - (math.sqrt(2) - 1))}")
     in_hull = _hull_cost(a.box, a.c) is not None
     if in_hull:
         failures.append("tsirelson: box unexpectedly in the 16-box hull")

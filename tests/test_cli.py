@@ -8,7 +8,7 @@ import math
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from unittest import mock
 
@@ -17,14 +17,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrbox
+import corrbox.cli as cli
 from corrbox.boxes import box_from_json_obj, box_to_json_obj, format_fraction
 from corrbox.cli import _json_text, main
-from corrbox.cost import communication_cost
+from corrbox.cost import BASIS_KINDS, communication_cost
 from corrbox.generators import (
     FAMILY_KINDS,
     TSIRELSON_ANGLES,
     FamilySpec,
     canonical,
+    canonical_names,
     isotropic,
     quantum_box,
     sample,
@@ -252,6 +254,33 @@ class TestBoxFileErrors:
     def test_zero_denominator_parameter(self, capsys):
         code, out, err = run(capsys, "analyze", "isotropic", "--v", "1/0")
         assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
+
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 2000 + "]" * 2000, encoding="utf-8")
+        code, out, err = run(capsys, "analyze", str(path))
+        expected = f"error: box file {str(path)!r} nests too deeply to read\n"
+        assert (code, out, err) == (2, "", expected)
+
+    def test_deeply_nested_columns_on_stdin(self, capsys, monkeypatch):
+        payload = '{"format": "box-v1", "p": ' + "[" * 1200 + "]" * 1200 + "}"
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, out, err = run(capsys, "decompose", "-")
+        assert (code, out, err) == (2, "", "error: the box on stdin nests too deeply to read\n")
+
+    def test_integer_past_the_digit_limit(self, capsys, tmp_path):
+        # json reads a bare integer with int(), which refuses more digits
+        # than sys.get_int_max_str_digits().
+        digits = sys.get_int_max_str_digits()
+        rest = ", ".join([json.dumps(self.COLUMN)] * 3)
+        path = tmp_path / "box.json"
+        path.write_text(
+            '{"format": "box-v1", "p": [[' + "1" * (digits + 1) + ", 0, 0, 0], " + rest + "]}",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "analyze", str(path))
+        expected = f"error: box file {str(path)!r} holds an integer of more than {digits} digits\n"
+        assert (code, out, err) == (2, "", expected)
 
 
 class TestOneSolvePerBox:
@@ -1175,6 +1204,101 @@ class TestParser:
         assert code == code_again == 0 and first == again
 
 
+COMMANDS = ("analyze", "gen", "decompose", "fuzz", "repro", "sweep")
+# Every option, some abbreviations (--a is ambiguous under decompose), and
+# tokens argparse treats specially.
+OPTIONS = (
+    "-h", "--help", "--", "--v", "--angles", "--denom", "--dim", "--json", "--text",
+    "--out", "--kind", "--family", "--seed", "--count", "--basis", "--alt", "--steps",
+    "--csv", "--bas", "--a", "--co", "--te", "--v=5/8", "--count=3", "-x", "--bogus",
+)
+VALUES = (
+    *canonical_names(), "isotropic", "quantum", "tsirelson", "-", *BASIS_KINDS,
+    *FAMILY_KINDS, "0", "-0", "3", "-1/2", "5/8", "1e400", "-1e-3", "nan", "-inf",
+    "1" * 40, "", "extra", "out.json",
+)
+# Command lines over the CLI's own vocabulary: mostly a subcommand and a
+# source, then options with values and stray tokens.
+CLI_ARGV = st.builds(
+    lambda head, words: [*head, *(token for word in words for token in word)],
+    st.tuples(st.sampled_from(COMMANDS), st.sampled_from(VALUES))
+    | st.tuples(st.sampled_from(COMMANDS))
+    | st.tuples(st.sampled_from(OPTIONS + VALUES)),
+    st.lists(
+        st.tuples(st.sampled_from(OPTIONS), st.sampled_from(VALUES))
+        | st.tuples(st.sampled_from(COMMANDS + OPTIONS + VALUES)),
+        max_size=4,
+    ),
+)
+
+
+def parse_outcome(parse, argv):
+    """parse(argv)'s namespace, or its exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            result = parse(list(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParseOnce:
+    """cli._parse_args gives what the whole parser gives: the same namespace,
+    or the same exit code, stdout and stderr.  It is compared with the
+    running interpreter's argparse, so each Python checks its own."""
+
+    @staticmethod
+    def assert_same(argv):
+        expected = parse_outcome(cli._PARSER.parse_args, argv)
+        assert parse_outcome(cli._parse_args, argv) == expected, argv
+        return expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--help"],
+            *([command, "-h"] for command in COMMANDS),
+            ["bogus"],
+            ["-x"],
+            ["--", "analyze", "pr"],
+            ["analyze", "pr", "--opt"],
+            ["analyze", "pr", "extra"],
+            ["analyze", "pr", "--json", "--text"],
+            ["decompose", "pr", "--bas", "chsh16"],
+            ["decompose", "pr", "--a"],
+            ["decompose", "pr", "--basis", "bogus"],
+            ["analyze", "isotropic", "--v=5/8"],
+            ["analyze", "isotropic", "--v", "-1/2"],
+            ["analyze", "quantum", "--angles", "0", "1", "2", "-inf"],
+            ["analyze", "quantum", "--angles", "0", "1", "2", "-x"],
+            ["analyze", "pr", "--", "--x"],
+            ["fuzz", "--count", "2", "--count", "3"],
+            ["fuzz", "--count", "two"],
+            ["analyze"],
+        ],
+    )
+    def test_corpus(self, argv):
+        self.assert_same(argv)
+
+    def test_outcomes_are_told_apart(self):
+        # The comparison sees a namespace, help on stdout and an error on stderr.
+        args, out, err = self.assert_same(["analyze", "pr"])
+        assert args.command == "analyze" and out == err == ""
+        code, out, err = self.assert_same(["analyze", "-h"])
+        assert code == 0 and out.startswith("usage: corrbox analyze") and err == ""
+        code, out, err = self.assert_same(["analyze", "pr", "x"])
+        assert (code, out) == (2, "")
+        assert err.endswith("corrbox: error: unrecognized arguments: x\n")
+
+    @settings(max_examples=150)
+    @given(CLI_ARGV)
+    def test_vocabulary(self, argv):
+        self.assert_same(argv)
+
+
 class TestModuleEntryPoint:
     @staticmethod
     def run_module(*argv):
@@ -1196,3 +1320,9 @@ class TestModuleEntryPoint:
         done = self.run_module("gen", "--kind", "pr", "--count", "0")
         assert done.returncode == 2
         assert done.stderr == "error: --count must be at least 1\n"
+
+    def test_unrecognized_argument(self):
+        # main(None) reads sys.argv through cli._parse_args.
+        done = self.run_module("analyze", "pr", "--bogus")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.endswith("error: unrecognized arguments: --bogus\n")

@@ -577,11 +577,11 @@ class TestForcingRowPresolve:
         prog = program(rows, rhs, cost)
         assert fixed_columns(prog) == [2]
         got, engine = lp._solve_prepared(lp._prepare_program(prog), *lp._integer_rhs(prog.rhs))
-        assert engine._reduced(engine.prep.col_cost)[2] < 0
+        assert engine._reduced(engine.prep.cost_vec)[2] < 0
         assert (got.status, got.value) == solve_reference(rows, rhs, cost)[:2]
         # the lifted yhat = delta y in the row-scaled integers, read back
         # into the program's own rows
-        yhat = engine._certificate_dual(engine.prep.col_cost).tolist()
+        yhat = engine._certificate_dual(engine.prep.cost_vec).tolist()
         den = engine.delta * engine.prep.cost_den
         y = [F(v * k, den) for v, k in zip(yhat, engine.prep.row_scale)]
         for j in range(3):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -572,3 +574,58 @@ class TestReproducePaper:
         section = report["tsirelson"]
         assert section["chsh16"] == "not-in-hull"
         assert abs(section["c_float"] - (2**0.5 - 1)) < 3e-6
+
+
+# 2 sqrt(2) and sqrt(2), each less than 10**-30 below the root.
+ROOT_8 = Fraction(math.isqrt(8 * 10**60), 10**30)
+ROOT_2 = Fraction(math.isqrt(2 * 10**60), 10**30)
+# 10**-20 off a tolerance: far past the root's error, far below a float's.
+NUDGE = Fraction(1, 10**20)
+
+
+class TestTsirelsonTolerance:
+    """repro's Tsirelson check decides |lambda_max - 2 sqrt 2| <= 4/10**6
+    and |C - (sqrt 2 - 1)| <= 3/10**6 exactly, at gaps no float resolves."""
+
+    # quantity: (centre, tolerance)
+    TARGETS = {"lambda_max": (ROOT_8, F(4, 10**6)), "cost": (ROOT_2 - 1, F(3, 10**6))}
+
+    @staticmethod
+    def failures(monkeypatch, lam, c):
+        monkeypatch.setattr(
+            verify, "analyze",
+            lambda box: SimpleNamespace(
+                box=box, c=c, s=Fraction(0), chsh=SimpleNamespace(lambda_max=lam)
+            ),
+        )
+        failures = []
+        verify._tsirelson(failures)
+        return failures
+
+    @pytest.mark.parametrize("side", [1, -1])
+    @pytest.mark.parametrize("inside", [True, False])
+    @pytest.mark.parametrize("quantity", ["lambda_max", "cost"])
+    def test_edge_of_each_tolerance(self, monkeypatch, quantity, inside, side):
+        root, tol = self.TARGETS[quantity]
+        value = root + side * (tol - NUDGE if inside else tol + NUDGE)
+        lam, c = (value, ROOT_2 - 1) if quantity == "lambda_max" else (ROOT_8, value)
+        failures = self.failures(monkeypatch, lam, c)
+        if inside:
+            assert failures == []
+        else:
+            assert len(failures) == 1
+            assert failures[0].startswith(f"tsirelson: {quantity} off by ")
+
+    @pytest.mark.parametrize(
+        "x,tol,n,near",
+        [
+            (F(0), F(3), 1, True),  # low end below -sqrt(n)
+            (F(-1), F(1, 2), 1, False),  # whole interval below zero
+            (F(3, 2), F(1, 2), 1, True),  # sqrt(1) on the low end
+            (F(1, 2), F(1, 2), 1, True),  # sqrt(1) on the high end
+            (F(2), F(1, 2), 4, True),
+            (F(3), F(1, 2), 4, False),
+        ],
+    )
+    def test_near_root(self, x, tol, n, near):
+        assert verify._near_root(x, tol, n) is near
