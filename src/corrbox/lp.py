@@ -41,14 +41,17 @@ Pricing.  No reduced-cost row is carried between pivots: each iteration
 prices from the basis, yhat = c_B M and D = c delta - A^T yhat for the
 running loop's objective, whose basic costs c_B _pivot updates one entry at
 a time.  No division enters, and D depends on the basis alone.  A loop
-prices only the columns that may enter: the presolve's free columns (below),
-within the mask a reoptimization passes; partial pricing in the sense of
-Maros (Computational Techniques of the Simplex Method, 2003), with one
-candidate list per loop.  They are priced in ascending order, so the least
-index still wins every tie under Dantzig's rule and Bland's, and every pivot
-is the one that pricing all columns and zeroing the others would take.  The
-checks of a result (the basis-dual check, the lifted certificate below, the
-Farkas vector) still price every column.
+prices only the columns that may enter, its candidate list: the presolve's
+free columns (below), every column when it fixes none, within the mask a
+reoptimization passes; partial pricing in the sense of Maros (Computational
+Techniques of the Simplex Method, 2003).  The list is always an ascending
+index array; its matrix columns are gathered once per engine when the
+presolve fixes columns, and once per loop under a mask, so no pricing call
+gathers columns.  The least index still wins every tie under Dantzig's rule
+and Bland's, and every pivot is the one that pricing all columns and zeroing
+the others would take.
+The checks of a result (the basis-dual check, the lifted certificate below,
+the Farkas vector) still price every column.
 
 The engine reads the right-hand side b as integer numerators over one
 positive denominator (a box's own form; solve converts a LinearProgram's
@@ -65,28 +68,30 @@ _failed takes a Farkas vector y, checked as delta y.A <= 0 and delta y.b > 0
 in the row-scaled integers, or an integer ray, checked for A ray = 0,
 ray >= 0 and objective.ray < 0.
 
-Forcing-row presolve.  Every solve first looks at the zero rows Z:
-rows with b_i = 0 whose row-scaled entries are all >= 0.  Since x >= 0, every
-column with an entry on such a row is zero at every feasible point.  When the
-columns left free are linearly independent (an exact integer rank: at most m
-of them), the program has at most one feasible point, so no pivot order can
-change the vertex's point or its support, and the optimal-face search finds
-no second support either way; phase 1, the drive-out, phase 2 and that
-search's reoptimization then price, search and enter free columns only.  A
-deterministic box, whose 12 zero cells fix all but its own strategy, takes
-one pivot, and its drive-out reads one column per artificial row, not 256.
-When the free columns are dependent the presolve fixes nothing: the pivot
-order decides the printed decomposition there, and fixing columns could
-change it.  The certificates still hold over every column, fixed ones
-included.  At the restricted end a fixed column j may have D_j < 0; with
+Forcing-row presolve.  An engine presolves when it is built, from the zero
+rows Z: rows with b_i = 0 whose row-scaled entries are all >= 0.  Since
+x >= 0, every column with an entry on such a row is zero at every feasible
+point.  When the columns left free are linearly independent (an exact
+integer rank: at most m of them), the program has at most one feasible
+point, so no pivot order can change the vertex's point or its support, and
+the optimal-face search finds no second support either way; phase 1, the
+drive-out, phase 2 and that search's reoptimization then price, search and
+enter free columns only.  A deterministic box, whose 12 zero cells fix all
+but its own strategy, takes one pivot, and its drive-out reads one column
+per artificial row, not 256.  When the free columns are dependent the
+presolve fixes nothing and every column is free: the pivot order decides the
+printed decomposition there, and fixing columns could change it.  The
+certificates still hold over every column, fixed ones included.  At the
+restricted end a fixed column j may have D_j < 0; with
 s_j = sum over Z of a_ij >= 1 (the column sums the presolve computed) and
-K = max ceil(-D_j / s_j), the dual vector yhat - K 1_Z keeps yhat.b (b
-vanishes on Z) and every free column's reduced cost (free columns vanish on
-Z), and makes D_j + K s_j >= 0 on every fixed one.  A phase-1 Farkas vector
-is lifted the same way, to yhat.a_j <= 0.  Both lifted vectors are checked
-over every column in integers, so a free column with a negative reduced cost
-still fails the check.  On the int64 path K < 2**43 and s_j <= 16, so a
-lifted reduced cost stays below 17 * 2**43 < 2**48.
+K = max ceil(-D_j / s_j) over the fixed columns, the dual vector
+yhat - K 1_Z keeps yhat.b (b vanishes on Z) and every free column's reduced
+cost (free columns vanish on Z), and makes D_j + K s_j >= 0 on every fixed
+one; with none fixed, K = 0.  A phase-1 Farkas vector is lifted the same
+way, to yhat.a_j <= 0.  Both lifted vectors are checked over every column in
+integers, so a free column with a negative reduced cost still fails the
+check.  On the int64 path K < 2**43 and s_j <= 16, so a lifted reduced cost
+stays below 17 * 2**43 < 2**48.
 """
 
 from __future__ import annotations
@@ -252,7 +257,8 @@ class _Engine:
     """One fraction-free simplex solve over a prepared system, from the
     artificial basis: phase 1 alone, or both phases.  The right-hand side is
     rhs_num / den: integer numerators over one positive denominator.  delta
-    stays positive, so every sign test reads the integers directly."""
+    stays positive, so every sign test reads the integers directly.  The
+    engine presolves when it is built, which fixes its candidate list."""
 
     def __init__(self, prep: _Prepared, rhs_num: Sequence[int], den: int):
         if len(rhs_num) != prep.m:
@@ -269,17 +275,12 @@ class _Engine:
         # which _pivot keeps one entry at a time.
         self.objective: np.ndarray | None = None
         self.cost_b = np.ones(prep.m, dtype=prep.dtype)
-        # Set by presolve when it fixes columns: the ascending indices of the
-        # columns that may enter, the indicator 1_Z of the zero rows and each
-        # column's sum s_j over them.  None: every column may enter.
-        self.free: np.ndarray | None = None
-        self.zero_rows: np.ndarray | None = None
-        self.sums: np.ndarray | None = None
         self.basis = [prep.n + i for i in range(prep.m)]  # artificials first
         self.mat = np.eye(prep.m, dtype=prep.dtype)
         self.delta = 1
         self.xi = list(self.b_num)  # M @ b_num, exact Python ints
         self.inert = [False] * prep.m  # redundant rows, permanently zero
+        self.presolve()
 
     # -- arithmetic kernels ------------------------------------------------
 
@@ -331,22 +332,18 @@ class _Engine:
         return np.array(out, dtype=self.prep.dtype)
 
     def _reduced(
-        self,
-        col_cost: np.ndarray | None,
-        yhat: np.ndarray | None = None,
-        cols: np.ndarray | None = None,
+        self, costs: np.ndarray | None, a: np.ndarray, yhat: np.ndarray | None = None
     ) -> np.ndarray:
-        """delta-scaled reduced costs of the structural columns, from the
-        basis: c delta - A^T yhat with yhat = c_B M (c_B as carried for the
-        running objective), or against a given delta-scaled dual vector.
-        Every column is priced, or only the columns cols, in their order."""
+        """delta-scaled reduced costs of the columns a, whose costs are costs
+        (None: phase 1, every column at 0): costs delta - a^T yhat, against
+        yhat = c_B M with the c_B carried for the running objective, or
+        against a given delta-scaled dual vector."""
         if yhat is None:
-            c_b = self.cost_b if col_cost is self.objective else self._cost_basis(col_cost)
-            yhat = c_b @ self.mat
-        ata = yhat @ (self.a if cols is None else self.a[:, cols])
-        if col_cost is None:
+            yhat = self.cost_b @ self.mat
+        ata = yhat @ a
+        if costs is None:
             return -ata
-        return (col_cost if cols is None else col_cost[cols]) * self.delta - ata
+        return costs * self.delta - ata
 
     # -- simplex loop ------------------------------------------------------
 
@@ -367,29 +364,23 @@ class _Engine:
                 best = i
         return None if best < 0 else best
 
-    def _entering(self, allowed: np.ndarray | None) -> np.ndarray | None:
-        """The ascending indices of the columns that may enter: the free
-        ones, within the mask allowed when one is given (None: every one)."""
-        if allowed is None:
-            return self.free
-        return allowed.nonzero()[0] if self.free is None else self.free[allowed[self.free]]
-
     def _loop(
         self, col_cost: np.ndarray | None, allowed: np.ndarray | None = None
     ) -> tuple[str, int | None, np.ndarray | None]:
         """Pivot to optimality or unboundedness for one objective, pricing
-        every iteration from the basis, over the columns that may enter."""
-        cols = self._entering(allowed)
+        every iteration from the basis, over the columns that may enter: the
+        free ones, within the mask allowed when one is given."""
+        cols, a = self.free, self.a_free
+        if allowed is not None:
+            cols = cols[allowed[cols]]
+            a = self.a[:, cols]
         self.objective, self.cost_b = col_cost, self._cost_basis(col_cost)
-        if cols is not None and not len(cols):
+        if not len(cols):
             return "optimal", None, None
+        costs = None if col_cost is None else col_cost[cols]
         for iteration in range(_ITERATION_CAP):
-            # Unrestricted, the loop reads its prices through the
-            # one-argument form, which TestTwoPhaseDualCheck replaces.
-            if cols is None:
-                reduced = self._reduced(col_cost)
-            else:
-                reduced = self._reduced(col_cost, cols=cols)
+            # through the method, which TestTwoPhaseDualCheck replaces
+            reduced = self._reduced(costs, a)
             if iteration < _BLAND_AFTER:
                 # argmin takes the first minimum and cols ascend, so ties go
                 # to the least column index
@@ -401,7 +392,7 @@ class _Engine:
                 entering = negative[k]
             if not entering:
                 return "optimal", None, None
-            j = k if cols is None else int(cols[k])
+            j = int(cols[k])
             w = self._entering_w(j)
             p = self._ratio_row(w)
             if p is None:
@@ -410,21 +401,19 @@ class _Engine:
         raise RuntimeError("simplex iteration cap exceeded")
 
     def _drive_out_artificials(self) -> None:
-        cols = self.free
-        a = self.a if cols is None else self.a[:, cols]
         for p in range(self.m):
             if self.basis[p] < self.n:
                 continue
             if self.xi[p] != 0:
                 raise RuntimeError("artificial basic at nonzero value")
-            pivots = (self.mat[p] @ a).nonzero()[0]
+            pivots = (self.mat[p] @ self.a_free).nonzero()[0]
             if not len(pivots):
                 # Redundant constraint row: inert from here on.  Its M row
                 # only ever gets rescaled, so it stays orthogonal to every
                 # column that may enter and never blocks a pivot.
                 self.inert[p] = True
                 continue
-            j = int(pivots[0] if cols is None else cols[pivots[0]])
+            j = int(self.free[pivots[0]])
             self._pivot(j, p, self._entering_w(j))
 
     # -- runs --------------------------------------------------------------
@@ -432,20 +421,26 @@ class _Engine:
     def presolve(self) -> None:
         """Fix at zero every column with an entry on a zero row (b_i = 0, all
         row-scaled entries >= 0), when the columns left free are linearly
-        independent; otherwise fix none (module docstring)."""
-        zero = [
-            int(nonneg and b == 0) for nonneg, b in zip(self.prep.nonneg_rows, self.b_num)
-        ]
+        independent; otherwise fix none (module docstring).  It leaves free,
+        the ascending indices of the columns that may enter (every column
+        when none is fixed), a_free, their columns of the matrix (the whole
+        matrix when none is fixed), and for the certificates the indicator
+        1_Z of the zero rows and each column's sum s_j over them (all zero
+        when none is fixed)."""
+        dtype = self.prep.dtype
+        self.free, self.a_free = np.arange(self.n), self.a
+        self.zero_rows, self.sums = np.zeros(self.m, dtype), np.zeros(self.n, dtype)
+        zero = [int(nonneg and b == 0) for nonneg, b in zip(self.prep.nonneg_rows, self.b_num)]
         if not any(zero):
             return
-        zero_rows = np.array(zero, dtype=self.prep.dtype)
+        zero_rows = np.array(zero, dtype=dtype)
         sums = zero_rows @ self.a
         free = sums == 0
         if free.all() or np.count_nonzero(free) > self.m:
             return
-        if not _independent(self.a.T[free].tolist()):
-            return
-        self.free, self.zero_rows, self.sums = free.nonzero()[0], zero_rows, sums
+        if _independent(self.a.T[free].tolist()):
+            self.free, self.a_free = free.nonzero()[0], self.a[:, free]
+            self.zero_rows, self.sums = zero_rows, sums
 
     def run_phase1(self) -> bool:
         """Phase 1 from the artificial basis: whether it ends feasible, with
@@ -504,22 +499,23 @@ class _Engine:
 
     def _certificate_dual(self, col_cost: np.ndarray | None) -> np.ndarray:
         """yhat = c_B M, the delta-scaled dual vector of the basis in the
-        row-scaled integers (col_cost None: phase 1).  After a presolve that
-        fixed columns, yhat - K 1_Z with the least K >= 0 that makes every
-        fixed column's reduced cost D_j + K s_j nonnegative; yhat.b and every
-        free column's reduced cost are unchanged, since both vanish on Z."""
+        row-scaled integers (col_cost None: phase 1), lifted to yhat - K 1_Z
+        with the least K >= 0 that makes every fixed column's reduced cost
+        D_j + K s_j nonnegative; yhat.b and every free column's reduced cost
+        are unchanged, since both vanish on Z.  With none fixed, K = 0."""
         yhat = self._cost_basis(col_cost) @ self.mat
-        if self.free is None:
-            return yhat
-        sums = np.maximum(self.sums, 1)  # s_j, at least 1 if fixed
-        short = np.where(self.sums == 0, 0, (sums - 1 - self._reduced(col_cost, yhat)) // sums)
-        return yhat - max(int(short.max()), 0) * self.zero_rows
+        fixed = self.sums.nonzero()[0]
+        sums = self.sums[fixed]
+        costs = None if col_cost is None else col_cost[fixed]
+        short = (sums - 1 - self._reduced(costs, self.a[:, fixed], yhat)) // sums
+        return yhat - max([0, *short.tolist()]) * self.zero_rows
 
     def check_dual_feasible(self) -> None:
         """Integer check that every reduced cost against the certificate's
         dual vector is nonnegative."""
         col_cost = self.prep.cost_vec
-        if np.count_nonzero(self._reduced(col_cost, self._certificate_dual(col_cost)) < 0):
+        reduced = self._reduced(col_cost, self.a, self._certificate_dual(col_cost))
+        if np.count_nonzero(reduced < 0):
             raise RuntimeError("optimal basis is not dual-feasible")
 
     def farkas_certificate(self) -> tuple[Fraction, ...]:
@@ -560,11 +556,10 @@ class _Engine:
         return tuple(Fraction(v, self.delta) for v in ray)
 
     def zero_reduced_mask(self) -> np.ndarray:
-        """The columns that may enter at reduced cost zero."""
-        if self.free is None:
-            return self._reduced(self.prep.cost_vec) == 0
+        """The columns that may enter at reduced cost zero, for the running
+        objective, the program's at the end of run_two_phase."""
         face = np.zeros(self.n, dtype=bool)
-        face[self.free] = self._reduced(self.prep.cost_vec, cols=self.free) == 0
+        face[self.free] = self._reduced(self.prep.cost_vec[self.free], self.a_free) == 0
         return face
 
 
@@ -600,7 +595,6 @@ def _solve_prepared(
 ) -> tuple[LpSolution, _Engine | None]:
     """The two-phase solve for the right-hand side rhs_num / den."""
     engine = _Engine(prep, rhs_num, den)
-    engine.presolve()
     status, j, w = engine.run_two_phase()
     if status == "infeasible":
         return _failed(status, engine.farkas_certificate()), None
@@ -615,7 +609,6 @@ def _feasible(prep: _Prepared, rhs_num: Sequence[int], den: int) -> LpSolution:
     _failed.  It certifies no optimum: no drive-out, phase 2 or basis-dual
     check runs."""
     engine = _Engine(prep, rhs_num, den)
-    engine.presolve()
     if not engine.run_phase1():
         return _failed("infeasible", engine.farkas_certificate())
     return _vertex(engine, "feasible")

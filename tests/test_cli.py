@@ -6,14 +6,16 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import corrbox
@@ -1297,6 +1299,91 @@ class TestParseOnce:
     @given(CLI_ARGV)
     def test_vocabulary(self, argv):
         self.assert_same(argv)
+
+
+# Options whose value sets how much work a command does, each with the
+# largest value the contract test passes on.
+_WORK_BOUNDS = {"--count": 4, "--co": 4, "--steps": 4, "--denom": 1000}
+
+
+def _bounded(argv: list[str]) -> list[str]:
+    """argv with each integer value of a _WORK_BOUNDS option clamped."""
+    out = list(argv)
+    for i in range(1, len(out)):
+        bound = _WORK_BOUNDS.get(out[i - 1])
+        if bound is not None and out[i].lstrip("-").isdigit() and abs(int(out[i])) > bound:
+            out[i] = str(bound)
+    return out
+
+
+# Box sources the contract test writes: the file box.json and stdin.
+CONTRACT_ARGV = (
+    CLI_ARGV
+    | st.builds(
+        lambda command, source, rest: [command, source, *rest],
+        st.sampled_from(("analyze", "decompose")),
+        st.sampled_from(("box.json", "-")),
+        st.lists(st.sampled_from(OPTIONS + VALUES), max_size=2),
+    )
+).map(_bounded)
+# JSON tokens for a box entry: exact ones, and ones a box file may not hold.
+_ENTRIES = (
+    '"1/4"', "0", "1", '"-0"', '"1/0"', '"1_0/2_0"', '"1e-1"', "0.25", "-0.0", "NaN",
+    "Infinity", "1e400", "1" + "0" * 5000, '"1' + "0" * 5000 + '/2"', '"\\ud800"',
+    "\ud800", "true", "null", "[]", "{}", '"' + "[" * 50 + '"',
+)
+_VALID_COLUMNS = st.sampled_from(
+    ('["1/4", "1/4", "1/4", "1/4"]', "[1, 0, 0, 0]", '["1/2", 0, "1/2", 0]')
+)
+_COLUMNS = _VALID_COLUMNS | st.lists(st.sampled_from(_ENTRIES), min_size=3, max_size=5).map(
+    lambda entries: "[" + ", ".join(entries) + "]"
+)
+
+
+def _box_text(columns: list[str]) -> str:
+    return '{"format": "box-v1", "p": [' + ", ".join(columns) + "]}"
+
+
+# Box file texts: valid boxes, boxes with bad columns or entries, bare JSON
+# tokens and short JSON-like junk.
+BOX_TEXTS = (
+    st.lists(_VALID_COLUMNS, min_size=4, max_size=4).map(_box_text)
+    | st.lists(_COLUMNS, min_size=3, max_size=5).map(_box_text)
+    | st.sampled_from(_ENTRIES)
+    | st.text(st.sampled_from('[]{}",:-./0123456789eE \ud800\u00e9'), max_size=20)
+)
+
+
+class TestExitCodeContract:
+    """No command line or box input reaches exit 3: every exit is 0, 1 (a
+    claimed inequality failed, in the report) or 2, and a 2 prints nothing
+    on stdout and either argparse's usage error or one "error: ..." line."""
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(argv=["analyze", "box.json"], text="[" * 10**4 + "]" * 10**4)
+    @example(argv=["decompose", "-"], text=_box_text(["[" * 1200 + "]" * 1200]))
+    @given(argv=CONTRACT_ARGV, text=BOX_TEXTS)
+    def test_exit_codes(self, tmp_path, monkeypatch, argv, text):
+        with monkeypatch.context() as patch:
+            # A fresh directory per example: --out and gen's directories
+            # land there, and no example sees another's files.
+            patch.chdir(tempfile.mkdtemp(dir=tmp_path))
+            with open("box.json", "w", encoding="utf-8", errors="surrogatepass") as handle:
+                handle.write(text)
+            patch.setattr(sys, "stdin", io.StringIO(text))
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(list(argv))
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (argv, err)
+        if code == 1:
+            assert err == "", argv
+        if code == 2:
+            assert out == "", argv
+            if err.startswith("usage: corrbox"):
+                assert re.search(r"\ncorrbox( [a-z]+)?: error: [^\n]*\n\Z", err), err
+            else:
+                assert re.fullmatch(r"error: [^\n]*\n", err), (argv, err)
 
 
 class TestModuleEntryPoint:

@@ -372,7 +372,7 @@ class TestTwoPhaseDualCheck:
         def misread_phase_two(engine, col_cost, allowed=None):
             if col_cost is None:
                 return loop(engine, col_cost, allowed)
-            engine._reduced = lambda costs: np.zeros(engine.n, dtype=object)
+            engine._reduced = lambda costs, a: np.zeros(a.shape[1], dtype=object)
             try:
                 return loop(engine, col_cost, allowed)
             finally:
@@ -440,7 +440,7 @@ def check_kernel_state(engine: lp._Engine) -> None:
     c_b = [int(objective is None) if jb >= n else cost[jb] for jb in engine.basis]
     yhat = [sum(c_b[i] * mat[i][r] for i in range(m)) for r in range(m)]
     want = [cost[k] * delta - sum(yhat[r] * a[r][k] for r in range(m)) for k in range(n)]
-    assert engine._reduced(objective).tolist() == want
+    assert engine._reduced(objective, engine.a).tolist() == want
 
 
 def reoptimize_on_face(engine: lp._Engine) -> None:
@@ -549,8 +549,7 @@ class TestRemainderTripWires:
 def fixed_columns(prog: LinearProgram) -> list[int]:
     """The columns the forcing-row presolve fixes at zero on prog."""
     engine = lp._Engine(lp._prepare_program(prog), *lp._integer_rhs(prog.rhs))
-    engine.presolve()
-    return [] if engine.sums is None else engine.sums.nonzero()[0].tolist()
+    return engine.sums.nonzero()[0].tolist()
 
 
 class TestForcingRowPresolve:
@@ -577,7 +576,7 @@ class TestForcingRowPresolve:
         prog = program(rows, rhs, cost)
         assert fixed_columns(prog) == [2]
         got, engine = lp._solve_prepared(lp._prepare_program(prog), *lp._integer_rhs(prog.rhs))
-        assert engine._reduced(engine.prep.cost_vec)[2] < 0
+        assert engine._reduced(engine.prep.cost_vec, engine.a)[2] < 0
         assert (got.status, got.value) == solve_reference(rows, rhs, cost)[:2]
         # the lifted yhat = delta y in the row-scaled integers, read back
         # into the program's own rows
@@ -624,7 +623,7 @@ def full_pricing_loop(engine, col_cost, allowed=None):
         allowed = free if allowed is None else allowed & free
     engine.objective, engine.cost_b = col_cost, engine._cost_basis(col_cost)
     for iteration in range(lp._ITERATION_CAP):
-        reduced = engine._reduced(col_cost)
+        reduced = engine._reduced(col_cost, engine.a)
         if allowed is not None:
             reduced = np.where(allowed, reduced, 0)
         if iteration < lp._BLAND_AFTER:
@@ -674,8 +673,8 @@ def sparse_mixtures(seed: int, parts: list, count: int) -> list:
 class TestPartialPricing:
     """Pricing only the columns that may enter, in ascending order, takes
     the pivots of pricing every column and masking the rest, (j, p) for
-    (j, p), on presolved solves of both bases and on the optimal-face
-    reoptimization."""
+    (j, p), on presolved and unpresolved solves of both bases and on the
+    optimal-face reoptimization."""
 
     DETERMINISTIC = [d.as_box() for d in enumerate_deterministic()]
     MIXTURES = sparse_mixtures(2424, DETERMINISTIC, 60) + sparse_mixtures(
@@ -709,8 +708,7 @@ class TestPartialPricing:
             prep = _system_for(basis).prep
             for box in self.DETERMINISTIC + self.MIXTURES:
                 engine = lp._Engine(prep, box.num, box.den)
-                engine.presolve()
-                if engine.free is None:
+                if len(engine.free) == engine.n:
                     continue
                 presolved += 1
                 pivoted += len(engine.free) > 1
@@ -720,6 +718,20 @@ class TestPartialPricing:
         # every deterministic box on both bases, and mixtures, some of them
         # with a choice of columns to enter
         assert presolved >= 2 * 256 + 100 and pivoted >= 30
+
+    # Dense draws, on which the presolve fixes nothing: the candidate list
+    # is every column.
+    UNPRESOLVED = [("full256", "general", 30), ("chsh16", "chsh16_mixture", 40),
+                   ("chsh16", "no_signaling", 40)]
+
+    def test_unpresolved_solves(self, monkeypatch):
+        for basis, family, count in self.UNPRESOLVED:
+            prep = _system_for(basis).prep
+            for box in draw(FamilySpec(family, 2727), count):
+                assert len(lp._Engine(prep, box.num, box.den).free) == prep.n
+                self.assert_same_pivots(
+                    monkeypatch, lambda: lp._solve_prepared(prep, box.num, box.den)
+                )
 
     def test_face_reoptimization(self, monkeypatch):
         boxes = [canonical("noise"), canonical("d3_1")] + self.MIXTURES
@@ -756,7 +768,6 @@ class TestPartialPricing:
             for scale in (1, _OBJECT_SCALE):
                 prep = lp._prepare_int01(np.array(rows), [scale] * len(rows[0]))
                 engine = lp._Engine(prep, rhs, 1)
-                engine.presolve()
                 assert engine.run_phase1()
                 choices = [
                     np.count_nonzero(engine.mat[p] @ engine.a[:, engine.free])
