@@ -335,7 +335,7 @@ def optimal_decompositions(
     weight = [0] * engine.n
     for j in known:
         weight[j] = 1
-    engine.reoptimize(weight, engine.zero_reduced_mask())
+    engine.reoptimize(weight, engine.zero_reduced_columns())
     other = lp._optimal(engine, value=first.cost)
     if engine.support() == known:
         return first, None

@@ -39,19 +39,21 @@ w_i = 0 is unchanged when |w_p| = delta, and is skipped.
 
 Pricing.  No reduced-cost row is carried between pivots: each iteration
 prices from the basis, yhat = c_B M and D = c delta - A^T yhat for the
-running loop's objective, whose basic costs c_B _pivot updates one entry at
-a time.  No division enters, and D depends on the basis alone.  A loop
-prices only the columns that may enter, its candidate list: the presolve's
-free columns (below), every column when it fixes none, within the mask a
-reoptimization passes; partial pricing in the sense of Maros (Computational
-Techniques of the Simplex Method, 2003).  The list is always an ascending
-index array; its matrix columns are gathered once per engine when the
-presolve fixes columns, and once per loop under a mask, so no pricing call
-gathers columns.  The least index still wins every tie under Dantzig's rule
-and Bland's, and every pivot is the one that pricing all columns and zeroing
-the others would take.
-The checks of a result (the basis-dual check, the lifted certificate below,
-the Farkas vector) still price every column.
+running loop's objective c, one array over the n structural and m artificial
+columns.  Phase 1 is an ordinary objective, n zeros then m ones, and phase
+2's is the program's costs then m zeros (Maros, Computational Techniques of
+the Simplex Method, 2003).  A loop gathers c_B = c[basis] once, and _pivot
+updates it one entry at a time.  No division enters, and D depends on the
+basis alone.  A loop prices only the columns that may enter, its candidate
+list: the presolve's free columns (below), every column when it fixes none,
+or the columns a reoptimization passes; partial pricing in Maros's sense.
+Every column set is an ascending index array; its matrix columns are
+gathered once per engine when the presolve fixes columns, and once per
+reoptimization, so no pricing call gathers columns.  The least index still
+wins every tie under Dantzig's rule and Bland's, and every pivot is the one
+that pricing all columns and zeroing the others would take.  The checks of a
+result (the basis-dual check, the lifted certificate below, the Farkas
+vector) still price every column.
 
 The engine reads the right-hand side b as integer numerators over one
 positive denominator (a box's own form; solve converts a LinearProgram's
@@ -159,15 +161,19 @@ class LpSolution:
     certificate: tuple[Fraction, ...] | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Prepared:
-    """Integerized column system, reusable across solves with varying rhs."""
+    """Integerized column system, reusable across solves with varying rhs.
+    Its arrays are read-only: one is cached per basis, and an engine's
+    running objective is cost_vec or phase1_cost itself, each an array over
+    the n structural then m artificial columns in the path's dtype."""
 
     m: int
     n: int
     a_int: np.ndarray  # (m, n); row i of the original matrix times row_scale[i]
     col_cost: list[int]  # Python integers: value() multiplies them by unbounded xi
-    cost_vec: np.ndarray  # col_cost in the path's dtype, the objective the loops price
+    cost_vec: np.ndarray  # phase 2's objective: col_cost, then m zeros
+    phase1_cost: np.ndarray  # phase 1's objective: n zeros, then m ones
     cost_den: int
     row_scale: tuple[int, ...]
     dtype: type  # np.int64 on the int64 path, else object (Python integers)
@@ -184,8 +190,9 @@ def _prepared(
 ) -> _Prepared:
     """Fix the arithmetic path once, by the int64 rule of the module
     docstring: 0/1 entries, at most 16 rows, costs of at most 2**20."""
+    m, n = a.shape
     int_mode = (
-        a.shape[0] <= 16
+        m <= 16
         and bool(((a == 0) | (a == 1)).all())
         and max(abs(c) for c in col_cost) <= 2**20
     )
@@ -193,18 +200,22 @@ def _prepared(
     col_rows = tuple(
         tuple((i, v) for i, v in enumerate(column) if v) for column in a.T.tolist()
     )
-    return _Prepared(
-        m=a.shape[0],
-        n=a.shape[1],
+    prep = _Prepared(
+        m=m,
+        n=n,
         a_int=a.astype(dtype),
         col_cost=col_cost,
-        cost_vec=np.array(col_cost, dtype=dtype),
+        cost_vec=np.array(col_cost + [0] * m, dtype=dtype),
+        phase1_cost=np.array([0] * n + [1] * m, dtype=dtype),
         cost_den=cost_den,
         row_scale=tuple(row_scale),
         dtype=dtype,
         col_rows=col_rows,
         nonneg_rows=tuple((a >= 0).all(axis=1).tolist()),
     )
+    for array in (prep.a_int, prep.cost_vec, prep.phase1_cost):
+        array.setflags(write=False)
+    return prep
 
 
 def _prepare_program(program: LinearProgram) -> _Prepared:
@@ -271,11 +282,11 @@ class _Engine:
         self.b_num = [v if k == 1 else v * k for v, k in zip(rhs_num, prep.row_scale)]
         if any(v < 0 for v in self.b_num):
             raise ValueError("rhs negative after row scaling")
-        # The running objective (None: phase 1) and its basic costs c_B,
-        # which _pivot keeps one entry at a time.
-        self.objective: np.ndarray | None = None
-        self.cost_b = np.ones(prep.m, dtype=prep.dtype)
         self.basis = [prep.n + i for i in range(prep.m)]  # artificials first
+        # The running objective (phase 1's until a loop sets another) and a
+        # copy of its basic costs c_B, which _pivot keeps one entry at a time.
+        self.objective = prep.phase1_cost
+        self.cost_b = self.objective[self.basis]
         self.mat = np.eye(prep.m, dtype=prep.dtype)
         self.delta = 1
         self.xi = list(self.b_num)  # M @ b_num, exact Python ints
@@ -319,31 +330,18 @@ class _Engine:
         xi[p] = xi_p
         self.delta = new_delta
         self.basis[p] = j
-        self.cost_b[p] = 0 if self.objective is None else self.objective[j]
-
-    def _cost_basis(self, col_cost: np.ndarray | None) -> np.ndarray:
-        # col_cost None means phase 1: artificials cost 1, columns cost 0.
-        out = []
-        for jb in self.basis:
-            if jb >= self.n:
-                out.append(1 if col_cost is None else 0)
-            else:
-                out.append(0 if col_cost is None else col_cost[jb])
-        return np.array(out, dtype=self.prep.dtype)
+        self.cost_b[p] = self.objective[j]
 
     def _reduced(
-        self, costs: np.ndarray | None, a: np.ndarray, yhat: np.ndarray | None = None
+        self, costs: np.ndarray, a: np.ndarray, yhat: np.ndarray | None = None
     ) -> np.ndarray:
-        """delta-scaled reduced costs of the columns a, whose costs are costs
-        (None: phase 1, every column at 0): costs delta - a^T yhat, against
-        yhat = c_B M with the c_B carried for the running objective, or
-        against a given delta-scaled dual vector."""
+        """delta-scaled reduced costs of the columns a, whose costs are the
+        array costs: costs delta - a^T yhat, against yhat = c_B M with the c_B
+        carried for the running objective, or against a given delta-scaled
+        dual vector."""
         if yhat is None:
             yhat = self.cost_b @ self.mat
-        ata = yhat @ a
-        if costs is None:
-            return -ata
-        return costs * self.delta - ata
+        return costs * self.delta - yhat @ a
 
     # -- simplex loop ------------------------------------------------------
 
@@ -365,19 +363,19 @@ class _Engine:
         return None if best < 0 else best
 
     def _loop(
-        self, col_cost: np.ndarray | None, allowed: np.ndarray | None = None
+        self, objective: np.ndarray | None, cols: np.ndarray | None = None
     ) -> tuple[str, int | None, np.ndarray | None]:
-        """Pivot to optimality or unboundedness for one objective, pricing
-        every iteration from the basis, over the columns that may enter: the
-        free ones, within the mask allowed when one is given."""
-        cols, a = self.free, self.a_free
-        if allowed is not None:
-            cols = cols[allowed[cols]]
-            a = self.a[:, cols]
-        self.objective, self.cost_b = col_cost, self._cost_basis(col_cost)
+        """Pivot to optimality or unboundedness for objective, an array over
+        the structural and artificial columns (None: phase 1's, as run_phase1
+        passes it for bench/spans.py), pricing every iteration from the basis
+        over the columns that may enter: the ascending index array cols from
+        reoptimize, else the free ones."""
+        objective = self.prep.phase1_cost if objective is None else objective
+        cols, a = (self.free, self.a_free) if cols is None else (cols, self.a[:, cols])
+        self.objective, self.cost_b = objective, objective[self.basis]
         if not len(cols):
             return "optimal", None, None
-        costs = None if col_cost is None else col_cost[cols]
+        costs = objective[cols]
         for iteration in range(_ITERATION_CAP):
             # through the method, which TestTwoPhaseDualCheck replaces
             reduced = self._reduced(costs, a)
@@ -435,11 +433,11 @@ class _Engine:
             return
         zero_rows = np.array(zero, dtype=dtype)
         sums = zero_rows @ self.a
-        free = sums == 0
-        if free.all() or np.count_nonzero(free) > self.m:
+        free = (sums == 0).nonzero()[0]
+        if len(free) == self.n or len(free) > self.m:
             return
         if _independent(self.a.T[free].tolist()):
-            self.free, self.a_free = free.nonzero()[0], self.a[:, free]
+            self.free, self.a_free = free, self.a[:, free]
             self.zero_rows, self.sums = zero_rows, sums
 
     def run_phase1(self) -> bool:
@@ -458,10 +456,12 @@ class _Engine:
         self._drive_out_artificials()
         return self._loop(self.prep.cost_vec)
 
-    def reoptimize(self, col_cost: Sequence[int], allowed: np.ndarray) -> None:
-        """Continue from an optimal state under a new objective, entering only
-        through an allowed column set.  The caller guarantees boundedness."""
-        status, _, _ = self._loop(np.array(col_cost, dtype=self.prep.dtype), allowed)
+    def reoptimize(self, col_cost: Sequence[int], cols: np.ndarray) -> None:
+        """Continue from an optimal state under new structural costs col_cost
+        (the artificials at 0), entering only through cols, an ascending
+        index array of free columns.  The caller guarantees boundedness."""
+        objective = np.array([*col_cost, *[0] * self.m], dtype=self.prep.dtype)
+        status, _, _ = self._loop(objective, cols)
         if status != "optimal":
             raise RuntimeError("restricted reoptimization became unbounded")
 
@@ -497,24 +497,23 @@ class _Engine:
         if any(t != b * self.delta for t, b in zip(total, self.b_num)):
             raise RuntimeError("solver state fails re-substitution")
 
-    def _certificate_dual(self, col_cost: np.ndarray | None) -> np.ndarray:
-        """yhat = c_B M, the delta-scaled dual vector of the basis in the
-        row-scaled integers (col_cost None: phase 1), lifted to yhat - K 1_Z
-        with the least K >= 0 that makes every fixed column's reduced cost
-        D_j + K s_j nonnegative; yhat.b and every free column's reduced cost
-        are unchanged, since both vanish on Z.  With none fixed, K = 0."""
-        yhat = self._cost_basis(col_cost) @ self.mat
+    def _certificate_dual(self, objective: np.ndarray) -> np.ndarray:
+        """yhat = c_B M, the delta-scaled dual vector of the basis for
+        objective in the row-scaled integers, lifted to yhat - K 1_Z with the
+        least K >= 0 that makes every fixed column's reduced cost D_j + K s_j
+        nonnegative; yhat.b and every free column's reduced cost are
+        unchanged, since both vanish on Z.  With none fixed, K = 0."""
+        yhat = objective[self.basis] @ self.mat
         fixed = self.sums.nonzero()[0]
         sums = self.sums[fixed]
-        costs = None if col_cost is None else col_cost[fixed]
-        short = (sums - 1 - self._reduced(costs, self.a[:, fixed], yhat)) // sums
+        short = (sums - 1 - self._reduced(objective[fixed], self.a[:, fixed], yhat)) // sums
         return yhat - max([0, *short.tolist()]) * self.zero_rows
 
     def check_dual_feasible(self) -> None:
         """Integer check that every reduced cost against the certificate's
         dual vector is nonnegative."""
-        col_cost = self.prep.cost_vec
-        reduced = self._reduced(col_cost, self.a, self._certificate_dual(col_cost))
+        cost_vec = self.prep.cost_vec
+        reduced = self._reduced(cost_vec[: self.n], self.a, self._certificate_dual(cost_vec))
         if np.count_nonzero(reduced < 0):
             raise RuntimeError("optimal basis is not dual-feasible")
 
@@ -522,7 +521,7 @@ class _Engine:
         """A Farkas vector y in the program's own rows: the phase-1 duals at
         an infeasible end.  yhat = delta y is checked first in the row-scaled
         integers: yhat.A_int <= 0 and yhat.b > 0."""
-        yhat = self._certificate_dual(None)
+        yhat = self._certificate_dual(self.prep.phase1_cost)
         ys = yhat.tolist()
         yhat_b = sum(map(operator.mul, ys, self.b_num))
         if np.count_nonzero(yhat @ self.a > 0) or yhat_b <= 0:
@@ -555,12 +554,11 @@ class _Engine:
             raise RuntimeError("unbounded ray fails its integer check")
         return tuple(Fraction(v, self.delta) for v in ray)
 
-    def zero_reduced_mask(self) -> np.ndarray:
-        """The columns that may enter at reduced cost zero, for the running
-        objective, the program's at the end of run_two_phase."""
-        face = np.zeros(self.n, dtype=bool)
-        face[self.free] = self._reduced(self.prep.cost_vec[self.free], self.a_free) == 0
-        return face
+    def zero_reduced_columns(self) -> np.ndarray:
+        """The ascending indices of the columns that may enter at reduced cost
+        zero, for the running objective, the program's at the end of
+        run_two_phase."""
+        return self.free[self._reduced(self.prep.cost_vec[self.free], self.a_free) == 0]
 
 
 def _vertex(engine: _Engine, status: str) -> LpSolution:

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -436,18 +438,18 @@ def check_kernel_state(engine: lp._Engine) -> None:
             assert sum(x * y for x, y in zip(mat[i], column)) == delta * (i == col)
     assert engine.xi == [sum(x * y for x, y in zip(row, engine.b_num)) for row in mat]
     objective = engine.objective
-    cost = [0] * n if objective is None else list(objective)
-    c_b = [int(objective is None) if jb >= n else cost[jb] for jb in engine.basis]
+    cost = objective.tolist()
+    c_b = [cost[jb] for jb in engine.basis]
     yhat = [sum(c_b[i] * mat[i][r] for i in range(m)) for r in range(m)]
     want = [cost[k] * delta - sum(yhat[r] * a[r][k] for r in range(m)) for k in range(n)]
-    assert engine._reduced(objective, engine.a).tolist() == want
+    assert engine._reduced(objective[:n], engine.a).tolist() == want
 
 
 def reoptimize_on_face(engine: lp._Engine) -> None:
     """The reoptimization of cost.optimal_decompositions: minimize the
     weight on the support, entering only zero-reduced-cost columns."""
     known = engine.support()
-    engine.reoptimize([int(j in known) for j in range(engine.n)], engine.zero_reduced_mask())
+    engine.reoptimize([int(j in known) for j in range(engine.n)], engine.zero_reduced_columns())
 
 
 class TestKernelInvariants:
@@ -576,7 +578,7 @@ class TestForcingRowPresolve:
         prog = program(rows, rhs, cost)
         assert fixed_columns(prog) == [2]
         got, engine = lp._solve_prepared(lp._prepare_program(prog), *lp._integer_rhs(prog.rhs))
-        assert engine._reduced(engine.prep.cost_vec, engine.a)[2] < 0
+        assert engine._reduced(engine.prep.cost_vec[: engine.n], engine.a)[2] < 0
         assert (got.status, got.value) == solve_reference(rows, rhs, cost)[:2]
         # the lifted yhat = delta y in the row-scaled integers, read back
         # into the program's own rows
@@ -614,18 +616,17 @@ class TestForcingRowPresolve:
             solve(prog)
 
 
-def full_pricing_loop(engine, col_cost, allowed=None):
+def full_pricing_loop(engine, col_cost, cols=None):
     """The reference for _Engine._loop: price every column and zero the
     price of each one that may not enter, then pick as _loop does."""
-    if engine.free is not None:
-        free = np.zeros(engine.n, dtype=bool)
-        free[engine.free] = True
-        allowed = free if allowed is None else allowed & free
-    engine.objective, engine.cost_b = col_cost, engine._cost_basis(col_cost)
+    allowed = np.isin(np.arange(engine.n), engine.free)
+    if cols is not None:
+        allowed &= np.isin(np.arange(engine.n), cols)
+    objective = engine.prep.phase1_cost if col_cost is None else col_cost
+    engine.objective, engine.cost_b = objective, objective[engine.basis]
     for iteration in range(lp._ITERATION_CAP):
-        reduced = engine._reduced(col_cost, engine.a)
-        if allowed is not None:
-            reduced = np.where(allowed, reduced, 0)
+        reduced = engine._reduced(objective[: engine.n], engine.a)
+        reduced = np.where(allowed, reduced, 0)
         if iteration < lp._BLAND_AFTER:
             j = int(reduced.argmin())
             entering = reduced[j] < 0
@@ -650,8 +651,7 @@ def full_pricing_drive_out(engine):
         if engine.basis[p] < engine.n:
             continue
         row = engine.mat[p] @ engine.a
-        if engine.free is not None:
-            row = np.where(np.isin(np.arange(engine.n), engine.free), row, 0)
+        row = np.where(np.isin(np.arange(engine.n), engine.free), row, 0)
         pivots = row.nonzero()[0]
         if not len(pivots):
             engine.inert[p] = True
@@ -804,6 +804,53 @@ class TestObjectiveForm:
                 assert main(list(argv)) == 0, argv
         assert any(col_cost is not None for col_cost, _ in seen)
         for col_cost, dtype in seen:
-            assert col_cost is None or (
-                isinstance(col_cost, np.ndarray) and col_cost.dtype == dtype
-            )
+            assert isinstance(col_cost, np.ndarray) and col_cost.dtype == dtype
+
+
+class TestLoopContract:
+    """bench/spans.py books an _Engine._loop call to lp.phase1 when its first
+    argument is None, to lp.phase2 when it is an array, and to the
+    reoptimize span around it when a second argument is passed.  So None
+    comes from run_phase1 alone, and a column set from reoptimize alone."""
+
+    COMMANDS = [
+        (("decompose", "noise", "--alt"), ["run_phase1", "run_two_phase", "reoptimize"]),
+        # hull proofs: phase 1 alone
+        (("fuzz", "--family", "chsh16_mixture", "--count", "5"), ["run_phase1"] * 5),
+        # infeasible on chsh16: no phase 2
+        (("decompose", "isotropic", "--v", "2/5", "--basis", "chsh16"), ["run_phase1"]),
+    ]
+
+    def test_callers_and_arguments(self, monkeypatch):
+        loop, calls = lp._Engine._loop, []
+
+        def recorded(engine, *args, **kwargs):
+            calls.append((sys._getframe(1).f_code.co_name, args, kwargs))
+            return loop(engine, *args, **kwargs)
+
+        monkeypatch.setattr(lp._Engine, "_loop", recorded)
+        for argv, callers in self.COMMANDS:
+            calls.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0, argv
+            assert [caller for caller, _, _ in calls] == callers, argv
+            for caller, args, kwargs in calls:
+                assert kwargs == {}, caller
+                assert (args[0] is None) == (caller == "run_phase1"), caller
+                assert (len(args) == 2) == (caller == "reoptimize"), caller
+                if caller == "run_two_phase":
+                    assert isinstance(args[0], np.ndarray)
+
+
+class TestReadOnlyPrepared:
+    """_system_for caches one prepared system per basis, and an engine's
+    running objective is one of its arrays: none of it can be written."""
+
+    def test_arrays_and_fields(self):
+        prep = _system_for("full256").prep
+        for name in ("a_int", "cost_vec", "phase1_cost"):
+            array = getattr(prep, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            prep.cost_vec = prep.phase1_cost
