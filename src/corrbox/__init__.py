@@ -3,6 +3,12 @@
 Everything except the dimension-deficit helper runs on exact rationals
 (fractions.Fraction, and boxes as integer numerators over one denominator);
 there are no floating-point tolerances in the core.
+
+The six names of the verification layer (FindingsReport, PropertyResult,
+analyze, check_box, fuzz, reproduce_paper) are read from corrbox.verify on
+each access, which imports that module the first time (PEP 562).  A process
+that only reads boxes, costs and decompositions, such as a one-shot
+`corrbox analyze` or `decompose`, never loads it.
 """
 
 from .boxes import (
@@ -58,14 +64,6 @@ from .generators import (
     no_signaling_vertices,
     quantum_box,
     sample,
-)
-from .verify import (
-    FindingsReport,
-    PropertyResult,
-    analyze,
-    check_box,
-    fuzz,
-    reproduce_paper,
 )
 
 __version__ = "0.1.0"
@@ -127,3 +125,19 @@ __all__ = [
     "uncertainty",
     "unpredictability",
 ]
+
+_VERIFY_NAMES = frozenset(
+    ("FindingsReport", "PropertyResult", "analyze", "check_box", "fuzz", "reproduce_paper")
+)
+
+
+def __getattr__(name: str) -> object:
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _VERIFY_NAMES)

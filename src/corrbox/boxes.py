@@ -291,11 +291,10 @@ def _table_bits(value: int) -> tuple[int, int, int, int]:
 @lru_cache(maxsize=1)
 def enumerate_deterministic() -> tuple[DeterministicBox, ...]:
     """All 256 deterministic strategies, indexed by id."""
+    tables = [_table_bits(value) for value in range(16)]
     out = []
-    for fa in range(16):
-        for gb in range(16):
-            out_a = _table_bits(fa)
-            out_b = _table_bits(gb)
+    for fa, out_a in enumerate(tables):
+        for gb, out_b in enumerate(tables):
             cost, direction = _classify_tables(out_a, out_b)
             out.append(
                 DeterministicBox(
@@ -370,9 +369,12 @@ def relabel(box: Box, r: Relabeling) -> Box:
 
 
 @lru_cache(maxsize=1)
-def relabeling_group() -> tuple[Relabeling, ...]:
-    """All distinct scenario symmetries (deduplicated by cell permutation)."""
-    seen: dict[tuple[int, ...], Relabeling] = {}
+def _group_by_permutation() -> dict[tuple[int, ...], Relabeling]:
+    """The relabeling group keyed by cell permutation: the one builder of the
+    group.  Each of the 128 candidate parameter sets has its permutation
+    computed once, and the first candidate with a given permutation stands
+    for it, so the keys are the distinct permutations in candidate order."""
+    group: dict[tuple[int, ...], Relabeling] = {}
     bits = (0, 1)
     pairs = tuple(itertools.product(bits, bits))
     for swap in (False, True):
@@ -381,13 +383,15 @@ def relabeling_group() -> tuple[Relabeling, ...]:
                 for foa in pairs:
                     for fob in pairs:
                         r = Relabeling(swap, flip_a, flip_b, foa, fob)
-                        seen.setdefault(r.permutation(), r)
-    return tuple(seen.values())
+                        group.setdefault(r.permutation(), r)
+    return group
 
 
 @lru_cache(maxsize=1)
-def _group_by_permutation() -> dict[tuple[int, ...], Relabeling]:
-    return {r.permutation(): r for r in relabeling_group()}
+def relabeling_group() -> tuple[Relabeling, ...]:
+    """All distinct scenario symmetries (deduplicated by cell permutation),
+    in the order of _group_by_permutation."""
+    return tuple(_group_by_permutation().values())
 
 
 def box_to_json_obj(box: Box) -> dict:

@@ -11,13 +11,14 @@ first token names a subcommand, that subcommand's own parser reads the rest
 (_parse_args), with the messages and exit codes the whole parser would give.
 A command checks its arguments, then opens its output file (gen creates its
 output directory) before any work, as shell redirection would, so an
-unwritable destination fails at once.
+unwritable destination fails at once.  Only fuzz, repro, sweep and
+analyze --text import corrbox.verify, and only sweep imports csv, each where
+it runs: the JSON reports of analyze and decompose, and gen, never load them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -56,7 +57,6 @@ from .generators import (
     quantum_box,
 )
 from .measures import Analysis
-from .verify import analyze, fuzz, reproduce_paper
 
 _PARAMETRIC_KINDS = ("isotropic", "quantum")
 # Each source option and the one parametric kind that reads it.
@@ -246,7 +246,9 @@ def _eta_star_text(c: Fraction, d: int) -> str:
 def _text_report(box: Box, dim: int | None) -> str:
     """The text report, with C proved (cost._prove_cost).  It prints no
     decomposition, so it builds none of the JSON report."""
-    a = analyze(box)
+    from . import verify
+
+    a = verify.analyze(box)
     _prove_cost(box, a.c)
     lines = [
         f"{name} = {format_fraction(value)}"
@@ -347,23 +349,31 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from . import verify
+
     spec = FamilySpec(args.family, args.seed)
     if args.count < 0:
         raise ValueError(f"count must be nonnegative, got {args.count}")
     with _output(args.out) as handle:
-        report = fuzz(spec, args.count)
+        report = verify.fuzz(spec, args.count)
         _emit(report.to_json_obj(), handle)
     return 1 if report.aborted else 0
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
+    from . import verify
+
     with _output(args.out) as handle:
-        report = reproduce_paper()
+        report = verify.reproduce_paper()
         _emit(report, handle)
     return 1 if report["failures"] else 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    import csv
+
+    from . import verify
+
     if args.kind != "isotropic":
         raise ValueError(f"unknown sweep kind {args.kind!r}")
     if args.steps < 1:
@@ -372,7 +382,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     header = list(columns) + [f"{name}_exact" for name in columns]
     with _output(args.csv, newline="") as handle:
         weights = [Fraction(k, args.steps) for k in range(args.steps + 1)]
-        rows = [_sweep_row(v, analyze(isotropic(v))) for v in weights]
+        rows = [_sweep_row(v, verify.analyze(isotropic(v))) for v in weights]
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import lp
-from .boxes import Box, enumerate_deterministic, format_fraction, mix, relabeling_group
+from .boxes import Box, _group_by_permutation, enumerate_deterministic, format_fraction, mix
 from .generators import canonical_det_ids
 from .measures import Analysis, _signed_pattern
 
@@ -100,23 +100,31 @@ def _normalized(rows: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _strategies() -> tuple[np.ndarray, np.ndarray]:
     """The 256 deterministic boxes as int64 rows of numerators over 1, by id,
-    and their costs in bits."""
+    and their costs in bits.  The rows are one scatter from the strategies'
+    output tables: row j holds a 1 in cell 4k + 2 out_a[k] + out_b[k] of each
+    setting k, where DeterministicBox.as_box puts it, and 0 elsewhere."""
     dets = enumerate_deterministic()
-    nums = np.array([d.as_box().num for d in dets], dtype=np.int64)
+    tables = np.array([d.out_a + d.out_b for d in dets])
+    cells = 4 * np.arange(4) + 2 * tables[:, :4] + tables[:, 4:]
+    nums = np.zeros((len(dets), 16), dtype=np.int64)
+    np.put_along_axis(nums, cells, 1, axis=1)
     return nums, np.array([d.cost_bits for d in dets], dtype=np.int64)
 
 
 @lru_cache(maxsize=1)
 def _dual_vertices() -> np.ndarray:
     """The dual vertices as rows 2y: each orbit of _DUAL_ORBITS expanded under
-    the relabelings, each row normalized; int64 and read-only.  Every row is
-    checked dual-feasible, 2y.d_j <= 2 cost_j on all 256 strategies in one
-    int64 product, else RuntimeError: a row above the polytope would read C
-    too high on every box where it is the maximum."""
-    perms = np.array([r.permutation() for r in relabeling_group()])
+    the relabelings, in the order of boxes._group_by_permutation's keys, each
+    row normalized and the first of its duplicates kept; int64 and read-only.
+    Every row is checked dual-feasible, 2y.d_j <= 2 cost_j on all 256
+    strategies in one int64 product, else RuntimeError: a row above the
+    polytope would read C too high on every box where it is the maximum."""
+    perms = np.array(list(_group_by_permutation()))
+    reps = np.array([rep for _, rep in _DUAL_ORBITS], dtype=np.int64)
+    images = _normalized(reps[:, perms].reshape(-1, 16)).tolist()
     rows: list[tuple[int, ...]] = []
-    for size, rep in _DUAL_ORBITS:
-        orbit = _normalized(np.array(rep, dtype=np.int64)[perms]).tolist()
+    for k, (size, _) in enumerate(_DUAL_ORBITS):
+        orbit = images[k * len(perms) : (k + 1) * len(perms)]
         distinct = dict.fromkeys(map(tuple, orbit))
         if len(distinct) != size:
             raise RuntimeError(f"dual orbit has {len(distinct)} rows, expected {size}")

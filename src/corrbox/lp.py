@@ -197,9 +197,10 @@ def _prepared(
         and max(abs(c) for c in col_cost) <= 2**20
     )
     dtype = np.int64 if int_mode else object
-    col_rows = tuple(
-        tuple((i, v) for i, v in enumerate(column) if v) for column in a.T.tolist()
-    )
+    col_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    rows, cols = np.nonzero(a)
+    for i, j, v in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()):
+        col_rows[j].append((i, v))
     prep = _Prepared(
         m=m,
         n=n,
@@ -210,7 +211,7 @@ def _prepared(
         cost_den=cost_den,
         row_scale=tuple(row_scale),
         dtype=dtype,
-        col_rows=col_rows,
+        col_rows=tuple(map(tuple, col_rows)),
         nonneg_rows=tuple((a >= 0).all(axis=1).tolist()),
     )
     for array in (prep.a_int, prep.cost_vec, prep.phase1_cost):

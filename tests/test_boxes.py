@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from corrbox.boxes import (
     MixingTable,
     NegativeEntry,
     NotNormalized,
+    _group_by_permutation,
     box_from_json_obj,
     box_from_table,
     box_to_json_obj,
@@ -424,6 +426,15 @@ class TestRelabelingGroup:
         pr_like = enumerate_deterministic()[0].as_box()
         for r in relabeling_group():
             assert is_no_signaling(relabel(pr_like, r))
+
+    def test_order_is_pinned(self):
+        # The permutations in group order, one byte per cell: the order of
+        # the 128 candidates with duplicates dropped.  cost._dual_vertices
+        # expands its orbits in this order, so its row order rests on it.
+        perms = [r.permutation() for r in relabeling_group()]
+        assert list(_group_by_permutation()) == perms
+        digest = hashlib.sha256(bytes(v for perm in perms for v in perm)).hexdigest()
+        assert digest == "f6c60c321fa17dfbbfff318c0b8d56e090a9b1aa79db94c2d4451aabf4caea5a"
 
 
 class TestJson:

@@ -1063,9 +1063,9 @@ class TestDestinationOpenedFirst:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_sweep_analyzes_nothing(self, capsys, tmp_path, monkeypatch):
-        import corrbox.cli as cli
+        import corrbox.verify as verify
 
-        calls = self.counted(monkeypatch, cli, "analyze")
+        calls = self.counted(monkeypatch, verify, "analyze")
         code, out, err = run(
             capsys, "sweep", "--steps", "200", "--csv", self.missing(tmp_path, "x.csv")
         )
@@ -1084,8 +1084,11 @@ class TestDestinationOpenedFirst:
     )
     def test_report_computes_nothing(self, capsys, tmp_path, monkeypatch, argv, name):
         import corrbox.cli as cli
+        import corrbox.verify as verify
 
-        calls = self.counted(monkeypatch, cli, name)
+        # The handlers call verify's functions through corrbox.verify.
+        module = verify if name in ("analyze", "reproduce_paper") else cli
+        calls = self.counted(monkeypatch, module, name)
         code, out, err = run(capsys, *argv, "--out", self.missing(tmp_path, "r.json"))
         assert code == 2 and out == "" and calls == []
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -1413,3 +1416,58 @@ class TestModuleEntryPoint:
         done = self.run_module("analyze", "pr", "--bogus")
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.endswith("error: unrecognized arguments: --bogus\n")
+
+
+_IMPORT_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+from corrbox import cli
+
+loaded = {}
+with redirect_stdout(io.StringIO()):
+    codes = [cli.main(["analyze", "pr"]), cli.main(["decompose", "pr"])]
+    loaded["reports"] = ["corrbox.verify" in sys.modules, "csv" in sys.modules]
+    codes.append(cli.main(["analyze", "pr", "--text"]))
+    loaded["text"] = ["corrbox.verify" in sys.modules, "csv" in sys.modules]
+
+import corrbox
+
+star = {}
+exec("from corrbox import *", star)
+print(json.dumps({
+    "codes": codes,
+    "loaded": loaded,
+    "unbound": sorted(set(corrbox.__all__) - set(star)),
+    "fuzz_is_verify_fuzz": corrbox.fuzz is corrbox.verify.fuzz,
+    "missing_from_dir": sorted(set(corrbox.__all__) - set(dir(corrbox))),
+}))
+"""
+
+
+class TestColdStartImports:
+    """A one-shot analyze or decompose loads neither corrbox.verify nor csv;
+    the package still binds every name of __all__.  One fresh interpreter
+    runs the probe for every test here."""
+
+    @pytest.fixture(scope="class")
+    def probe(self):
+        src = os.path.dirname(os.path.dirname(corrbox.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        return json.loads(done.stdout)
+
+    def test_json_reports_load_neither(self, probe):
+        assert probe["codes"] == [0, 0, 0]
+        assert probe["loaded"]["reports"] == [False, False]
+
+    def test_text_report_loads_verify(self, probe):
+        assert probe["loaded"]["text"] == [True, False]
+
+    def test_package_exports_every_name(self, probe):
+        assert probe["unbound"] == [] and probe["missing_from_dir"] == []
+        assert probe["fuzz_is_verify_fuzz"] is True
