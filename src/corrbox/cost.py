@@ -121,10 +121,9 @@ def _dual_vertices() -> np.ndarray:
     polytope would read C too high on every box where it is the maximum."""
     perms = np.array(list(_group_by_permutation()))
     reps = np.array([rep for _, rep in _DUAL_ORBITS], dtype=np.int64)
-    images = _normalized(reps[:, perms].reshape(-1, 16)).tolist()
+    images = _normalized(reps[:, perms].reshape(-1, 16)).reshape(reps.shape[0], -1, 16)
     rows: list[tuple[int, ...]] = []
-    for k, (size, _) in enumerate(_DUAL_ORBITS):
-        orbit = images[k * len(perms) : (k + 1) * len(perms)]
+    for (size, _), orbit in zip(_DUAL_ORBITS, images.tolist()):
         distinct = dict.fromkeys(map(tuple, orbit))
         if len(distinct) != size:
             raise RuntimeError(f"dual orbit has {len(distinct)} rows, expected {size}")
