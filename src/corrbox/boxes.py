@@ -25,13 +25,14 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from ._record import Record
 
 
 class NegativeEntry(ValueError):
@@ -73,8 +74,7 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True, init=False)
-class Box:
+class Box(Record):
     """An exact correlation box: cell i is num[i] / den.  Invariants checked
     on construction.  Box(p) takes 16 Fractions; Box.from_numerators takes
     integers and brings them to lowest terms."""
@@ -160,8 +160,7 @@ def box_from_table(entries: Sequence[object]) -> Box:
 _INT64_LIMIT = 2**63
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class MixingTable:
+class MixingTable(Record):
     """Boxes made ready to mix: matrix[i] holds part i's 16 numerators
     scaled to the parts' common denominator den.  The matrix is read-only,
     since tables are cached and shared, and int64 unless den is 2**63 or
@@ -169,6 +168,9 @@ class MixingTable:
 
     matrix: np.ndarray
     den: int
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, parts: Sequence[Box]) -> None:
         if not parts:
@@ -238,8 +240,7 @@ class Direction(Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
-class DeterministicBox:
+class DeterministicBox(Record):
     """A deterministic strategy: output tables over the four settings.
 
     out_a[k] and out_b[k] give the outputs at setting k = 2*a + b.  The id
@@ -252,6 +253,18 @@ class DeterministicBox:
     out_b: tuple[int, int, int, int]
     cost_bits: int
     direction: Direction
+
+    def __init__(
+        self,
+        id: int,
+        out_a: tuple[int, int, int, int],
+        out_b: tuple[int, int, int, int],
+        cost_bits: int,
+        direction: Direction,
+    ) -> None:
+        self.__dict__.update(
+            id=id, out_a=out_a, out_b=out_b, cost_bits=cost_bits, direction=direction
+        )
 
     def as_box(self) -> Box:
         cells = [0] * 16
@@ -319,8 +332,7 @@ def is_no_signaling(box: Box) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Relabeling:
+class Relabeling(Record):
     """A symmetry of the box scenario.
 
     Applied as: optionally swap the parties, then flip inputs, then flip each
@@ -334,6 +346,18 @@ class Relabeling:
     flip_b: int
     flip_out_a: tuple[int, int]
     flip_out_b: tuple[int, int]
+
+    def __init__(
+        self,
+        swap: bool,
+        flip_a: int,
+        flip_b: int,
+        flip_out_a: tuple[int, int],
+        flip_out_b: tuple[int, int],
+    ) -> None:
+        self.__dict__.update(
+            swap=swap, flip_a=flip_a, flip_b=flip_b, flip_out_a=flip_out_a, flip_out_b=flip_out_b
+        )
 
     def permutation(self) -> tuple[int, ...]:
         """perm[new_cell] = source_cell in the original box."""

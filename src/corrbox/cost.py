@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from . import lp
+from ._record import Record
 from .boxes import Box, _group_by_permutation, enumerate_deterministic, format_fraction, mix
 from .generators import canonical_det_ids
 from .measures import Analysis, _signed_pattern
@@ -165,8 +165,7 @@ def _cost_numerator(box: Box) -> int:
     return max(sum(map(operator.mul, row, box.num)) for row in near)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Convex combination of deterministic boxes, keyed by strategy id.
 
     weights holds only nonzero entries; cost is the weighted bit count."""
@@ -175,12 +174,14 @@ class Decomposition:
     basis_kind: str
     cost: Fraction
 
+    def __init__(self, weights: dict[int, Fraction], basis_kind: str, cost: Fraction) -> None:
+        self.__dict__.update(weights=weights, basis_kind=basis_kind, cost=cost)
+
     def as_mixture(self) -> Box:
         dets = enumerate_deterministic()
         return mix([(w, dets[i].as_box()) for i, w in sorted(self.weights.items())])
 
 
-@dataclass(frozen=True)
 class CostReport(Analysis):
     """The box's Analysis at its optimal cost c, with an optimal decomposition
     of that cost: eta = c - s is the part no signal accounts for, lower_bound
@@ -188,9 +189,11 @@ class CostReport(Analysis):
 
     decomposition: Decomposition
 
+    def __init__(self, box: Box, c: Fraction, decomposition: Decomposition) -> None:
+        self.__dict__.update(box=box, c=c, decomposition=decomposition)
 
-@dataclass(frozen=True)
-class _CostSystem:
+
+class _CostSystem(Record):
     """The cost program over one basis: its prepared columns (with the costs
     in bits) and the strategy id of each column."""
 

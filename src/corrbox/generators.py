@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import cos, pi
 from typing import Iterator
 
+from ._record import Record
 from .boxes import (
     Box,
     DeterministicBox,
@@ -183,8 +183,7 @@ def no_signaling_vertices() -> tuple[Box, ...]:
     return tuple(locals_ + prs)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Record):
     """A sampling family plus its seed; equal specs sample equal boxes.  The
     seed must be nonnegative: random.Random seeds with its absolute value, so
     a negative seed would sample another seed's boxes under its own name."""
@@ -192,13 +191,12 @@ class FamilySpec:
     kind: str
     seed: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in FAMILY_KINDS:
-            raise BadParameter(
-                f"unknown family {self.kind!r}, expected one of {FAMILY_KINDS}"
-            )
-        if self.seed < 0:
-            raise BadParameter(f"seed must be nonnegative, got {self.seed}")
+    def __init__(self, kind: str, seed: int) -> None:
+        if kind not in FAMILY_KINDS:
+            raise BadParameter(f"unknown family {kind!r}, expected one of {FAMILY_KINDS}")
+        if seed < 0:
+            raise BadParameter(f"seed must be nonnegative, got {seed}")
+        self.__dict__.update(kind=kind, seed=seed)
 
 
 def _draw_weights(rng: random.Random, count: int) -> list[int]:

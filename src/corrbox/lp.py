@@ -100,11 +100,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+
+from ._record import Record
 
 _ITERATION_CAP = 50000
 # Dantzig's rule (the most negative reduced cost, the first index on ties)
@@ -117,34 +118,36 @@ class DimensionMismatch(ValueError):
     """Matrix, rhs, and objective shapes disagree."""
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(Record):
     """Equality-form program: minimize objective.x with A x = rhs, x >= 0."""
 
     constraint_matrix: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
     objective: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        m = len(self.constraint_matrix)
+    def __init__(
+        self,
+        constraint_matrix: tuple[tuple[Fraction, ...], ...],
+        rhs: tuple[Fraction, ...],
+        objective: tuple[Fraction, ...],
+    ) -> None:
+        m = len(constraint_matrix)
         if m == 0:
             raise DimensionMismatch("no constraint rows")
-        n = len(self.constraint_matrix[0])
+        n = len(constraint_matrix[0])
         if n == 0:
             raise DimensionMismatch("no columns")
-        for i, row in enumerate(self.constraint_matrix):
+        for i, row in enumerate(constraint_matrix):
             if len(row) != n:
                 raise DimensionMismatch(f"row {i} has {len(row)} entries, expected {n}")
-        if len(self.rhs) != m:
-            raise DimensionMismatch(f"rhs has {len(self.rhs)} entries, expected {m}")
-        if len(self.objective) != n:
-            raise DimensionMismatch(
-                f"objective has {len(self.objective)} entries, expected {n}"
-            )
+        if len(rhs) != m:
+            raise DimensionMismatch(f"rhs has {len(rhs)} entries, expected {m}")
+        if len(objective) != n:
+            raise DimensionMismatch(f"objective has {len(objective)} entries, expected {n}")
+        self.__dict__.update(constraint_matrix=constraint_matrix, rhs=rhs, objective=objective)
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(Record):
     """status is one of optimal / infeasible / unbounded, or feasible from
     _feasible: a checked point, optimal or not.
 
@@ -158,11 +161,22 @@ class LpSolution:
     value: Fraction | None
     point: tuple[Fraction, ...]
     basis: tuple[int, ...] | None
-    certificate: tuple[Fraction, ...] | None = None
+    certificate: tuple[Fraction, ...] | None
+
+    def __init__(
+        self,
+        status: str,
+        value: Fraction | None,
+        point: tuple[Fraction, ...],
+        basis: tuple[int, ...] | None,
+        certificate: tuple[Fraction, ...] | None = None,
+    ) -> None:
+        self.__dict__.update(
+            status=status, value=value, point=point, basis=basis, certificate=certificate
+        )
 
 
-@dataclass(frozen=True)
-class _Prepared:
+class _Prepared(Record):
     """Integerized column system, reusable across solves with varying rhs.
     Its arrays are read-only: one is cached per basis, and an engine's
     running objective is cost_vec or phase1_cost itself, each an array over

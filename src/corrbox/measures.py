@@ -29,10 +29,10 @@ decomposition.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import Record
 from .boxes import Box
 
 UNPREDICTABILITY_VARIANTS = ("formula", "per_party")
@@ -43,13 +43,17 @@ def _facet_bound(lambda_num: int, den: int) -> tuple[int, int]:
     return max(0, lambda_num - 2 * den), 2 * den
 
 
-@dataclass(frozen=True)
-class ChshReport:
+class ChshReport(Record):
     """values[k]: |sum of the four correlators with a minus on term k|,
     terms ordered E(0,0), E(0,1), E(1,0), E(1,1).  lambda_max = max(values)."""
 
     values: tuple[Fraction, Fraction, Fraction, Fraction]
     lambda_max: Fraction
+
+    def __init__(
+        self, values: tuple[Fraction, Fraction, Fraction, Fraction], lambda_max: Fraction
+    ) -> None:
+        self.__dict__.update(values=values, lambda_max=lambda_max)
 
     @property
     def facet_bound(self) -> Fraction:
@@ -57,15 +61,16 @@ class ChshReport:
         return Fraction(*_facet_bound(*self.lambda_max.as_integer_ratio()))
 
 
-@dataclass(frozen=True)
-class SignalReport:
+class SignalReport(Record):
     s_a_to_b: Fraction
     s_b_to_a: Fraction
     s: Fraction
 
+    def __init__(self, s_a_to_b: Fraction, s_b_to_a: Fraction, s: Fraction) -> None:
+        self.__dict__.update(s_a_to_b=s_a_to_b, s_b_to_a=s_b_to_a, s=s)
 
-@dataclass(frozen=True)
-class UncertaintyReport:
+
+class UncertaintyReport(Record):
     """delta[(party, setting)]: best-case guessing residual of that party's
     outcome at that setting, maximized over the other party's input.  u_a and
     u_b take the worse (larger) of the two settings for each party."""
@@ -73,6 +78,11 @@ class UncertaintyReport:
     delta: dict[tuple[str, int], Fraction]
     u_a: Fraction
     u_b: Fraction
+
+    def __init__(
+        self, delta: dict[tuple[str, int], Fraction], u_a: Fraction, u_b: Fraction
+    ) -> None:
+        self.__dict__.update(delta=delta, u_a=u_a, u_b=u_b)
 
 
 def _chsh_values(box: Box) -> tuple[int, int, int, int]:
@@ -193,14 +203,16 @@ def lhv_admissible(box: Box) -> bool:
     return _lhv_admissible(_signal_values(box), _chsh_values(box), box.den)
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(Record):
     """A box and its exact cost C, with the per-box quantities of the tracked
     inequalities.  Each kernel runs on its first use and its integers are
     kept; each Fraction field is built on its first read and kept."""
 
     box: Box
     c: Fraction
+
+    def __init__(self, box: Box, c: Fraction) -> None:
+        self.__dict__.update(box=box, c=c)
 
     @cached_property
     def _chsh(self) -> tuple[int, int, int, int]:

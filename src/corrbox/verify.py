@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .boxes import (
     Box,
     MixingTable,
@@ -80,14 +80,31 @@ def analyze(box: Box) -> Analysis:
     return Analysis(box, optimal_cost(box))
 
 
-@dataclass(frozen=True)
-class PropertyResult:
+class PropertyResult(Record):
     property_id: str
     holds: bool
     slack: Fraction
     strictness: str  # "asserted" or "observed"
-    variant: str | None = None
-    witness: Box | None = None
+    variant: str | None
+    witness: Box | None
+
+    def __init__(
+        self,
+        property_id: str,
+        holds: bool,
+        slack: Fraction,
+        strictness: str,
+        variant: str | None = None,
+        witness: Box | None = None,
+    ) -> None:
+        self.__dict__.update(
+            property_id=property_id,
+            holds=holds,
+            slack=slack,
+            strictness=strictness,
+            variant=variant,
+            witness=witness,
+        )
 
     @property
     def key(self) -> str:
@@ -179,8 +196,7 @@ def _exchange_box() -> Box:
     return enumerate_deterministic()[83].as_box()
 
 
-@dataclass(frozen=True)
-class FindingsReport:
+class FindingsReport(Record):
     """Tallies of one fuzz run; aborted is True when an asserted inequality
     failed, and the failing results (with witness boxes) are in witnesses."""
 
@@ -192,6 +208,28 @@ class FindingsReport:
     corrupted: bool
     per_property: dict[str, tuple[int, int, int]]  # key -> (checked, held, violated)
     witnesses: tuple[PropertyResult, ...]
+
+    def __init__(
+        self,
+        family: str,
+        seed: int,
+        samples: int,
+        checked: int,
+        aborted: bool,
+        corrupted: bool,
+        per_property: dict[str, tuple[int, int, int]],
+        witnesses: tuple[PropertyResult, ...],
+    ) -> None:
+        self.__dict__.update(
+            family=family,
+            seed=seed,
+            samples=samples,
+            checked=checked,
+            aborted=aborted,
+            corrupted=corrupted,
+            per_property=per_property,
+            witnesses=witnesses,
+        )
 
     def to_json_obj(self) -> dict:
         per = {

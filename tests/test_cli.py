@@ -563,8 +563,6 @@ class TestInternalError:
     def test_shifted_second_vertex_in_decompose_alt(self, capsys, monkeypatch):
         # The second decomposition is checked like the first: one weight of
         # the second vertex shifted by 1/7 makes it cost 8/7, not 1.
-        import dataclasses
-
         import corrbox.lp as lp
 
         optimal = lp._optimal
@@ -575,7 +573,9 @@ class TestInternalError:
                 return vertex  # the two-phase exit: the first vertex
             point = list(vertex.point)
             point[next(j for j in vertex.basis if point[j] != 0)] += Fraction(1, 7)
-            return dataclasses.replace(vertex, point=tuple(point))
+            return lp.LpSolution(
+                vertex.status, vertex.value, tuple(point), vertex.basis, vertex.certificate
+            )
 
         monkeypatch.setattr(lp, "_optimal", shifted)
         code, out, err = run(capsys, "decompose", "pr", "--alt")
@@ -1419,7 +1419,7 @@ class TestModuleEntryPoint:
 
 
 _IMPORT_PROBE = """
-import io, json, sys
+import dataclasses, io, json, sys
 from contextlib import redirect_stdout
 
 from corrbox import cli
@@ -1435,7 +1435,18 @@ import corrbox
 
 star = {}
 exec("from corrbox import *", star)
+modules = {
+    name: module for name, module in sys.modules.items()
+    if name == "corrbox" or name.startswith("corrbox.")
+}
 print(json.dumps({
+    "modules": sorted(modules),
+    "dataclasses": sorted(
+        f"{name}.{key}" for name, module in modules.items()
+        for key, value in vars(module).items()
+        if isinstance(value, type) and value.__module__ == name
+        and dataclasses.is_dataclass(value)
+    ),
     "codes": codes,
     "loaded": loaded,
     "unbound": sorted(set(corrbox.__all__) - set(star)),
@@ -1447,8 +1458,8 @@ print(json.dumps({
 
 class TestColdStartImports:
     """A one-shot analyze or decompose loads neither corrbox.verify nor csv;
-    the package still binds every name of __all__.  One fresh interpreter
-    runs the probe for every test here."""
+    the package still binds every name of __all__, and no corrbox class is
+    a dataclass.  One fresh interpreter runs the probe for every test here."""
 
     @pytest.fixture(scope="class")
     def probe(self):
@@ -1471,3 +1482,9 @@ class TestColdStartImports:
     def test_package_exports_every_name(self, probe):
         assert probe["unbound"] == [] and probe["missing_from_dir"] == []
         assert probe["fuzz_is_verify_fuzz"] is True
+
+    def test_no_class_is_a_dataclass(self, probe):
+        # Creating a dataclass generates and compiles its methods on every
+        # cold start; the records derive from corrbox._record.Record instead.
+        assert {"corrbox.boxes", "corrbox.cli", "corrbox.verify"} <= set(probe["modules"])
+        assert probe["dataclasses"] == []

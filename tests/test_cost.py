@@ -659,15 +659,15 @@ class TestHullProof:
     def test_decomposition_is_resummed(self, monkeypatch):
         # A weight of the feasible point shifted by 1/7: the decomposition
         # no longer costs the value read from the basic state.
-        import dataclasses
-
         real = lp._feasible
 
         def shifted(*args):
             solution = real(*args)
             point = list(solution.point)
             point[next(j for j in solution.basis if point[j] != 0)] += F(1, 7)
-            return dataclasses.replace(solution, point=tuple(point))
+            return lp.LpSolution(
+                solution.status, solution.value, tuple(point), solution.basis, solution.certificate
+            )
 
         monkeypatch.setattr(lp, "_feasible", shifted)
         message = "decomposition cost disagrees with program value"
