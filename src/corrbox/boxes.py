@@ -25,6 +25,8 @@ import itertools
 import json
 import math
 import operator
+import re
+import sys
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -56,7 +58,9 @@ def exact_fraction(value: object) -> Fraction:
     """value as a Fraction: an int, a Fraction or a rational string such as
     "7/10" or "0.7".  Anything else raises TypeError: floats, whose binary
     expansion is rarely the rational that was meant, and bools.  A string
-    that is no rational, or has a zero denominator, raises ValueError."""
+    that is no rational, has a zero denominator, or whose numerator or
+    denominator would have more than sys.get_int_max_str_digits() digits
+    raises ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
@@ -64,9 +68,52 @@ def exact_fraction(value: object) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"cannot interpret {value!r} as an exact rational")
     try:
+        limit = sys.get_int_max_str_digits()
+        # A string with no exponent and at most limit characters has parts
+        # of at most limit digits.
+        if isinstance(value, str) and limit and (len(value) > limit or "e" in value.lower()):
+            return _bounded_fraction(value, limit)
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+
+
+# The digit runs Fraction reads from a rational string: numerator, then a
+# denominator, or a decimal part and an exponent.
+_RATIONAL_RUNS = re.compile(
+    r"\s*[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*"
+)
+
+
+def _bounded_fraction(value: str, limit: int) -> Fraction:
+    """Fraction(value), refused before Fraction expands it when a digit run
+    or the exponent puts the result past limit digits, and after when its
+    numerator or denominator has more than limit digits."""
+    shown = repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
+    match = _RATIONAL_RUNS.fullmatch(value)
+    if match is not None:
+        num, den, decimal, exp = (run.replace("_", "") if run else "" for run in match.groups())
+        run = max(len(num), len(den), len(decimal))
+        if run > limit:
+            raise ValueError(f"{shown} has a run of {run} digits, more than the limit of {limit}")
+        # m * 10**(e - len(decimal)), for an integer 0 < m < 10**mantissa,
+        # has a numerator or denominator of more than limit digits once
+        # |e| > limit + mantissa.  A zero m is refused too.
+        bound = limit + len(num) + len(decimal)
+        magnitude = exp.lstrip("+-").lstrip("0")
+        if len(magnitude) > len(str(bound)) or int(magnitude or "0") > bound:
+            exp = exp if len(exp) <= 20 else f"of {len(magnitude)} digits"
+            raise ValueError(f"{shown} has the exponent {exp}, past the limit of {limit} digits")
+    result = Fraction(value)
+    for part, n in (("numerator", abs(result.numerator)), ("denominator", result.denominator)):
+        if n.bit_length() > 3 * limit and n >= 10**limit:
+            digits = (n.bit_length() - 1) * 30102 // 100000 + 1  # at most n's digit count
+            while n >= 10**digits:
+                digits += 1
+            raise ValueError(
+                f"{shown} has a {part} of {digits} digits, more than the limit of {limit}"
+            )
+    return result
 
 
 def format_fraction(x: Fraction) -> str:
@@ -254,18 +301,6 @@ class DeterministicBox(Record):
     cost_bits: int
     direction: Direction
 
-    def __init__(
-        self,
-        id: int,
-        out_a: tuple[int, int, int, int],
-        out_b: tuple[int, int, int, int],
-        cost_bits: int,
-        direction: Direction,
-    ) -> None:
-        self.__dict__.update(
-            id=id, out_a=out_a, out_b=out_b, cost_bits=cost_bits, direction=direction
-        )
-
     def as_box(self) -> Box:
         cells = [0] * 16
         for a in range(2):
@@ -346,18 +381,6 @@ class Relabeling(Record):
     flip_b: int
     flip_out_a: tuple[int, int]
     flip_out_b: tuple[int, int]
-
-    def __init__(
-        self,
-        swap: bool,
-        flip_a: int,
-        flip_b: int,
-        flip_out_a: tuple[int, int],
-        flip_out_b: tuple[int, int],
-    ) -> None:
-        self.__dict__.update(
-            swap=swap, flip_a=flip_a, flip_b=flip_b, flip_out_a=flip_out_a, flip_out_b=flip_out_b
-        )
 
     def permutation(self) -> tuple[int, ...]:
         """perm[new_cell] = source_cell in the original box."""

@@ -174,9 +174,6 @@ class Decomposition(Record):
     basis_kind: str
     cost: Fraction
 
-    def __init__(self, weights: dict[int, Fraction], basis_kind: str, cost: Fraction) -> None:
-        self.__dict__.update(weights=weights, basis_kind=basis_kind, cost=cost)
-
     def as_mixture(self) -> Box:
         dets = enumerate_deterministic()
         return mix([(w, dets[i].as_box()) for i, w in sorted(self.weights.items())])

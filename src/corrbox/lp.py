@@ -161,26 +161,15 @@ class LpSolution(Record):
     value: Fraction | None
     point: tuple[Fraction, ...]
     basis: tuple[int, ...] | None
-    certificate: tuple[Fraction, ...] | None
-
-    def __init__(
-        self,
-        status: str,
-        value: Fraction | None,
-        point: tuple[Fraction, ...],
-        basis: tuple[int, ...] | None,
-        certificate: tuple[Fraction, ...] | None = None,
-    ) -> None:
-        self.__dict__.update(
-            status=status, value=value, point=point, basis=basis, certificate=certificate
-        )
+    certificate: tuple[Fraction, ...] | None = None
 
 
 class _Prepared(Record):
     """Integerized column system, reusable across solves with varying rhs.
     Its arrays are read-only: one is cached per basis, and an engine's
     running objective is cost_vec or phase1_cost itself, each an array over
-    the n structural then m artificial columns in the path's dtype."""
+    the n structural then m artificial columns in the path's dtype.  A system
+    equals only itself, so a record holding one compares by its fields."""
 
     m: int
     n: int
@@ -193,6 +182,9 @@ class _Prepared(Record):
     dtype: type  # np.int64 on the int64 path, else object (Python integers)
     col_rows: tuple[tuple[tuple[int, int], ...], ...]  # each column's (row, entry) != 0
     nonneg_rows: tuple[bool, ...]  # rows whose row-scaled entries are all >= 0
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def int_mode(self) -> bool:

@@ -85,26 +85,8 @@ class PropertyResult(Record):
     holds: bool
     slack: Fraction
     strictness: str  # "asserted" or "observed"
-    variant: str | None
-    witness: Box | None
-
-    def __init__(
-        self,
-        property_id: str,
-        holds: bool,
-        slack: Fraction,
-        strictness: str,
-        variant: str | None = None,
-        witness: Box | None = None,
-    ) -> None:
-        self.__dict__.update(
-            property_id=property_id,
-            holds=holds,
-            slack=slack,
-            strictness=strictness,
-            variant=variant,
-            witness=witness,
-        )
+    variant: str | None = None
+    witness: Box | None = None
 
     @property
     def key(self) -> str:
@@ -208,28 +190,6 @@ class FindingsReport(Record):
     corrupted: bool
     per_property: dict[str, tuple[int, int, int]]  # key -> (checked, held, violated)
     witnesses: tuple[PropertyResult, ...]
-
-    def __init__(
-        self,
-        family: str,
-        seed: int,
-        samples: int,
-        checked: int,
-        aborted: bool,
-        corrupted: bool,
-        per_property: dict[str, tuple[int, int, int]],
-        witnesses: tuple[PropertyResult, ...],
-    ) -> None:
-        self.__dict__.update(
-            family=family,
-            seed=seed,
-            samples=samples,
-            checked=checked,
-            aborted=aborted,
-            corrupted=corrupted,
-            per_property=per_property,
-            witnesses=witnesses,
-        )
 
     def to_json_obj(self) -> dict:
         per = {

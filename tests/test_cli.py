@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import corrbox
 import corrbox.cli as cli
-from corrbox.boxes import box_from_json_obj, box_to_json_obj, format_fraction
+from corrbox.boxes import box_from_json_obj, box_to_json_obj, exact_fraction, format_fraction
 from corrbox.cli import _json_text, main
 from corrbox.cost import BASIS_KINDS, communication_cost
 from corrbox.generators import (
@@ -283,6 +283,39 @@ class TestBoxFileErrors:
         code, out, err = run(capsys, "analyze", str(path))
         expected = f"error: box file {str(path)!r} holds an integer of more than {digits} digits\n"
         assert (code, out, err) == (2, "", expected)
+
+
+class TestOversizedNumbers:
+    """A rational string whose numerator or denominator would pass Python's
+    digit limit is an input error, refused before a large exponent is
+    expanded: exit 2, one error line naming the limit."""
+
+    DECIMAL = "0." + "3" * 5000
+
+    def check(self, code, out, err):
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"limit of {sys.get_int_max_str_digits()}" in err
+
+    @pytest.mark.parametrize(
+        "v",
+        ["1e-5000", "1e5000", "1e-10000000", DECIMAL],
+        ids=["1e-5000", "1e5000", "1e-10000000", "decimal"],
+    )
+    def test_parameter(self, capsys, v):
+        self.check(*run(capsys, "analyze", "isotropic", "--v", v))
+
+    @pytest.mark.parametrize("entry", ["1e-5000", DECIMAL], ids=["1e-5000", "decimal"])
+    def test_box_entry(self, capsys, tmp_path, entry):
+        columns = [[entry, 0, 0, 0]] + [TestBoxFileErrors.COLUMN] * 3
+        code, out, err = TestBoxFileErrors().analyze_file(capsys, tmp_path, columns)
+        self.check(code, out, err)
+        assert err.startswith("error: box entry 0: ")
+
+    def test_reduced_size_decides(self):
+        # 1000e-4300 is 1/10**4297: Fraction builds a 4301-digit
+        # denominator, but the reduced one is under the limit.
+        assert exact_fraction("1000e-4300") == Fraction(1, 10**4297)
 
 
 class TestOneSolvePerBox:

@@ -3,6 +3,7 @@ whose equality, hash and repr go by their fields, in order."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
@@ -79,7 +80,7 @@ RECORDS = [
     pytest.param(
         lambda: lp._Prepared(**{name: getattr(PREP, name) for name in PREPARED_FIELDS}),
         PREPARED_FIELDS,
-        "unhashable",
+        "identity",
         id="_Prepared",
     ),
     pytest.param(
@@ -92,7 +93,7 @@ RECORDS = [
         id="CostReport",
     ),
     pytest.param(
-        lambda: cost._CostSystem(prep=PREP, ids=(0, 1)), ("prep", "ids"), "unhashable",
+        lambda: cost._CostSystem(prep=PREP, ids=(0, 1)), ("prep", "ids"), "fields",
         id="_CostSystem",
     ),
     pytest.param(lambda: FamilySpec("general", 7), ("kind", "seed"), "fields", id="FamilySpec"),
@@ -166,6 +167,13 @@ def test_a_record_equals_only_its_own_class():
     assert analysis != (PR, F(1))
 
 
+def test_systems_prepared_apart_are_unequal():
+    # Equal arrays would make == ask numpy for the truth of an array.
+    again = lp._prepare_int01(np.array([[1, 0], [0, 1]], dtype=np.int64), [1, 2])
+    assert PREP != again and PREP == PREP
+    assert cost._CostSystem(PREP, (0, 1)) != cost._CostSystem(again, (0, 1))
+
+
 def test_defaults():
     assert LpSolution("infeasible", None, (), None).certificate is None
     result = PropertyResult("S_LE_C", True, F(0), "asserted")
@@ -210,3 +218,27 @@ def test_the_shared_constructor_takes_each_field_once(args, kwargs):
     with pytest.raises(TypeError, match="^_CostSystem"):
         cost._CostSystem(*args, **kwargs)
     assert cost._CostSystem(PREP, ids=(0, 1)) == cost._CostSystem(PREP, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        (("S_LE_C", True, F(0)), {}),
+        (("S_LE_C", True, F(0), "asserted"), {"holds": True}),
+        (("S_LE_C", True, F(0), "asserted"), {"witnes": PR}),
+        (("S_LE_C", True, F(0), "asserted", None, PR, None), {}),
+    ],
+    ids=["missing", "twice", "unknown", "extra"],
+)
+def test_the_shared_constructor_fills_defaults_once(args, kwargs):
+    # The shared constructor's wording, with the defaults shown.
+    fields = "property_id, holds, slack, strictness, variant=None, witness=None"
+    message = "^" + re.escape(f"PropertyResult() takes the fields {fields}") + "$"
+    with pytest.raises(TypeError, match=message):
+        PropertyResult(*args, **kwargs)
+    bare = PropertyResult("S_LE_C", True, F(0), "asserted")
+    assert bare == PropertyResult("S_LE_C", True, F(0), "asserted", None, None)
+    assert bare == PropertyResult(
+        property_id="S_LE_C", holds=True, slack=F(0), strictness="asserted", witness=None
+    )
+    assert vars(bare) == vars(PropertyResult("S_LE_C", True, F(0), "asserted", variant=None))
