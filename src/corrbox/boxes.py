@@ -25,7 +25,6 @@ import itertools
 import json
 import math
 import operator
-import re
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -68,7 +67,8 @@ def exact_fraction(value: object) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"cannot interpret {value!r} as an exact rational")
     try:
-        limit = sys.get_int_max_str_digits()
+        # Pythons before 3.10.7 have no digit limit.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         # A string with no exponent and at most limit characters has parts
         # of at most limit digits.
         if isinstance(value, str) and limit and (len(value) > limit or "e" in value.lower()):
@@ -78,41 +78,37 @@ def exact_fraction(value: object) -> Fraction:
         raise ValueError(f"zero denominator in {value!r}") from None
 
 
-# The digit runs Fraction reads from a rational string: numerator, then a
-# denominator, or a decimal part and an exponent.
-_RATIONAL_RUNS = re.compile(
-    r"\s*[-+]?([\d_]*)(?:\s*/\s*([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*"
-)
+_ZERO_DIGITS = str.maketrans("123456789", "000000000")
 
 
 def _bounded_fraction(value: str, limit: int) -> Fraction:
-    """Fraction(value), refused before Fraction expands it when a digit run
-    or the exponent puts the result past limit digits, and after when its
-    numerator or denominator has more than limit digits."""
+    """Fraction(value), refused when a digit run, the numerator or the
+    denominator has more than limit digits.  An exponent that would take a
+    part past limit digits is refused before Fraction expands it, unless
+    the mantissa is zero."""
     shown = repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
-    match = _RATIONAL_RUNS.fullmatch(value)
-    if match is not None:
-        num, den, decimal, exp = (run.replace("_", "") if run else "" for run in match.groups())
-        run = max(len(num), len(den), len(decimal))
-        if run > limit:
-            raise ValueError(f"{shown} has a run of {run} digits, more than the limit of {limit}")
-        # m * 10**(e - len(decimal)), for an integer 0 < m < 10**mantissa,
-        # has a numerator or denominator of more than limit digits once
-        # |e| > limit + mantissa.  A zero m is refused too.
-        bound = limit + len(num) + len(decimal)
-        magnitude = exp.lstrip("+-").lstrip("0")
-        if len(magnitude) > len(str(bound)) or int(magnitude or "0") > bound:
-            exp = exp if len(exp) <= 20 else f"of {len(magnitude)} digits"
-            raise ValueError(f"{shown} has the exponent {exp}, past the limit of {limit} digits")
+    mantissa, e, exp = value.lower().partition("e")
+    run = max(sum(map(str.isdecimal, part)) for part in (*mantissa.replace("/", ".").split("."), exp))
+    if run > limit:
+        raise ValueError(f"{shown} has a run of {run} digits, more than the limit of {limit}")
+    try:
+        shift = abs(int(exp)) if e else 0
+    except ValueError:  # no exponent: Fraction refuses the literal below
+        shift = 0
+    # A nonzero mantissa m times 10**exp has a part of more than limit
+    # digits once |exp| > limit + the digits of m.
+    if shift > limit + len(mantissa):
+        try:  # the same literal with exponent 0, which Fraction reads at once
+            zero = not Fraction(mantissa + e + exp.translate(_ZERO_DIGITS))
+        except ValueError:
+            raise ValueError(f"Invalid literal for Fraction: {value!r}") from None
+        if zero:
+            return Fraction(0)
+        raise ValueError(f"{shown} has an exponent past the limit of {limit} digits")
     result = Fraction(value)
-    for part, n in (("numerator", abs(result.numerator)), ("denominator", result.denominator)):
-        if n.bit_length() > 3 * limit and n >= 10**limit:
-            digits = (n.bit_length() - 1) * 30102 // 100000 + 1  # at most n's digit count
-            while n >= 10**digits:
-                digits += 1
-            raise ValueError(
-                f"{shown} has a {part} of {digits} digits, more than the limit of {limit}"
-            )
+    for part, n in (("numerator", result.numerator), ("denominator", result.denominator)):
+        if abs(n) >= 10**limit:
+            raise ValueError(f"{shown} has a {part} of more than the limit of {limit} digits")
     return result
 
 

@@ -317,6 +317,14 @@ class TestOversizedNumbers:
         # denominator, but the reduced one is under the limit.
         assert exact_fraction("1000e-4300") == Fraction(1, 10**4297)
 
+    @pytest.mark.parametrize("zero", ["0e-5000", "0e-10000000", "0.0e5000", "-00.0E+10000000"])
+    def test_a_zero_mantissa_is_zero(self, zero):
+        assert exact_fraction(zero) == 0
+
+    def test_no_limit_before_python_3_10_7(self, monkeypatch):
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert exact_fraction("1e-5000") == Fraction(1, 10**5000)
+
 
 class TestOneSolvePerBox:
     """Commands that need a box's cost and a decomposition solve it once."""
