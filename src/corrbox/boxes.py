@@ -88,7 +88,8 @@ def _bounded_fraction(value: str, limit: int) -> Fraction:
     the mantissa is zero."""
     shown = repr(value) if len(value) <= 40 else f"{value[:20]!r}... ({len(value)} characters)"
     mantissa, e, exp = value.lower().partition("e")
-    run = max(sum(map(str.isdecimal, part)) for part in (*mantissa.replace("/", ".").split("."), exp))
+    runs = (*mantissa.replace("/", ".").split("."), exp)
+    run = max(sum(map(str.isdecimal, part)) for part in runs)
     if run > limit:
         raise ValueError(f"{shown} has a run of {run} digits, more than the limit of {limit}")
     try:
