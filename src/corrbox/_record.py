@@ -20,8 +20,9 @@ Relabeling by position.  So a record keeps its own __init__, storing its
 fields in self.__dict__, only if it checks its input (Box, MixingTable,
 LinearProgram, FamilySpec) or is built for every reported box (Analysis,
 CostReport and the three measure reports).  The others take the shared one:
-the 256 DeterministicBox and 128 Relabeling records are built once per
-process for cached tables; an LpSolution and a Decomposition once per
+the 256 DeterministicBox records are built once per process, by position,
+from the rows of boxes._strategy_table, and the 128 Relabeling records once
+for the relabeling group; an LpSolution and a Decomposition once per
 analyze or decompose solve and 5 times per fuzz command; a FindingsReport
 once per fuzz command; a PropertyResult 56 times per repro and 11 times per
 fuzz box with a failing row.  Together that is about 0.5 ms of a cold start

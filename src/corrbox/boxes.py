@@ -288,8 +288,9 @@ class DeterministicBox(Record):
     """A deterministic strategy: output tables over the four settings.
 
     out_a[k] and out_b[k] give the outputs at setting k = 2*a + b.  The id
-    packs both tables as 16 * value(out_a) + value(out_b), where value() reads
-    the table as a 4-bit number with setting (0,0) in the most significant bit.
+    reads the eight bits out_a then out_b, most significant first, as one
+    number, so 16 * value(out_a) + value(out_b); _strategy_id is that packing
+    and _strategy_table its inverse, the one place either is written.
     """
 
     id: int
@@ -299,58 +300,64 @@ class DeterministicBox(Record):
     direction: Direction
 
     def as_box(self) -> Box:
-        cells = [0] * 16
-        for a in range(2):
-            for b in range(2):
-                k = 2 * a + b
-                cells[cell_index(a, b, self.out_a[k], self.out_b[k])] = 1
-        return Box.from_numerators(cells, 1)
+        """The strategy's box: its row of the strategy table's numerators."""
+        return Box.from_numerators(_strategy_table()[1][self.id].tolist(), 1)
 
 
-def _classify_tables(
-    out_a: tuple[int, int, int, int], out_b: tuple[int, int, int, int]
-) -> tuple[int, Direction]:
-    a_depends_on_b = out_a[0] != out_a[1] or out_a[2] != out_a[3]
-    b_depends_on_a = out_b[0] != out_b[2] or out_b[1] != out_b[3]
-    cost = int(a_depends_on_b) + int(b_depends_on_a)
-    if a_depends_on_b and b_depends_on_a:
-        direction = Direction.BOTH
-    elif b_depends_on_a:
-        direction = Direction.A_TO_B
-    elif a_depends_on_b:
-        direction = Direction.B_TO_A
-    else:
-        direction = Direction.NONE
-    return cost, direction
+# The direction of each strategy table code 2 * (A reads b) + (B reads a).
+_DIRECTIONS = (Direction.NONE, Direction.A_TO_B, Direction.B_TO_A, Direction.BOTH)
+
+
+def _strategy_id(out_a: Sequence[int], out_b: Sequence[int]) -> int:
+    """The id of the strategy with these output tables."""
+    value = 0
+    for bit in (*out_a, *out_b):
+        value = 2 * value + bit
+    return value
+
+
+@lru_cache(maxsize=1)
+def _strategy_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The 256 deterministic strategies by id, as four read-only int64
+    arrays, the one place a strategy's cells, cost and direction are worked
+    out.  Row j of tables holds j's eight bits, most significant first: out_a
+    then out_b.  Row j of nums is its box as numerators over 1, with a 1 in
+    cell 4k + 2 out_a[k] + out_b[k] of each setting k.  bits[j] counts the
+    parties whose output reads the other's setting, and codes[j] indexes
+    _DIRECTIONS by which ones do.  The arrays are cached and shared, so they
+    cannot be written."""
+    tables = (np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1
+    out_a, out_b = tables[:, :4], tables[:, 4:]
+    nums = np.zeros((256, 16), dtype=np.int64)
+    np.put_along_axis(nums, 4 * np.arange(4) + 2 * out_a + out_b, 1, axis=1)
+    # A reads b when its output changes with b at some a; B reads a likewise.
+    a_reads = (out_a[:, [0, 2]] != out_a[:, [1, 3]]).any(axis=1)
+    b_reads = (out_b[:, [0, 1]] != out_b[:, [2, 3]]).any(axis=1)
+    bits = a_reads.astype(np.int64) + b_reads
+    codes = 2 * a_reads + b_reads
+    for array in (tables, nums, bits, codes):
+        array.setflags(write=False)
+    return tables, nums, bits, codes
 
 
 def classify(d: DeterministicBox) -> tuple[int, Direction]:
-    """Communication bits and direction needed by a strategy's output tables."""
-    return _classify_tables(d.out_a, d.out_b)
-
-
-def _table_bits(value: int) -> tuple[int, int, int, int]:
-    return ((value >> 3) & 1, (value >> 2) & 1, (value >> 1) & 1, value & 1)
+    """Communication bits and direction needed by a strategy's output tables:
+    their row of the strategy table."""
+    _, _, bits, codes = _strategy_table()
+    j = _strategy_id(d.out_a, d.out_b)
+    return int(bits[j]), _DIRECTIONS[codes[j]]
 
 
 @lru_cache(maxsize=1)
 def enumerate_deterministic() -> tuple[DeterministicBox, ...]:
-    """All 256 deterministic strategies, indexed by id."""
-    tables = [_table_bits(value) for value in range(16)]
-    out = []
-    for fa, out_a in enumerate(tables):
-        for gb, out_b in enumerate(tables):
-            cost, direction = _classify_tables(out_a, out_b)
-            out.append(
-                DeterministicBox(
-                    id=16 * fa + gb,
-                    out_a=out_a,
-                    out_b=out_b,
-                    cost_bits=cost,
-                    direction=direction,
-                )
-            )
-    return tuple(out)
+    """All 256 deterministic strategies, indexed by id: the strategy table's
+    rows as records."""
+    tables, _, bits, codes = _strategy_table()
+    rows = zip(tables.tolist(), bits.tolist(), codes.tolist())
+    return tuple(
+        DeterministicBox(j, tuple(row[:4]), tuple(row[4:]), cost, _DIRECTIONS[code])
+        for j, (row, cost, code) in enumerate(rows)
+    )
 
 
 def is_no_signaling(box: Box) -> bool:

@@ -49,7 +49,14 @@ import numpy as np
 
 from . import lp
 from ._record import Record
-from .boxes import Box, _group_by_permutation, enumerate_deterministic, format_fraction, mix
+from .boxes import (
+    Box,
+    _group_by_permutation,
+    _strategy_table,
+    enumerate_deterministic,
+    format_fraction,
+    mix,
+)
 from .generators import canonical_det_ids
 from .measures import Analysis, _signed_pattern
 
@@ -97,18 +104,12 @@ def _normalized(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
 def _strategies() -> tuple[np.ndarray, np.ndarray]:
-    """The 256 deterministic boxes as int64 rows of numerators over 1, by id,
-    and their costs in bits.  The rows are one scatter from the strategies'
-    output tables: row j holds a 1 in cell 4k + 2 out_a[k] + out_b[k] of each
-    setting k, where DeterministicBox.as_box puts it, and 0 elsewhere."""
-    dets = enumerate_deterministic()
-    tables = np.array([d.out_a + d.out_b for d in dets])
-    cells = 4 * np.arange(4) + 2 * tables[:, :4] + tables[:, 4:]
-    nums = np.zeros((len(dets), 16), dtype=np.int64)
-    np.put_along_axis(nums, cells, 1, axis=1)
-    return nums, np.array([d.cost_bits for d in dets], dtype=np.int64)
+    """The 256 deterministic boxes as read-only int64 rows of numerators
+    over 1, by id, and their costs in bits: boxes._strategy_table, which
+    places each strategy's cells and works out its cost."""
+    _, nums, bits, _ = _strategy_table()
+    return nums, bits
 
 
 @lru_cache(maxsize=1)
@@ -168,7 +169,8 @@ def _cost_numerator(box: Box) -> int:
 class Decomposition(Record):
     """Convex combination of deterministic boxes, keyed by strategy id.
 
-    weights holds only nonzero entries; cost is the weighted bit count."""
+    weights holds only nonzero entries, by the id of boxes.DeterministicBox;
+    cost is the weighted bit count."""
 
     weights: dict[int, Fraction]
     basis_kind: str

@@ -28,6 +28,7 @@ from .boxes import (
     Box,
     DeterministicBox,
     MixingTable,
+    _strategy_id,
     enumerate_deterministic,
     exact_fraction,
     mix_ints,
@@ -74,22 +75,10 @@ def canonical_names() -> tuple[str, ...]:
     return tuple(_NAMED_TABLES) + _DERIVED_NAMES
 
 
-def _det_for_tables(
-    out_a: tuple[int, int, int, int], out_b: tuple[int, int, int, int]
-) -> DeterministicBox:
-    f_val = 8 * out_a[0] + 4 * out_a[1] + 2 * out_a[2] + out_a[3]
-    g_val = 8 * out_b[0] + 4 * out_b[1] + 2 * out_b[2] + out_b[3]
-    det = enumerate_deterministic()[16 * f_val + g_val]
-    assert det.out_a == out_a and det.out_b == out_b
-    return det
-
-
 @lru_cache(maxsize=1)
 def canonical_det_ids() -> tuple[int, ...]:
     """Strategy ids of the 16 named deterministic boxes, in name order."""
-    return tuple(
-        _det_for_tables(out_a, out_b).id for out_a, out_b in _NAMED_TABLES.values()
-    )
+    return tuple(_strategy_id(out_a, out_b) for out_a, out_b in _NAMED_TABLES.values())
 
 
 def canonical_deterministic(name: str) -> DeterministicBox:
@@ -99,7 +88,7 @@ def canonical_deterministic(name: str) -> DeterministicBox:
         out_a, out_b = _NAMED_TABLES[name]
     except KeyError:
         raise UnknownName(f"no deterministic box named {name!r}") from None
-    return _det_for_tables(out_a, out_b)
+    return enumerate_deterministic()[_strategy_id(out_a, out_b)]
 
 
 @lru_cache(maxsize=None)

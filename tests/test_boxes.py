@@ -30,10 +30,14 @@ from corrbox.boxes import (
     relabel,
     relabeling_group,
 )
+from corrbox import cost
 from corrbox.generators import (
+    _NAMED_TABLES,
     FamilySpec,
     _mixture_table,
     canonical,
+    canonical_det_ids,
+    canonical_deterministic,
     canonical_names,
     isotropic,
     no_signaling_vertices,
@@ -402,6 +406,43 @@ class TestDeterministic:
     def test_local_iff_no_signaling(self):
         for det in enumerate_deterministic():
             assert is_no_signaling(det.as_box()) == (det.cost_bits == 0), f"id {det.id}"
+
+    def test_strategy_table_from_the_definition(self):
+        # An independent reference for the one strategy table that as_box,
+        # the records, classify, the cost programs and the named boxes read.
+        by_reads = {
+            (False, False): Direction.NONE,
+            (False, True): Direction.A_TO_B,
+            (True, False): Direction.B_TO_A,
+            (True, True): Direction.BOTH,
+        }
+        expected = []
+        for j in range(256):
+            bits = [(j >> (7 - i)) & 1 for i in range(8)]
+            out_a, out_b = tuple(bits[:4]), tuple(bits[4:])
+            cells = [0] * 16
+            for a in range(2):
+                for b in range(2):
+                    cells[cell_index(a, b, out_a[2 * a + b], out_b[2 * a + b])] = 1
+            a_reads = any(out_a[2 * a] != out_a[2 * a + 1] for a in range(2))
+            b_reads = any(out_b[b] != out_b[2 + b] for b in range(2))
+            cost_bits = int(a_reads) + int(b_reads)
+            expected.append((out_a, out_b, tuple(cells), cost_bits, by_reads[a_reads, b_reads]))
+
+        nums, costs = cost._strategies()
+        assert list(map(tuple, nums.tolist())) == [row[2] for row in expected]
+        assert costs.tolist() == [row[3] for row in expected]
+        for det, row in zip(enumerate_deterministic(), expected, strict=True):
+            box = det.as_box()
+            assert (det.out_a, det.out_b, box.num, det.cost_bits, det.direction) == row
+            assert box.den == 1
+            assert classify(det) == row[3:], det.id
+
+        ids = {(row[0], row[1]): j for j, row in enumerate(expected)}
+        for name, tables in _NAMED_TABLES.items():
+            det = canonical_deterministic(name)
+            assert (det.out_a, det.out_b) == tables, name
+        assert canonical_det_ids() == tuple(ids[tables] for tables in _NAMED_TABLES.values())
 
 
 class TestRelabelingGroup:

@@ -247,6 +247,11 @@ class TestBoxFileErrors:
         )
         assert (code, out, err) == (2, "", expected)
 
+    def test_short_column(self, capsys, tmp_path):
+        columns = [self.COLUMN] * 3 + [["1/2", "1/2"]]
+        code, out, err = self.analyze_file(capsys, tmp_path, columns)
+        assert (code, out, err) == (2, "", "error: each setting column needs 4 outcome entries\n")
+
     def test_zero_denominator(self, capsys, tmp_path):
         columns = [["1/0", 0, 0, 0]] + [self.COLUMN] * 3
         code, out, err = self.analyze_file(capsys, tmp_path, columns)
@@ -299,8 +304,8 @@ class TestOversizedNumbers:
 
     @pytest.mark.parametrize(
         "v",
-        ["1e-5000", "1e5000", "1e-10000000", DECIMAL],
-        ids=["1e-5000", "1e5000", "1e-10000000", "decimal"],
+        ["1e-5000", "1e5000", "1e-10000000", DECIMAL, "1e4300", "1e-4300"],
+        ids=["1e-5000", "1e5000", "1e-10000000", "decimal", "1e4300", "1e-4300"],
     )
     def test_parameter(self, capsys, v):
         self.check(*run(capsys, "analyze", "isotropic", "--v", v))

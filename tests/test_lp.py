@@ -15,9 +15,9 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 import corrbox.lp as lp
-from corrbox.boxes import box_to_json_obj, enumerate_deterministic, mix_ints
+from corrbox.boxes import _strategy_table, box_to_json_obj, enumerate_deterministic, mix_ints
 from corrbox.cli import main
-from corrbox.cost import NotInHull, _system_for, optimal_decompositions
+from corrbox.cost import NotInHull, _strategies, _system_for, optimal_decompositions
 from corrbox.generators import FamilySpec, canonical, draw, no_signaling_vertices
 from corrbox.lp import DimensionMismatch, LinearProgram, LpSolution, solve
 
@@ -840,6 +840,17 @@ class TestLoopContract:
                 assert (len(args) == 2) == (caller == "reoptimize"), caller
                 if caller == "run_two_phase":
                     assert isinstance(args[0], np.ndarray)
+
+
+class TestReadOnlyStrategies:
+    """The strategy table is cached, and the dual-vertex table and both cost
+    systems are built from it: no entry of its arrays can be written."""
+
+    def test_every_entry(self):
+        for array in (*_strategies(), *_strategy_table()):
+            for index in np.ndindex(array.shape):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[index] = 0
 
 
 class TestReadOnlyPrepared:
