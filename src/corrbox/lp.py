@@ -10,50 +10,54 @@ certificate, an optimal one certificate=None.
 Arithmetic path, fixed at prepare time.  A system with 0/1 matrix entries, at
 most 16 rows and integer costs of at most 2**20 (the deterministic-strategy
 systems this package solves) runs on int64 numpy kernels; anything else runs
-on arbitrary-precision Python integers.  The int64 path cannot overflow:
+on arbitrary-precision Python integers.  The int64 path cannot overflow
+while every objective it carries, reoptimize's included, has |c| <= 2**20:
 every basis matrix of such a system is 0/1 (structural or artificial
 columns).  By Hadamard's bound, (k + 1)**((k + 1) / 2) / 2**k for a k x k
 0/1 matrix, each adjugate entry (a 15 x 15 minor) is at most 2**17, and
 delta, each w_i and each M_r a_j (16 x 16 determinants, by Cramer's rule)
-are at most 438870 < 2**18.75.  So each product of the pivot kernel below,
-delta' M_i and w_i M_p, is below 2**18.75 * 2**17 < 2**36.  Pricing sums at
-most 16 terms per entry: |yhat| <= 16 * 2**20 * 2**17 = 2**41 for
-yhat = c_B M, and |D| < 16 * 2**41 + 2**20 * 2**18.75 < 2**46 for
-D = c delta - A^T yhat, partial sums included; each final D_k, a 17 x 17
+are at most 438870 < 2**18.75.  The top row below holds yhat = c_B M, 16
+terms: |yhat| <= 16 * 2**20 * 2**17 = 2**41; each D_j, a 17 x 17
 determinant with one row of costs, is below 17 * 2**20 * 2**18.75 < 2**43.
-Every kernel value stays far below 2**63.
+So each product of the pivot update is below 2**18.75 * 2**17 < 2**36 in
+M's rows, and in the top row below 2**18.75 * 2**41 = 2**59.75 (delta' yhat)
+and 2**43 * 2**17 = 2**60 (D_j M_p), whose difference is below 2**61.
+Pricing sums delta c_k < 2**39 and at most 16 terms below 2**41 per entry:
+partial sums below 2**46.  Every kernel value stays below 2**63.
 
-Update rule per pivot (entering column j, pivot row p, w = M a_j, s the sign
-of w_p):
-    delta' = |w_p|,  M'_p = s M_p,    M'_i = (|w_p| M_i - s w_i M_p) / delta
+Update rule per pivot on the bordered adjugate T = [[delta, -yhat], [0, M]],
+yhat = c_B M for the running objective c (entering column j, row p of M and
+P = p + 1 of T, v = T [c_j; a_j] = [D_j; w], s the sign of w_p, i != P):
+    delta' = |w_p|,  T'_P = s T_P,    T'_i = (|w_p| T_i - s v_i T_P) / delta
                      xi'_p = s xi_p,  xi'_i = (|w_p| xi_i - s w_i xi_p) / delta
-The sign s keeps delta positive: negating M, delta and xi together changes
+The sign s keeps delta positive: negating T, delta and xi together changes
 no ratio, so every sign test reads the integers directly.  Each division is
-exact (Sylvester's identity: the entries of M and xi are minors of the basis
-matrix bordered by a column); the solver asserts zero remainders on both,
-which doubles as an overflow trip-wire.  At delta = 1 the divisions are
-skipped, since dividing by 1 changes nothing and leaves no remainder to
-test: that is every pivot of the chsh16 program measured on hull boxes, and
-about a sixth of the full256 program's on general boxes.  An xi row with
-w_i = 0 is unchanged when |w_p| = delta, and is skipped.
+exact (Sylvester's identity: the entries of T and xi are minors of the basis
+matrix bordered by a column, the top row's by the cost row too); the solver
+asserts zero remainders on every row, an overflow trip-wire as well.  At
+delta = 1 the divisions are skipped, since dividing by 1 leaves no remainder
+to test: every pivot of the chsh16 program measured on hull boxes, and about
+a sixth of the full256 program's on general boxes.  An xi row with w_i = 0
+is unchanged when |w_p| = delta, and is skipped.
 
 Pricing.  No reduced-cost row is carried between pivots: each iteration
-prices from the basis, yhat = c_B M and D = c delta - A^T yhat for the
-running loop's objective c, one array over the n structural and m artificial
-columns.  Phase 1 is an ordinary objective, n zeros then m ones, and phase
-2's is the program's costs then m zeros (Maros, Computational Techniques of
-the Simplex Method, 2003).  A loop gathers c_B = c[basis] once, and _pivot
-updates it one entry at a time.  No division enters, and D depends on the
-basis alone.  A loop prices only the columns that may enter, its candidate
-list: the presolve's free columns (below), every column when it fixes none,
-or the columns a reoptimization passes; partial pricing in Maros's sense.
-Every column set is an ascending index array; its matrix columns are
-gathered once per engine when the presolve fixes columns, and once per
-reoptimization, so no pricing call gathers columns.  The least index still
-wins every tie under Dantzig's rule and Bland's, and every pivot is the one
-that pricing all columns and zeroing the others would take.  The checks of a
-result (the basis-dual check, the lifted certificate below, the Farkas
-vector) still price every column.
+prices the columns that may enter with one product of T's top row and their
+stacked costs and columns, [delta, -yhat] [c; A] = c delta - yhat A, and
+takes the entering column T [c_j; a_j] from the same stack.  Phase 1 is an
+ordinary objective, n zeros then m ones, and phase 2's is the program's costs
+then m zeros (Maros, Computational Techniques of the Simplex Method, 2003).
+A loop sets the top row from c_B = c[basis] at its entry, where the
+objective changes, and the pivots keep it.  Pricing divides nothing, and D
+depends on the basis alone.  A loop prices only the columns that may enter,
+its candidate list: the presolve's free columns (below), every column when
+it fixes none, or the columns a reoptimization passes; partial pricing in
+Maros's sense.  Every column set is an ascending index array, stacked once
+per engine when the presolve fixes columns and once per reoptimization, so
+no pricing call gathers columns.  The least index still wins every tie under
+Dantzig's rule and Bland's, and every pivot is the one that pricing all
+columns and zeroing the others would take.  The checks of a result (the
+basis-dual check, the lifted certificate below, the Farkas vector)
+recompute c_B M from the basis and price every column.
 
 The engine reads the right-hand side b as integer numerators over one
 positive denominator (a box's own form; solve converts a LinearProgram's
@@ -168,8 +172,8 @@ class _Prepared(Record):
     """Integerized column system, reusable across solves with varying rhs.
     Its arrays are read-only: one is cached per basis, and an engine's
     running objective is cost_vec or phase1_cost itself, each an array over
-    the n structural then m artificial columns in the path's dtype.  A system
-    equals only itself, so a record holding one compares by its fields."""
+    the n + m columns in the path's dtype, priced through the matching stack.
+    A system equals only itself, so a record holding one compares by its fields."""
 
     m: int
     n: int
@@ -177,6 +181,8 @@ class _Prepared(Record):
     col_cost: list[int]  # Python integers: value() multiplies them by unbounded xi
     cost_vec: np.ndarray  # phase 2's objective: col_cost, then m zeros
     phase1_cost: np.ndarray  # phase 1's objective: n zeros, then m ones
+    cost_stack: np.ndarray  # (m + 1, n): col_cost on a_int
+    phase1_stack: np.ndarray  # (m + 1, n): n zeros on a_int
     cost_den: int
     row_scale: tuple[int, ...]
     dtype: type  # np.int64 on the int64 path, else object (Python integers)
@@ -214,13 +220,15 @@ def _prepared(
         col_cost=col_cost,
         cost_vec=np.array(col_cost + [0] * m, dtype=dtype),
         phase1_cost=np.array([0] * n + [1] * m, dtype=dtype),
+        cost_stack=np.vstack((np.array(col_cost, dtype=dtype), a.astype(dtype))),
+        phase1_stack=np.vstack((np.zeros(n, dtype=dtype), a.astype(dtype))),
         cost_den=cost_den,
         row_scale=tuple(row_scale),
         dtype=dtype,
         col_rows=tuple(map(tuple, col_rows)),
         nonneg_rows=tuple((a >= 0).all(axis=1).tolist()),
     )
-    for array in (prep.a_int, prep.cost_vec, prep.phase1_cost):
+    for array in (prep.a_int, prep.cost_vec, prep.phase1_cost, prep.cost_stack, prep.phase1_stack):
         array.setflags(write=False)
     return prep
 
@@ -290,11 +298,11 @@ class _Engine:
         if any(v < 0 for v in self.b_num):
             raise ValueError("rhs negative after row scaling")
         self.basis = [prep.n + i for i in range(prep.m)]  # artificials first
-        # The running objective (phase 1's until a loop sets another) and a
-        # copy of its basic costs c_B, which _pivot keeps one entry at a time.
+        # The running objective, phase 1's until a loop sets another, and
+        # the bordered adjugate [[delta, -c_B M], [0, M]] for it.
         self.objective = prep.phase1_cost
-        self.cost_b = self.objective[self.basis]
-        self.mat = np.eye(prep.m, dtype=prep.dtype)
+        self.adj = np.eye(prep.m + 1, dtype=prep.dtype)
+        self.adj[0, 1:], self.mat = -1, self.adj[1:, 1:]  # M: a view into adj
         self.delta = 1
         self.xi = list(self.b_num)  # M @ b_num, exact Python ints
         self.inert = [False] * prep.m  # redundant rows, permanently zero
@@ -303,29 +311,30 @@ class _Engine:
     # -- arithmetic kernels ------------------------------------------------
 
     def _entering_w(self, j: int) -> np.ndarray:
-        return self.mat @ self.a[:, j]
+        """adj [c_j; a_j] = [D_j; M a_j] for the running objective."""
+        return self.adj @ np.append(self.objective[j], self.a[:, j])
 
     def _pivot(self, j: int, p: int, w: np.ndarray) -> None:
-        """Pivot column j into row p, where w = M a_j.  A negative w_p negates
-        the new M and xi together, which keeps delta positive."""
+        """Pivot column j into row p of M, where w = adj [c_j; a_j] = [D_j; M a_j].
+        A negative w[p + 1] negates the new adj and xi, keeping delta positive."""
         w_list = w.tolist()
-        wp = w_list[p]
+        wp = w_list[p + 1]
         if wp == 0:
             raise RuntimeError("zero pivot element")
         sign = 1 if wp > 0 else -1
         new_delta = sign * wp
         delta = self.delta
-        mat_p = self.mat[p] if sign > 0 else -self.mat[p]
-        numer = new_delta * self.mat - w[:, None] * mat_p
+        adj_p = self.adj[p + 1] if sign > 0 else -self.adj[p + 1]
+        numer = new_delta * self.adj - w[:, None] * adj_p
         if delta != 1:
             if np.count_nonzero(numer % delta):
                 raise RuntimeError("inexact division in basis update")
             numer //= delta
-        numer[p] = mat_p
-        self.mat = numer
+        numer[p + 1] = adj_p
+        self.adj, self.mat = numer, numer[1:, 1:]
         xi = self.xi
         xi_p = sign * xi[p]
-        for i, w_i in enumerate(w_list):
+        for i, w_i in enumerate(w_list[1:]):
             if i == p or (w_i == 0 and new_delta == delta):
                 continue
             q = new_delta * xi[i] - w_i * xi_p
@@ -337,18 +346,11 @@ class _Engine:
         xi[p] = xi_p
         self.delta = new_delta
         self.basis[p] = j
-        self.cost_b[p] = self.objective[j]
 
-    def _reduced(
-        self, costs: np.ndarray, a: np.ndarray, yhat: np.ndarray | None = None
-    ) -> np.ndarray:
-        """delta-scaled reduced costs of the columns a, whose costs are the
-        array costs: costs delta - a^T yhat, against yhat = c_B M with the c_B
-        carried for the running objective, or against a given delta-scaled
-        dual vector."""
-        if yhat is None:
-            yhat = self.cost_b @ self.mat
-        return costs * self.delta - yhat @ a
+    def _reduced(self, stack: np.ndarray) -> np.ndarray:
+        """delta-scaled reduced costs c delta - c_B M a of the columns stacked
+        [c; a] for the running objective: one product with adj's top row."""
+        return self.adj[0] @ stack
 
     # -- simplex loop ------------------------------------------------------
 
@@ -374,18 +376,20 @@ class _Engine:
     ) -> tuple[str, int | None, np.ndarray | None]:
         """Pivot to optimality or unboundedness for objective, an array over
         the structural and artificial columns (None: phase 1's, as run_phase1
-        passes it for bench/spans.py), pricing every iteration from the basis
-        over the columns that may enter: the ascending index array cols from
-        reoptimize, else the free ones."""
-        objective = self.prep.phase1_cost if objective is None else objective
-        cols, a = (self.free, self.a_free) if cols is None else (cols, self.a[:, cols])
-        self.objective, self.cost_b = objective, objective[self.basis]
+        passes it for bench/spans.py; without cols, the program's), pricing
+        the columns that may enter: the ascending index array cols from
+        reoptimize, stacked here once, else the free ones, stacked by presolve."""
+        if cols is None:
+            cols, stack = self.free, self.stacks[objective is not None]
+        else:
+            stack = np.vstack((objective[cols], self.a[:, cols]))
+        self.objective = self.prep.phase1_cost if objective is None else objective
+        self.adj[0, 1:] = -(self.objective[self.basis] @ self.mat)
         if not len(cols):
             return "optimal", None, None
-        costs = objective[cols]
         for iteration in range(_ITERATION_CAP):
             # through the method, which TestTwoPhaseDualCheck replaces
-            reduced = self._reduced(costs, a)
+            reduced = self._reduced(stack)
             if iteration < _BLAND_AFTER:
                 # argmin takes the first minimum and cols ascend, so ties go
                 # to the least column index
@@ -398,10 +402,10 @@ class _Engine:
             if not entering:
                 return "optimal", None, None
             j = int(cols[k])
-            w = self._entering_w(j)
-            p = self._ratio_row(w)
+            w = self.adj @ stack[:, k]
+            p = self._ratio_row(w[1:])
             if p is None:
-                return "unbounded", j, w
+                return "unbounded", j, w[1:]
             self._pivot(j, p, w)
         raise RuntimeError("simplex iteration cap exceeded")
 
@@ -411,7 +415,7 @@ class _Engine:
                 continue
             if self.xi[p] != 0:
                 raise RuntimeError("artificial basic at nonzero value")
-            pivots = (self.mat[p] @ self.a_free).nonzero()[0]
+            pivots = (self.mat[p] @ self.stacks[0][1:]).nonzero()[0]
             if not len(pivots):
                 # Redundant constraint row: inert from here on.  Its M row
                 # only ever gets rescaled, so it stays orthogonal to every
@@ -428,14 +432,15 @@ class _Engine:
         row-scaled entries >= 0), when the columns left free are linearly
         independent; otherwise fix none (module docstring).  It leaves free,
         the ascending indices of the columns that may enter (every column
-        when none is fixed), a_free, their columns of the matrix (the whole
-        matrix when none is fixed), and for the certificates the indicator
-        1_Z of the zero rows and each column's sum s_j over them (all zero
-        when none is fixed)."""
-        dtype = self.prep.dtype
-        self.free, self.a_free = np.arange(self.n), self.a
-        self.zero_rows, self.sums = np.zeros(self.m, dtype), np.zeros(self.n, dtype)
-        zero = [int(nonneg and b == 0) for nonneg, b in zip(self.prep.nonneg_rows, self.b_num)]
+        when none is fixed), stacks, phase 1's and the program's [c; A] over
+        them, and for the certificates the indicator 1_Z of the zero rows and
+        the fixed columns: indices, matrix columns and sums s_j over Z (zeros
+        and empty arrays when none is fixed)."""
+        prep, dtype = self.prep, self.prep.dtype
+        self.free, self.stacks = np.arange(self.n), (prep.phase1_stack, prep.cost_stack)
+        self.zero_rows = np.zeros(self.m, dtype)
+        self.fixed, self.a_fixed, self.sums = self.free[:0], self.a[:, :0], np.zeros(0, dtype)
+        zero = [int(nonneg and b == 0) for nonneg, b in zip(prep.nonneg_rows, self.b_num)]
         if not any(zero):
             return
         zero_rows = np.array(zero, dtype=dtype)
@@ -444,8 +449,10 @@ class _Engine:
         if len(free) == self.n or len(free) > self.m:
             return
         if _independent(self.a.T[free].tolist()):
-            self.free, self.a_free = free, self.a[:, free]
-            self.zero_rows, self.sums = zero_rows, sums
+            fixed = sums.nonzero()[0]
+            self.free, self.stacks = free, (prep.phase1_stack[:, free], prep.cost_stack[:, free])
+            self.zero_rows = zero_rows
+            self.fixed, self.a_fixed, self.sums = fixed, self.a[:, fixed], sums[fixed]
 
     def run_phase1(self) -> bool:
         """Phase 1 from the artificial basis: whether it ends feasible, with
@@ -511,17 +518,16 @@ class _Engine:
         nonnegative; yhat.b and every free column's reduced cost are
         unchanged, since both vanish on Z.  With none fixed, K = 0."""
         yhat = objective[self.basis] @ self.mat
-        fixed = self.sums.nonzero()[0]
-        sums = self.sums[fixed]
-        short = (sums - 1 - self._reduced(objective[fixed], self.a[:, fixed], yhat)) // sums
+        reduced = objective[self.fixed] * self.delta - yhat @ self.a_fixed
+        short = (self.sums - 1 - reduced) // self.sums
         return yhat - max([0, *short.tolist()]) * self.zero_rows
 
     def check_dual_feasible(self) -> None:
         """Integer check that every reduced cost against the certificate's
         dual vector is nonnegative."""
         cost_vec = self.prep.cost_vec
-        reduced = self._reduced(cost_vec[: self.n], self.a, self._certificate_dual(cost_vec))
-        if np.count_nonzero(reduced < 0):
+        yhat = self._certificate_dual(cost_vec)
+        if np.count_nonzero(cost_vec[: self.n] * self.delta - yhat @ self.a < 0):
             raise RuntimeError("optimal basis is not dual-feasible")
 
     def farkas_certificate(self) -> tuple[Fraction, ...]:
@@ -565,7 +571,7 @@ class _Engine:
         """The ascending indices of the columns that may enter at reduced cost
         zero, for the running objective, the program's at the end of
         run_two_phase."""
-        return self.free[self._reduced(self.prep.cost_vec[self.free], self.a_free) == 0]
+        return self.free[self._reduced(self.stacks[1]) == 0]
 
 
 def _vertex(engine: _Engine, status: str) -> LpSolution:

@@ -374,7 +374,7 @@ class TestTwoPhaseDualCheck:
         def misread_phase_two(engine, col_cost, allowed=None):
             if col_cost is None:
                 return loop(engine, col_cost, allowed)
-            engine._reduced = lambda costs, a: np.zeros(a.shape[1], dtype=object)
+            engine._reduced = lambda stack: np.zeros(stack.shape[1], dtype=object)
             try:
                 return loop(engine, col_cost, allowed)
             finally:
@@ -383,6 +383,23 @@ class TestTwoPhaseDualCheck:
         monkeypatch.setattr(lp._Engine, "_loop", misread_phase_two)
         with pytest.raises(RuntimeError, match="not dual-feasible"):
             solve(program([[1, 1]], [1], [3, 1]))
+
+    def test_checks_recompute_the_dual_row(self):
+        # The basis-dual check and the Farkas vector read c_B M from the
+        # basis: a garbled carried top row changes neither.
+        prep = _system_for("full256").prep
+        box = next(draw(FamilySpec("general", 7), 1))
+        _, engine = lp._solve_prepared(prep, box.num, box.den)
+        dual = engine._certificate_dual(prep.cost_vec).tolist()
+        engine.adj[0, 1:] += 7
+        assert engine._certificate_dual(prep.cost_vec).tolist() == dual
+        engine.check_dual_feasible()
+        prog = program([[1, 1], [1, 1]], [1, 2], [0, 0])
+        engine = lp._Engine(lp._prepare_program(prog), *lp._integer_rhs(prog.rhs))
+        assert not engine.run_phase1()
+        farkas = engine.farkas_certificate()
+        engine.adj[0, 1:] += 7
+        assert engine.farkas_certificate() == farkas
 
 
 class TestFailureCertificates:
@@ -426,8 +443,9 @@ _OBJECT_SCALE = 2**21
 
 def check_kernel_state(engine: lp._Engine) -> None:
     """The kernel's invariants, recomputed in Python integers: M B = delta I
-    over the basic columns (artificials included), xi = M b_num, and the
-    pricing row equal to c delta - c_B M A for the running objective."""
+    over the basic columns (artificials included), xi = M b_num, the carried
+    top row equal to [delta, -c_B M] and the pricing row to c delta - c_B M A
+    for the running objective."""
     m, n, delta = engine.m, engine.n, engine.delta
     assert delta > 0
     a = engine.a.tolist()
@@ -441,8 +459,9 @@ def check_kernel_state(engine: lp._Engine) -> None:
     cost = objective.tolist()
     c_b = [cost[jb] for jb in engine.basis]
     yhat = [sum(c_b[i] * mat[i][r] for i in range(m)) for r in range(m)]
+    assert engine.adj[0].tolist() == [delta] + [-v for v in yhat]
     want = [cost[k] * delta - sum(yhat[r] * a[r][k] for r in range(m)) for k in range(n)]
-    assert engine._reduced(objective[:n], engine.a).tolist() == want
+    assert engine._reduced(np.vstack((objective[:n], engine.a))).tolist() == want
 
 
 def reoptimize_on_face(engine: lp._Engine) -> None:
@@ -531,11 +550,19 @@ class TestRemainderTripWires:
     def test_corrupted_basis_entry(self, scale):
         engine = self.engine_at_delta_two(scale)
         w = engine._entering_w(3)
-        assert w.tolist() == [1, 1, 1]
+        assert w[1:].tolist() == [1, 1, 1]
         uncorrupted = copy.deepcopy(engine)
         uncorrupted._pivot(3, 0, w)
         assert uncorrupted.delta == 1
         engine.mat[1, 0] += 1
+        with pytest.raises(RuntimeError, match="inexact division in basis update"):
+            engine._pivot(3, 0, w)
+
+    @pytest.mark.parametrize("scale", [1, _OBJECT_SCALE])
+    def test_corrupted_top_row_entry(self, scale):
+        engine = self.engine_at_delta_two(scale)
+        w = engine._entering_w(3)
+        engine.adj[0, 2] += 1
         with pytest.raises(RuntimeError, match="inexact division in basis update"):
             engine._pivot(3, 0, w)
 
@@ -548,10 +575,54 @@ class TestRemainderTripWires:
             engine._pivot(3, 0, w)
 
 
+class TestInt64Edge:
+    """16-row 0/1 programs with costs of 2**20, the largest the int64 rule
+    admits, take the object path's pivots (costs scaled by _OBJECT_SCALE)
+    and answers, and keep every top-row numerator of the pivot update below
+    the module docstring's bound of 2**61."""
+
+    @staticmethod
+    def solve_recorded(monkeypatch, prep, rhs) -> tuple[LpSolution, list, int]:
+        """The solve, its pivots (j, p) and its largest top-row numerator
+        |w_p| T_0 - s D_j T_P, in Python integers."""
+        seen, largest = [], 0
+        pivot = lp._Engine._pivot
+
+        def recorded(engine, j, p, w):
+            nonlocal largest
+            t, v = engine.adj.tolist(), w.tolist()
+            sign = 1 if v[p + 1] > 0 else -1
+            numer = [abs(v[p + 1]) * x - sign * v[0] * y for x, y in zip(t[0], t[p + 1])]
+            largest = max(largest, *map(abs, numer))
+            seen.append((j, p))
+            pivot(engine, j, p, w)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lp._Engine, "_pivot", recorded)
+            solution, _ = lp._solve_prepared(prep, rhs, 1)
+        return solution, seen, largest
+
+    def test_largest_costs_on_sixteen_rows(self, monkeypatch):
+        for seed in range(6):
+            rng = random.Random(seed)
+            a = np.array([[rng.randint(0, 1) for _ in range(40)] for _ in range(16)])
+            rhs = (a @ np.array([rng.randint(0, 3) for _ in range(40)])).tolist()
+            costs = [rng.choice([2**20, -(2**20), rng.randint(-(2**20), 2**20)]) for _ in range(40)]
+            int64 = lp._prepare_int01(a, costs)
+            scaled = lp._prepare_int01(a, [c * _OBJECT_SCALE for c in costs])
+            assert int64.int_mode and not scaled.int_mode
+            got, pivots, largest = self.solve_recorded(monkeypatch, int64, rhs)
+            want, want_pivots, _ = self.solve_recorded(monkeypatch, scaled, rhs)
+            assert pivots == want_pivots and len(pivots) > 30
+            assert got.status == want.status == "optimal" and got.basis == want.basis
+            assert got.value * _OBJECT_SCALE == want.value
+            assert 2**40 < largest < 2**61
+
+
 def fixed_columns(prog: LinearProgram) -> list[int]:
     """The columns the forcing-row presolve fixes at zero on prog."""
     engine = lp._Engine(lp._prepare_program(prog), *lp._integer_rhs(prog.rhs))
-    return engine.sums.nonzero()[0].tolist()
+    return engine.fixed.tolist()
 
 
 class TestForcingRowPresolve:
@@ -578,7 +649,7 @@ class TestForcingRowPresolve:
         prog = program(rows, rhs, cost)
         assert fixed_columns(prog) == [2]
         got, engine = lp._solve_prepared(lp._prepare_program(prog), *lp._integer_rhs(prog.rhs))
-        assert engine._reduced(engine.prep.cost_vec[: engine.n], engine.a)[2] < 0
+        assert engine._reduced(engine.prep.cost_stack)[2] < 0
         assert (got.status, got.value) == solve_reference(rows, rhs, cost)[:2]
         # the lifted yhat = delta y in the row-scaled integers, read back
         # into the program's own rows
@@ -623,9 +694,11 @@ def full_pricing_loop(engine, col_cost, cols=None):
     if cols is not None:
         allowed &= np.isin(np.arange(engine.n), cols)
     objective = engine.prep.phase1_cost if col_cost is None else col_cost
-    engine.objective, engine.cost_b = objective, objective[engine.basis]
+    engine.objective = objective
+    engine.adj[0, 1:] = -(objective[engine.basis] @ engine.mat)
+    stack = np.vstack((objective[: engine.n], engine.a))
     for iteration in range(lp._ITERATION_CAP):
-        reduced = engine._reduced(objective[: engine.n], engine.a)
+        reduced = engine._reduced(stack)
         reduced = np.where(allowed, reduced, 0)
         if iteration < lp._BLAND_AFTER:
             j = int(reduced.argmin())
@@ -637,9 +710,9 @@ def full_pricing_loop(engine, col_cost, cols=None):
         if not entering:
             return "optimal", None, None
         w = engine._entering_w(j)
-        p = engine._ratio_row(w)
+        p = engine._ratio_row(w[1:])
         if p is None:
-            return "unbounded", j, w
+            return "unbounded", j, w[1:]
         engine._pivot(j, p, w)
     raise RuntimeError("simplex iteration cap exceeded")
 
@@ -859,7 +932,7 @@ class TestReadOnlyPrepared:
 
     def test_arrays_and_fields(self):
         prep = _system_for("full256").prep
-        for name in ("a_int", "cost_vec", "phase1_cost"):
+        for name in ("a_int", "cost_vec", "phase1_cost", "cost_stack", "phase1_stack"):
             array = getattr(prep, name)
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]

@@ -23,8 +23,8 @@ from corrbox.verify import FindingsReport, PropertyResult
 PR = Box.from_numerators((1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 1), 2)
 PREP = lp._prepare_int01(np.array([[1, 0], [0, 1]], dtype=np.int64), [1, 2])
 PREPARED_FIELDS = (
-    "m", "n", "a_int", "col_cost", "cost_vec", "phase1_cost", "cost_den", "row_scale",
-    "dtype", "col_rows", "nonneg_rows",
+    "m", "n", "a_int", "col_cost", "cost_vec", "phase1_cost", "cost_stack", "phase1_stack",
+    "cost_den", "row_scale", "dtype", "col_rows", "nonneg_rows",
 )
 
 
